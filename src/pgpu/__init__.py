@@ -50,8 +50,8 @@ from .harness import (
     summarize,
     write_results,
 )
-from .kernels import KernelSpec, default_kernel, gram_matrix, kernel_eval
-from .kmm import BetaWeights, KmmConfig, default_epsilon, mmd_objective, solve_kmm
+from .kernels import KernelSpec, SplitKernel, default_kernel, gram_matrix, kernel_eval
+from .kmm import BetaWeights, KmmConfig, default_epsilon, solve_kmm
 from .svm import (
     PlattCalibration,
     SvmConfig,

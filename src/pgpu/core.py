@@ -10,11 +10,11 @@ positive-class flip rate is provided for synthetic oracles and tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec
+from .kernels import KernelSpec, SplitKernel
 from .kmm import BetaWeights, KmmConfig, solve_kmm
 from .svm import (
     SvmConfig,
@@ -24,9 +24,6 @@ from .svm import (
     train_prob_svm,
     train_weighted_svm,
 )
-
-if TYPE_CHECKING:
-    from .datagen import PUDataset
 
 BOUNDARY_GRID: tuple[float, ...] = tuple(round(-0.90 + 0.01 * k, 2) for k in range(31))
 
@@ -216,15 +213,22 @@ def relabel(gaps: GapEstimate, observed_labels, boundary_l: float) -> RelabelRes
     )
 
 
-def fit_relabelled_classifier(X, s, gaps: GapEstimate, boundary_l: float,
-                              config: PipelineConfig = PipelineConfig(),
+def fit_relabelled_classifier(kernel: SplitKernel, s, gaps: GapEstimate, boundary_l: float,
+                              config: PipelineConfig = PipelineConfig(), rows=None,
+                              kmm_kernel: SplitKernel | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
-    The KMM target is the full sample and the source is the relabelled subset,
-    so the weights undo the bias from dropping the ambiguous band.
+    The sample is the rows ``rows`` (None: all) of the classifier kernel, with
+    ``s`` and ``gaps`` given per sample row; the final SVM trains on a block
+    of ``kernel.K``. The KMM target is the full sample and the source is the
+    relabelled subset, so the weights undo the bias from dropping the
+    ambiguous band. ``kmm_kernel``, the matching kernel on the sample's rows,
+    is passed by callers that fit many boundaries on one sample; otherwise it
+    is built here with the source rows first, so the source block is a view.
+    Relabelled-positive and relabelled-negative indices are sample positions.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     s = np.asarray(s, dtype=int)
     result = relabel(gaps, s, boundary_l)
     if result.positive_idx.size == 0 or result.negative_idx.size == 0:
@@ -234,9 +238,15 @@ def fit_relabelled_classifier(X, s, gaps: GapEstimate, boundary_l: float,
         np.ones(result.positive_idx.size, dtype=int),
         -np.ones(result.negative_idx.size, dtype=int),
     ])
-    kernel = config.svm.resolve_kernel(X.shape[1])
-    beta = solve_kmm(config.resolve_kmm_kernel(X.shape[1]), X, X[sel], config.kmm)
-    model = train_weighted_svm(X[sel], labels, beta.beta, config.svm.C, kernel)
+    if kmm_kernel is None:
+        ordered = idx[np.concatenate([sel, result.discarded_idx])]
+        kmm_kernel = SplitKernel(config.resolve_kmm_kernel(kernel.X.shape[1]), kernel.X[ordered])
+        source = np.arange(sel.size)
+    else:
+        source = sel
+    beta = solve_kmm(kmm_kernel, None, source, config.kmm)
+    del kmm_kernel  # free the matching kernel before the SVM slices its block
+    model = train_weighted_svm(kernel, labels, beta.beta, config.svm.C, idx[sel])
     return model, result, beta
 
 
@@ -248,42 +258,50 @@ def _stratified_folds(s: np.ndarray, folds: int, rng: np.random.Generator) -> np
     return fold
 
 
-def estimate_boundary_cv(train: "PUDataset", config: PipelineConfig = PipelineConfig(),
+def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = PipelineConfig(),
                          grid: Sequence[float] = BOUNDARY_GRID, folds: int = 5,
                          seed: int = 0) -> float:
     """Pick the boundary from ``grid`` that maximizes cross-validated accuracy.
 
-    Each candidate is scored by running the full relabel-KMM-SVM pipeline on
-    the training folds and measuring accuracy against the held-out observed PU
-    labels. Grid candidates are scanned in ascending order, so ties resolve to
-    the most negative boundary. Degenerate (candidate, fold) pairs are skipped;
-    if every candidate degenerates everywhere, this raises.
+    ``kernel`` is the classifier kernel of the training split and ``s`` its
+    observed labels. Each candidate is scored by running the full
+    relabel-KMM-SVM pipeline on the training folds and measuring accuracy
+    against the held-out observed PU labels; every classifier kernel value is
+    a block of ``kernel.K``, and each fold builds its matching kernel once for
+    all candidates. Grid candidates are scanned in ascending order, so ties
+    resolve to the most negative boundary. Degenerate (candidate, fold) pairs
+    are skipped; if every candidate degenerates everywhere, this raises.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    X = np.atleast_2d(np.asarray(train.X, dtype=float))
-    s = np.asarray(train.s, dtype=int)
+    s = np.asarray(s, dtype=int)
+    if s.shape != (kernel.n,):
+        raise ValueError("s must have one label per row of the kernel")
     if min(int((s == 1).sum()), int((s == -1).sum())) < folds:
         raise ValueError(f"each observed class needs at least {folds} examples for {folds}-fold CV")
     fold = _stratified_folds(s, folds, np.random.default_rng(seed))
+    kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
 
     sums = np.zeros(len(grid))
     counts = np.zeros(len(grid))
     for k in range(folds):
-        hold = fold == k
+        fit_rows = np.flatnonzero(fold != k)
+        hold_rows = np.flatnonzero(fold == k)
         try:
-            model, calib = train_prob_svm(X[~hold], s[~hold], config.svm)
+            model, calib = train_prob_svm(kernel, s[fit_rows], config.svm, rows=fit_rows)
         except ValueError:
             continue
-        fold_gaps = observed_gap(predict_proba_batch(model, calib, X[~hold]))
+        fold_gaps = observed_gap(predict_proba_batch(model, calib, kernel, fit_rows))
+        kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
         for ci, cand in enumerate(grid):
             try:
-                clf, _, _ = fit_relabelled_classifier(X[~hold], s[~hold], fold_gaps, cand, config)
+                clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand, config,
+                                                      fit_rows, kmm_kernel)
             except (ValueError, RuntimeError):
                 continue
-            pred = np.where(decision_values(clf, X[hold]) >= 0.0, 1, -1)
-            sums[ci] += float(np.mean(pred == s[hold]))
+            pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
+            sums[ci] += float(np.mean(pred == s[hold_rows]))
             counts[ci] += 1
     if not (counts > 0).any():
         raise ValueError("every boundary candidate was degenerate in cross-validation")

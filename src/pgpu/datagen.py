@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FlipRateSpec
+from .kernels import SplitKernel
 from .svm import SvmConfig, predict_proba_batch, train_prob_svm
 
 
@@ -29,6 +30,9 @@ class PUDataset:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.s = np.asarray(self.s, dtype=int)
         n = self.X.shape[0]
+        if not np.isfinite(self.X).all():
+            i, j = np.argwhere(~np.isfinite(self.X))[0]
+            raise ValueError(f"features must be finite: data row {i}, x{j + 1} is {self.X[i, j]}")
         if self.s.shape != (n,):
             raise ValueError("s must have one label per row of X")
         if not np.isin(self.s, (-1, 1)).all():
@@ -165,8 +169,9 @@ def estimate_clean_gap(clean: PUDataset, svm_config: SvmConfig = SvmConfig()) ->
     """
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
-    model, calib = train_prob_svm(clean.X, clean.y, svm_config)
-    return 2.0 * predict_proba_batch(model, calib, clean.X) - 1.0
+    kernel = SplitKernel(svm_config.resolve_kernel(clean.dim), clean.X)
+    model, calib = train_prob_svm(kernel, clean.y, svm_config)
+    return 2.0 * predict_proba_batch(model, calib, kernel) - 1.0
 
 
 def split(dataset: PUDataset, train_fraction: float = 0.75, seed: int = 0,

@@ -32,10 +32,9 @@ from .datagen import (
     rank_normalized_gap,
     split,
 )
-from .kernels import KernelSpec
+from .kernels import KernelSpec, SplitKernel
 from .kmm import KmmConfig
 from .svm import (
-    PlattCalibration,
     SvmConfig,
     SvmModel,
     decision_values,
@@ -115,13 +114,8 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "little") % (2**32)
 
 
-def evaluate(model: SvmModel, calib: PlattCalibration | None, test: PUDataset) -> float:
-    """Fraction of test points whose decision sign matches the latent label.
-
-    The calibration argument is accepted for interface symmetry with the
-    probability pipeline; accuracy only uses the decision sign.
-    """
-    del calib
+def evaluate(model: SvmModel, test: PUDataset) -> float:
+    """Fraction of test points whose decision sign matches the latent label."""
     if test.y is None:
         raise ValueError("evaluation requires latent labels")
     pred = np.where(decision_values(model, test.X) >= 0.0, 1, -1)
@@ -131,25 +125,29 @@ def evaluate(model: SvmModel, calib: PlattCalibration | None, test: PUDataset) -
 def run_pgpu(train: PUDataset, test: PUDataset, config: PipelineConfig = PipelineConfig(),
              boundary_mode: str = "min_nprime", cv_seed: int = 0) -> float:
     """Full pipeline: estimate observed gaps, pick the boundary, relabel,
-    reweight with KMM, train the weighted SVM, and score on the test set."""
+    reweight with KMM, train the weighted SVM, and score on the test set.
+
+    The classifier kernel of the training split is computed once; every fit
+    and decision value on the split slices it."""
     if boundary_mode not in ("min_nprime", "cv"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    model, calib = train_prob_svm(train.X, train.s, config.svm)
-    gaps = observed_gap(predict_proba_batch(model, calib, train.X))
+    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
+    model, calib = train_prob_svm(kernel, train.s, config.svm)
+    gaps = observed_gap(predict_proba_batch(model, calib, kernel))
     if boundary_mode == "cv":
-        boundary = estimate_boundary_cv(train, config, seed=cv_seed)
+        boundary = estimate_boundary_cv(kernel, train.s, config, seed=cv_seed)
     else:
         boundary = estimate_boundary_min(gaps, train.s, config.n_prime)
-    final, _, _ = fit_relabelled_classifier(train.X, train.s, gaps, boundary, config)
-    return evaluate(final, None, test)
+    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary, config)
+    return evaluate(final, test)
 
 
 def run_svm_naive(train: PUDataset, test: PUDataset,
                   config: PipelineConfig = PipelineConfig()) -> float:
     """Baseline: unweighted SVM that treats the observed PU labels as truth."""
-    kernel = config.svm.resolve_kernel(train.dim)
-    model = train_weighted_svm(train.X, train.s, np.ones(train.n), config.svm.C, kernel)
-    return evaluate(model, None, test)
+    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
+    model = train_weighted_svm(kernel, train.s, np.ones(train.n), config.svm.C)
+    return evaluate(model, test)
 
 
 def elkan_weights(c: float, p_pos_unlabelled) -> np.ndarray:
@@ -165,7 +163,8 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
               seed: int = 0) -> float:
     """Reweighting baseline: estimate the label frequency c on a held-out
     20% of the training data, then duplicate each unlabelled example into a
-    weighted positive and a weighted negative copy."""
+    weighted positive and a weighted negative copy. Both fits slice one
+    kernel of the training split; the copies are repeated rows of it."""
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
     n_fit = int(round(0.8 * n))
@@ -175,24 +174,24 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     cal_pos = cal_idx[train.s[cal_idx] == 1]
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
-    model, calib = train_prob_svm(train.X[fit_idx], train.s[fit_idx], config.svm)
-    c = float(predict_proba_batch(model, calib, train.X[cal_pos]).mean())
+    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
+    model, calib = train_prob_svm(kernel, train.s[fit_idx], config.svm, rows=fit_idx)
+    c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())
     if c <= 0:
         raise ValueError("estimated label frequency is zero")
 
     pos = np.flatnonzero(train.s == 1)
     unl = np.flatnonzero(train.s == -1)
-    w_unl = elkan_weights(c, predict_proba_batch(model, calib, train.X[unl]))
-    X_big = np.vstack([train.X[pos], train.X[unl], train.X[unl]])
+    w_unl = elkan_weights(c, predict_proba_batch(model, calib, kernel, unl))
+    rows = np.concatenate([pos, unl, unl])
     y_big = np.concatenate([
         np.ones(pos.size, dtype=int),
         np.ones(unl.size, dtype=int),
         -np.ones(unl.size, dtype=int),
     ])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
-    kernel = config.svm.resolve_kernel(train.dim)
-    final = train_weighted_svm(X_big, y_big, w_big, config.svm.C, kernel)
-    return evaluate(final, None, test)
+    final = train_weighted_svm(kernel, y_big, w_big, config.svm.C, rows)
+    return evaluate(final, test)
 
 
 def _normalize_settings(flip) -> list[tuple[str, FlipRateSpec | None]]:

@@ -1,4 +1,4 @@
-"""Kernel functions and dense Gram matrices shared by the SVM trainer and the KMM solver."""
+"""Kernel functions, dense Gram matrices, and the one kernel matrix each training split shares."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _VALID_KINDS = ("linear", "rbf")
+_BLOCK = 256  # rows and columns per block of a Gram matrix
 
 
 @dataclass(frozen=True)
@@ -45,8 +46,9 @@ def kernel_eval(spec: KernelSpec, x, z) -> float:
 def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
 
-    Passing the same array object for X and Z yields an exactly symmetric
-    result (the matrix is symmetrized after the BLAS product).
+    Built block by block in the output array, so no temporary is larger than
+    one block. Passing the same array object for X and Z computes the upper
+    blocks only and mirrors them, so the result is exactly symmetric.
     """
     same = X is Z
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -55,15 +57,64 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
         raise ValueError("gram_matrix requires nonempty inputs")
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    if spec.kind == "linear":
-        out = X @ Z.T
-    else:
-        sx = np.sum(X * X, axis=1)
-        sz = np.sum(Z * Z, axis=1)
-        sq = sx[:, None] + sz[None, :] - 2.0 * (X @ Z.T)
-        # values below the cancellation-error bound of the expansion are noise
-        sq[sq <= 1e-13 * (sx[:, None] + sz[None, :])] = 0.0
-        out = np.exp(-spec.gamma * sq)
-    if same:
-        out = 0.5 * (out + out.T)
+    sx = np.sum(X * X, axis=1)
+    sz = sx if same else np.sum(Z * Z, axis=1)
+    out = np.empty((X.shape[0], Z.shape[0]))
+    for i in range(0, X.shape[0], _BLOCK):
+        for j in range(i if same else 0, Z.shape[0], _BLOCK):
+            blk = out[i:i + _BLOCK, j:j + _BLOCK]
+            np.matmul(X[i:i + _BLOCK], Z[j:j + _BLOCK].T, out=blk)
+            if spec.kind == "rbf":
+                norms = sx[i:i + _BLOCK, None] + sz[None, j:j + _BLOCK]
+                blk *= -2.0
+                blk += norms  # squared distances ||x||^2 + ||z||^2 - 2 x.z
+                # values below the cancellation-error bound of the expansion are noise
+                norms *= 1e-13
+                blk[blk <= norms] = 0.0
+                blk *= -spec.gamma
+                np.exp(blk, out=blk)
+            if not same:
+                continue
+            if j > i:
+                out[j:j + _BLOCK, i:i + _BLOCK] = blk.T
+            else:
+                lower = np.tril_indices(blk.shape[0], -1)
+                blk[lower] = blk.T[lower]
     return out
+
+
+def _as_run(idx):
+    """A slice for None (everything) or for consecutive ascending indices, else an index array."""
+    if idx is None:
+        return slice(None)
+    idx = np.asarray(idx, dtype=np.intp)
+    if (idx.size and idx[0] >= 0 and idx[-1] - idx[0] == idx.size - 1
+            and np.all(np.diff(idx) == 1)):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
+
+
+class SplitKernel:
+    """The rows of one sample (a training split) and their kernel matrix, computed once.
+
+    Every fit, fold and decision value on the sample takes a block of ``K``
+    by index sets instead of recomputing kernels from features. ``K`` is
+    exactly symmetric, so every block on the diagonal is too.
+    """
+
+    def __init__(self, spec: KernelSpec, X) -> None:
+        self.spec = spec
+        self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.K = gram_matrix(spec, self.X, self.X)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    def block(self, rows=None, cols=None) -> np.ndarray:
+        """K[rows][:, cols] for index sets (None: all). Consecutive ascending
+        indices give a view, anything else a copy; indices may repeat."""
+        r, c = _as_run(rows), _as_run(cols)
+        if isinstance(r, slice) or isinstance(c, slice):
+            return self.K[r, c]
+        return self.K[np.ix_(r, c)]

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_matrix
+from .kernels import SplitKernel
 
-_GRAM_CHUNK = 2048
+_ROWS = 256  # rows per step of the Gershgorin bound, bounding its temporary
 
 
 @dataclass(frozen=True)
@@ -51,26 +51,6 @@ def default_epsilon(n_source: int) -> float:
     return (root - 1.0) / root
 
 
-def _gram_row_sums(kernel: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum_j k(a_i, b_j) without materializing huge cross matrices."""
-    out = np.zeros(A.shape[0])
-    for start in range(0, B.shape[0], _GRAM_CHUNK):
-        out += gram_matrix(kernel, A, B[start:start + _GRAM_CHUNK]).sum(axis=1)
-    return out
-
-
-def mmd_objective(kernel: KernelSpec, target_X, source_X, beta) -> float:
-    """Squared distance between the target kernel mean and the beta-weighted source mean."""
-    target_X = np.atleast_2d(np.asarray(target_X, dtype=float))
-    source_X = np.atleast_2d(np.asarray(source_X, dtype=float))
-    beta = np.asarray(beta, dtype=float)
-    n, ns = target_X.shape[0], source_X.shape[0]
-    k_ss = gram_matrix(kernel, source_X, source_X)
-    kappa = _gram_row_sums(kernel, source_X, target_X)
-    const = _gram_row_sums(kernel, target_X, target_X).sum() / (n * n)
-    return float(beta @ k_ss @ beta / (ns * ns) - 2.0 * (kappa @ beta) / (n * ns) + const)
-
-
 def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     """Project v onto {0 <= x <= cap, sum(x) = target} via bisection on the shift."""
     lo = -float(v.max()) - 1.0
@@ -104,21 +84,25 @@ class _SolverBreakdown(RuntimeError):
     pass
 
 
-def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
+def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.0):
     ns = k_ss.shape[0]
     inv2 = 1.0 / (ns * ns)
     lin = kappa / (n_target * ns)
     lo_sum = ns * (1.0 - eps)
     hi_sum = ns * (1.0 + eps)
 
+    def k_times(v):  # (k_ss + ridge * I) @ v without forming the ridged matrix
+        return k_ss @ v + ridge * v if ridge else k_ss @ v
+
     beta = _project(np.ones(ns), cap, lo_sum, hi_sum)
-    k_beta = k_ss @ beta
+    k_beta = k_times(beta)
 
     def objective(b, kb):
         return float(b @ kb * inv2 - 2.0 * (lin @ b))
 
     # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
-    lips = 2.0 * inv2 * float(np.abs(k_ss).sum(axis=1).max())
+    row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
+    lips = 2.0 * inv2 * (row_max + ridge)
     step = 1.0 / max(lips, 1e-300)
 
     obj = objective(beta, k_beta)
@@ -129,7 +113,7 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
         d = cand - beta
         if np.abs(d).max() <= 1e-14 * max(1.0, np.abs(beta).max()):
             break
-        k_d = k_ss @ d
+        k_d = k_times(d)
         curv = float(d @ k_d) * inv2
         if not np.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
             raise _SolverBreakdown("negative curvature in the source Gram matrix")
@@ -148,34 +132,40 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     return beta, np.asarray(trace)
 
 
-def solve_kmm(kernel: KernelSpec, target_X, source_X, config: KmmConfig = KmmConfig()) -> BetaWeights:
-    """Importance weights beta for the source sample relative to the target sample.
+def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig()) -> BetaWeights:
+    """Importance weights beta for the source rows relative to the target rows.
 
+    ``target`` and ``source`` index the rows of ``kernel`` (target None: all
+    rows; repeats allowed). Every kernel value is a block of ``kernel.K``: the
+    source block, the row sums kappa over the target, and their total. Putting
+    the source first in the kernel's rows makes its block a view, not a copy.
     The returned trace (objective per iteration, offset so it equals the true
     squared mean discrepancy) is monotonically non-increasing.
     """
-    target_X = np.atleast_2d(np.asarray(target_X, dtype=float))
-    source_X = np.atleast_2d(np.asarray(source_X, dtype=float))
-    n, ns = target_X.shape[0], source_X.shape[0]
+    source = np.asarray(source, dtype=np.intp)
+    n = kernel.n if target is None else np.asarray(target).size
+    ns = source.size
     if n < 1 or ns < 1:
         raise ValueError("target and source must be nonempty")
-    if target_X.shape[1] != source_X.shape[1]:
-        raise ValueError(f"dimension mismatch: {target_X.shape[1]} vs {source_X.shape[1]}")
     eps = config.epsilon if config.epsilon is not None else default_epsilon(ns)
     if config.upper_bound_B < 1.0 - eps:
         raise ValueError("infeasible constraints: upper_bound_B below the mean band")
 
-    k_ss = gram_matrix(kernel, source_X, source_X)
-    kappa = _gram_row_sums(kernel, source_X, target_X)
-    const = _gram_row_sums(kernel, target_X, target_X).sum() / (n * n)
+    k_ss = kernel.block(source, source)
+    if target is None:
+        row_sums = kernel.K.sum(axis=1)
+        kappa = row_sums[source]
+    else:
+        kappa = kernel.block(source, target).sum(axis=1)
+        row_sums = kernel.block(target, target).sum(axis=1)
+    const = row_sums.sum() / (n * n)
     try:
         beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
                                          config.max_iters, config.tol)
     except _SolverBreakdown:
-        k_ss = k_ss + 1e-8 * np.eye(ns)
         try:
             beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
-                                             config.max_iters, config.tol)
+                                             config.max_iters, config.tol, ridge=1e-8)
         except _SolverBreakdown as exc:
             raise RuntimeError(f"KMM solver failed even with ridge regularization: {exc}") from exc
     trace = trace + const

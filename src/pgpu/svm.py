@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, default_kernel, gram_matrix
+from .kernels import KernelSpec, SplitKernel, default_kernel, gram_matrix
 
 _TAU = 1e-12
 _P_EPS = 1e-12
@@ -43,6 +43,7 @@ class SvmModel:
     bias: float
     kernel: KernelSpec
     C: float
+    support_idx: np.ndarray | None = None  # rows of the SplitKernel trained on; None if hand-built
 
 
 @dataclass(frozen=True)
@@ -162,19 +163,22 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
     return alpha, bias, iters
 
 
-def train_weighted_svm(X, y, weights, C: float = 1.0, kernel: KernelSpec | None = None,
+def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None,
                        tol: float = 1e-3, max_iter: int | None = None) -> SvmModel:
     """Train a soft-margin SVM where example i gets box constraint C * weights[i].
 
+    The examples are the rows ``rows`` of the split (None: all of them, in
+    order; repeats allowed), with labels ``y`` and ``weights`` given per
+    entry of ``rows``; their Gram matrix is a block of ``kernel.K``.
     Zero-weight examples are dropped before training; both classes must
     remain among the positively weighted ones.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     y = np.asarray(y, dtype=int)
     weights = np.asarray(weights, dtype=float)
-    n = X.shape[0]
-    if y.shape != (n,) or weights.shape != (n,):
-        raise ValueError("X, y, and weights must have matching lengths")
+    n = idx.size
+    if idx.shape != (n,) or y.shape != (n,) or weights.shape != (n,):
+        raise ValueError("rows, y, and weights must have matching lengths")
     if n < 2:
         raise ValueError("need at least 2 training examples")
     if not np.isin(y, (-1, 1)).all():
@@ -190,23 +194,34 @@ def train_weighted_svm(X, y, weights, C: float = 1.0, kernel: KernelSpec | None 
     if (ya > 0).all() or (ya < 0).all():
         raise ValueError("degenerate training set")
 
-    if kernel is None:
-        kernel = default_kernel(X.shape[1])
-    Xa = X[active]
-    K = gram_matrix(kernel, Xa, Xa)
-    alpha, bias, _ = smo_solve(K, ya.astype(float), C * weights[active], tol=tol, max_iter=max_iter)
+    ia = idx[active]
+    alpha, bias, _ = smo_solve(kernel.block(ia, ia), ya.astype(float), C * weights[active],
+                               tol=tol, max_iter=max_iter)
     sv = alpha > 0.0
     return SvmModel(
-        support_vectors=Xa[sv].copy(),
+        support_vectors=kernel.X[ia[sv]],
         dual_coefs=(alpha * ya)[sv],
         bias=bias,
-        kernel=kernel,
+        kernel=kernel.spec,
         C=float(C),
+        support_idx=ia[sv],
     )
 
 
-def decision_values(model: SvmModel, X) -> np.ndarray:
-    """Decision function of the model on the rows of X."""
+def decision_values(model: SvmModel, X, rows=None) -> np.ndarray:
+    """Decision function of the model on feature rows X, or on rows ``rows``
+    (None: all) of the SplitKernel the model was trained on.
+
+    The second form slices the split's kernel instead of evaluating kernels
+    from features.
+    """
+    if isinstance(X, SplitKernel):
+        if model.support_idx is None or X.spec != model.kernel or not np.array_equal(
+                X.X[model.support_idx], model.support_vectors):
+            raise ValueError("the model was not trained on this split kernel")
+        return X.block(rows, model.support_idx) @ model.dual_coefs + model.bias
+    if rows is not None:
+        raise ValueError("rows selects rows of a split kernel, not of features")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.support_vectors.shape[1]:
         raise ValueError(
@@ -282,9 +297,10 @@ def fit_platt(decision_vals, y, max_iter: int = 100, grad_tol: float = 1e-8,
     return PlattCalibration(A=a_par, B=b_par)
 
 
-def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X) -> np.ndarray:
-    """Calibrated P(y=+1|x) for each row of X, clipped into the open interval (0, 1)."""
-    z = calib.A * decision_values(model, X) + calib.B
+def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X, rows=None) -> np.ndarray:
+    """Calibrated P(y=+1|x) for each row of X (features, or rows of the model's
+    SplitKernel as in decision_values), clipped into the open interval (0, 1)."""
+    z = calib.A * decision_values(model, X, rows) + calib.B
     ez = np.exp(-np.abs(z))
     p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
     return np.clip(p, _P_EPS, 1.0 - _P_EPS)
@@ -307,24 +323,21 @@ def _round_robin_folds(y: np.ndarray, k: int) -> np.ndarray:
     return fold
 
 
-def train_prob_svm(X, y, config: SvmConfig = SvmConfig(), weights=None,
-                   tol: float = 1e-3, cv_min_size: int = 30,
+def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(), weights=None,
+                   rows=None, tol: float = 1e-3, cv_min_size: int = 30,
                    cv_folds: int = 3) -> tuple[SvmModel, PlattCalibration]:
-    """Train an SVM and calibrate its posteriors.
+    """Train an SVM on rows ``rows`` of the split (None: all) and calibrate its posteriors.
 
     Calibration targets come from 3-fold cross-validated decision values when
     the sample is large enough (n >= cv_min_size and at least cv_folds
     examples per class); smaller samples use raw training decision values,
-    which avoids fitting a sigmoid on three points.
+    which avoids fitting a sigmoid on three points. Every fit and decision
+    value is a block of ``kernel.K``.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     y = np.asarray(y, dtype=int)
-    if weights is None:
-        weights = np.ones(X.shape[0])
-    else:
-        weights = np.asarray(weights, dtype=float)
-    kernel = config.resolve_kernel(X.shape[1])
-    model = train_weighted_svm(X, y, weights, config.C, kernel, tol=tol)
+    weights = np.ones(idx.size) if weights is None else np.asarray(weights, dtype=float)
+    model = train_weighted_svm(kernel, y, weights, config.C, rows, tol=tol)
 
     n = y.size
     min_class = min(int((y > 0).sum()), int((y < 0).sum()))
@@ -335,11 +348,12 @@ def train_prob_svm(X, y, config: SvmConfig = SvmConfig(), weights=None,
             fold = _round_robin_folds(y, cv_folds)
             for k in range(cv_folds):
                 hold = fold == k
-                sub = train_weighted_svm(X[~hold], y[~hold], weights[~hold], config.C, kernel, tol=tol)
-                dv[hold] = decision_values(sub, X[hold])
+                sub = train_weighted_svm(kernel, y[~hold], weights[~hold], config.C, idx[~hold],
+                                         tol=tol)
+                dv[hold] = decision_values(sub, kernel, idx[hold])
         except ValueError:
             dv = None  # a fold went degenerate (e.g. zero weights): fall back
     if dv is None:
-        dv = decision_values(model, X)
+        dv = decision_values(model, kernel, rows)
     calib = fit_platt(dv, y)
     return model, calib

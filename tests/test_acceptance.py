@@ -18,7 +18,9 @@ from pgpu import (
     KmmConfig,
     PUDataset,
     PipelineConfig,
+    SplitKernel,
     SvmConfig,
+    default_kernel,
     estimate_boundary_min,
     fit_platt,
     forward_gap,
@@ -38,6 +40,12 @@ from pgpu import (
 from pgpu.svm import decision_values
 
 MASTER_SEED = 2
+
+
+def _kmm(spec, target, source, config):
+    """solve_kmm on separate target and source samples: one kernel over both, stacked."""
+    pool = SplitKernel(spec, np.vstack([target, source]))
+    return solve_kmm(pool, np.arange(len(target)), np.arange(len(target), pool.n), config)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -108,8 +116,9 @@ def test_criterion_4_relabelling_consistency():
     clean = pgpu.gen_overlap_square(2000, seed=11)
     drive = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, drive, FlipRateSpec("linear", 0.6), seed=12)
-    model, calib = train_prob_svm(pu.X, pu.s, SvmConfig())
-    gaps = observed_gap(predict_proba_batch(model, calib, pu.X))
+    kernel = SplitKernel(default_kernel(pu.dim), pu.X)
+    model, calib = train_prob_svm(kernel, pu.s, SvmConfig())
+    gaps = observed_gap(predict_proba_batch(model, calib, kernel))
     boundary = estimate_boundary_min(gaps, pu.s, 3)
     result = relabel(gaps, pu.s, boundary)
     bayes = np.where(pu.X[:, 1] > pu.X[:, 0], 1, -1)
@@ -126,7 +135,7 @@ def test_criterion_4_relabelling_consistency():
 def test_criterion_5_kmm_against_oracles():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    ident = solve_kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
+    ident = _kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
     identity_ok = ident.objective <= 1e-6 and np.abs(ident.beta - 1.0).mean() <= 0.05
 
     oracle_ok = True
@@ -136,7 +145,7 @@ def test_criterion_5_kmm_against_oracles():
         target = gen.uniform(-1, 1, size=(5, 2))
         source = gen.uniform(-1, 1, size=(4, 2))
         config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-        got = solve_kmm(KernelSpec("rbf", 1.0), target, source, config)
+        got = _kmm(KernelSpec("rbf", 1.0), target, source, config)
         oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
         worst_gap = max(worst_gap, abs(got.objective - oracle))
         oracle_ok = oracle_ok and abs(got.objective - oracle) <= 1e-4
@@ -149,8 +158,8 @@ def test_criterion_5_kmm_against_oracles():
         d = int(gen.integers(1, 4))
         cap = float(gen.choice([1.0, 2.0, 5.0, 1000.0]))
         eps = float(gen.uniform(0.05, 0.9))
-        out = solve_kmm(KernelSpec("rbf", 1.0 / d), gen.normal(size=(n_t, d)),
-                        gen.normal(size=(n_s, d)), KmmConfig(upper_bound_B=cap, epsilon=eps))
+        out = _kmm(KernelSpec("rbf", 1.0 / d), gen.normal(size=(n_t, d)),
+                   gen.normal(size=(n_s, d)), KmmConfig(upper_bound_B=cap, epsilon=eps))
         feasibility_ok = feasibility_ok and bool(
             np.all(out.beta >= -1e-12)
             and np.all(out.beta <= cap + 1e-12)
@@ -183,9 +192,9 @@ def test_criterion_6_svm_and_calibration_suite():
     y = np.array([1, 1, 1, -1, -1, -1])
     w = np.ones(6)
     w[2] = 3.0
-    weighted = train_weighted_svm(X, y, w, C=1.0, tol=1e-10)
-    duplicated = train_weighted_svm(np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
-                                    np.ones(8), C=1.0, tol=1e-10)
+    weighted = train_weighted_svm(SplitKernel(default_kernel(2), X), y, w, C=1.0, tol=1e-10)
+    duplicated = train_weighted_svm(SplitKernel(default_kernel(2), np.vstack([X, X[2], X[2]])),
+                                    np.concatenate([y, [1, 1]]), np.ones(8), C=1.0, tol=1e-10)
     grid = rng.uniform(-2, 2, size=(40, 2))
     dup_gap = float(np.abs(decision_values(weighted, grid) - decision_values(duplicated, grid)).max())
     dup_ok = dup_gap <= 1e-6
@@ -197,7 +206,7 @@ def test_criterion_6_svm_and_calibration_suite():
     p = 1.0 / (1.0 + np.exp(calib.A * probe + calib.B))
     monotone_ok = calib.A < 0 and bool(np.all(np.diff(p) > 0))
 
-    model = train_weighted_svm(X, y, np.ones(6), C=1.0)
+    model = train_weighted_svm(SplitKernel(default_kernel(2), X), y, np.ones(6), C=1.0)
     sums_ok = all(
         sum(predict_proba(model, calib, x)) == 1.0 for x in rng.uniform(-2, 2, size=(50, 2))
     )

@@ -152,7 +152,8 @@ def test_single_class_relabelling_is_surfaced():
     gaps = GapEstimate(np.array([0.5, 0.6, 0.7, 0.8]))
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
     with pytest.raises(ValueError, match="relabelling produced one class"):
-        pgpu.fit_relabelled_classifier(np.random.default_rng(0).normal(size=(4, 2)), s,
+        X = np.random.default_rng(0).normal(size=(4, 2))
+        pgpu.fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s,
                                        gaps, -0.5, PipelineConfig())
 
 
@@ -169,18 +170,18 @@ def _cv_dataset(spread, seed=3):
     neg = rng.normal(loc=(-2.0, -2.0), scale=spread, size=(60, 2))
     X = np.vstack([pos, neg])
     s = np.concatenate([np.ones(40, dtype=int), -np.ones(60, dtype=int)])
-    return pgpu.PUDataset(X, s)
+    return pgpu.SplitKernel(pgpu.default_kernel(2), X), s
 
 
 def test_boundary_cv_single_candidate():
-    train = _cv_dataset(0.8)
-    assert estimate_boundary_cv(train, PipelineConfig(), grid=[-0.75], seed=1) == -0.75
+    kernel, s = _cv_dataset(0.8)
+    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=[-0.75], seed=1) == -0.75
 
 
 def test_boundary_cv_ties_resolve_to_most_negative():
     # tight, far-apart blobs: every candidate relabels identically, so all tie
-    train = _cv_dataset(0.2)
-    got = estimate_boundary_cv(train, PipelineConfig(), seed=1)
+    kernel, s = _cv_dataset(0.2)
+    got = estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
     assert got == -0.90
 
 
@@ -188,7 +189,8 @@ def test_boundary_cv_needs_enough_of_each_class():
     X = np.random.default_rng(0).normal(size=(12, 2))
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])
     with pytest.raises(ValueError, match="5-fold"):
-        estimate_boundary_cv(pgpu.PUDataset(X, s), PipelineConfig(), folds=5, seed=0)
+        estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, PipelineConfig(),
+                             folds=5, seed=0)
 
 
 def test_flip_rate_spec_validation_and_parse():

@@ -236,3 +236,19 @@ def test_dataset_invariants_enforced():
     assert sub.n == 1 and sub.y[0] == 1 and sub.gap_truth[0] == -0.5
     blind = data.without_latent()
     assert blind.y is None and blind.gap_truth is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_rejected(bad):
+    X = np.zeros((4, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite: data row 2, x2"):
+        PUDataset(X, np.array([1, -1, -1, 1]))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_with_non_finite_feature_rejected(tmp_path, cell):
+    path = tmp_path / "nan.csv"
+    path.write_text(f"x1,x2,s,y\n0.1,0.2,1,\n0.3,{cell},-1,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="features must be finite: data row 1, x2"):
+        load_csv(path)

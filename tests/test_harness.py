@@ -36,16 +36,16 @@ def _constant_model(bias):
 def test_evaluate_counts_matching_signs():
     X = np.zeros((4, 2))
     always_pos = _constant_model(1.0)
-    assert evaluate(always_pos, None, PUDataset(X, -np.ones(4, int), np.ones(4, int))) == 1.0
-    assert evaluate(always_pos, None, PUDataset(X, -np.ones(4, int), -np.ones(4, int))) == 0.0
+    assert evaluate(always_pos, PUDataset(X, -np.ones(4, int), np.ones(4, int))) == 1.0
+    assert evaluate(always_pos, PUDataset(X, -np.ones(4, int), -np.ones(4, int))) == 0.0
     mixed = PUDataset(X, -np.ones(4, int), np.array([1, 1, 1, -1]))
-    assert evaluate(always_pos, None, mixed) == 0.75
+    assert evaluate(always_pos, mixed) == 0.75
 
 
 def test_evaluate_requires_latent_labels():
     test = PUDataset(np.zeros((3, 2)), -np.ones(3, int))
     with pytest.raises(ValueError, match="latent"):
-        evaluate(_constant_model(0.0), None, test)
+        evaluate(_constant_model(0.0), test)
 
 
 def test_derive_seed_is_stable_and_distinct():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgpu import KernelSpec, default_kernel, gram_matrix, kernel_eval
+from _oracles import gram_direct
+from pgpu import KernelSpec, SplitKernel, default_kernel, gram_matrix, kernel_eval
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -99,3 +100,37 @@ def test_gram_psd_up_to_twenty_points(n, seed):
 def test_gram_rejects_empty():
     with pytest.raises(ValueError):
         gram_matrix(KernelSpec("linear"), np.empty((0, 2)), np.ones((2, 2)))
+
+
+def _index_sets(n):
+    """Random index sets (repeats allowed), consecutive runs (which slice as views), or None (all)."""
+    runs = st.integers(0, n - 1).flatmap(
+        lambda start: st.integers(start + 1, n).map(lambda stop: list(range(start, stop))))
+    return st.one_of(st.none(), runs, st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+
+
+@given(st.integers(1, 60), st.integers(1, 5), st.integers(0, 10_000), st.data())
+@settings(max_examples=80, deadline=None)
+def test_split_kernel_blocks_equal_recomputation(n, d, seed, data):
+    X = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(n, d))
+    a = data.draw(_index_sets(n))
+    b = data.draw(_index_sets(n))
+    ia = np.arange(n) if a is None else np.array(a)
+    ib = np.arange(n) if b is None else np.array(b)
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.7)):
+        split = SplitKernel(spec, X)
+        expected = X[ia] @ X[ib].T if spec.kind == "linear" else gram_direct(0.7, X[ia], X[ib])
+        got = split.block(a, b)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+        diagonal = split.block(a, a)
+        assert np.array_equal(diagonal, diagonal.T)
+
+
+def test_gram_symmetric_across_blocks():
+    # more rows than one block, so the mirrored off-diagonal blocks are exercised
+    X = np.random.default_rng(3).normal(size=(600, 2))
+    for spec in (KernelSpec("linear"), KernelSpec("rbf", 0.5)):
+        G = gram_matrix(spec, X, X)
+        assert np.array_equal(G, G.T)
+        assert np.abs(G - gram_matrix(spec, X, X.copy())).max() <= 1e-12

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from _oracles import kmm_brute_force_min, kmm_objective_direct
-from pgpu import KernelSpec, KmmConfig, default_epsilon, mmd_objective, solve_kmm
+from pgpu import KernelSpec, KmmConfig, SplitKernel, default_epsilon, gen_triangles, solve_kmm
+
+
+def kmm(spec, target, source, config):
+    """solve_kmm on separate target and source samples: one kernel over both, stacked."""
+    target = np.atleast_2d(target)
+    n_t = target.shape[0]
+    pool = SplitKernel(spec, np.vstack([target, source]))
+    return solve_kmm(pool, np.arange(n_t), np.arange(n_t, pool.n), config)
 
 
 def test_config_validation():
@@ -26,7 +34,7 @@ def test_default_epsilon_formula():
 def test_identical_source_and_target_keeps_unit_weights():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    result = solve_kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
+    result = kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
     assert result.objective <= 1e-6
     assert np.abs(result.beta - 1.0).mean() <= 0.05
 
@@ -35,12 +43,9 @@ def test_reported_objective_matches_direct_recomputation():
     rng = np.random.default_rng(2)
     target = rng.normal(size=(9, 2))
     source = rng.normal(size=(5, 2))
-    result = solve_kmm(KernelSpec("rbf", 0.7), target, source, KmmConfig())
+    result = kmm(KernelSpec("rbf", 0.7), target, source, KmmConfig())
     direct = kmm_objective_direct(0.7, target, source, result.beta)
     assert result.objective == pytest.approx(direct, abs=1e-10)
-    assert mmd_objective(KernelSpec("rbf", 0.7), target, source, result.beta) == pytest.approx(
-        direct, abs=1e-10
-    )
 
 
 def test_four_point_instance_matches_brute_force_oracle():
@@ -48,7 +53,7 @@ def test_four_point_instance_matches_brute_force_oracle():
     target = rng.uniform(-1, 1, size=(5, 2))
     source = rng.uniform(-1, 1, size=(4, 2))
     config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-    result = solve_kmm(KernelSpec("rbf", 1.0), target, source, config)
+    result = kmm(KernelSpec("rbf", 1.0), target, source, config)
     oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
     assert abs(result.objective - oracle) <= 1e-4
 
@@ -64,7 +69,7 @@ def test_feasibility_on_random_instances():
         config = KmmConfig(upper_bound_B=cap, epsilon=eps)
         target = rng.normal(size=(n_t, d))
         source = rng.normal(size=(n_s, d))
-        result = solve_kmm(KernelSpec("rbf", 1.0 / d), target, source, config)
+        result = kmm(KernelSpec("rbf", 1.0 / d), target, source, config)
         assert np.all(result.beta >= -1e-12)
         assert np.all(result.beta <= cap + 1e-12)
         assert abs(result.beta.mean() - 1.0) <= eps + 1e-9
@@ -74,7 +79,7 @@ def test_objective_trace_never_increases():
     rng = np.random.default_rng(5)
     target = rng.normal(size=(40, 2))
     source = rng.normal(loc=0.5, size=(25, 2))
-    result = solve_kmm(KernelSpec("rbf", 2.0), target, source, KmmConfig(epsilon=0.3))
+    result = kmm(KernelSpec("rbf", 2.0), target, source, KmmConfig(epsilon=0.3))
     assert np.all(np.diff(result.trace) <= 1e-12)
     assert len(result.trace) >= 2
 
@@ -83,7 +88,7 @@ def test_oversampled_region_gets_downweighted():
     target = np.linspace(0.0, 1.0, 60)[:, None]
     extra = target[target[:, 0] < 0.3]
     source = np.vstack([target, extra])  # doubles the density below 0.3
-    result = solve_kmm(
+    result = kmm(
         KernelSpec("rbf", 10.0), target, source, KmmConfig(upper_bound_B=10.0, epsilon=0.5)
     )
     inside = source[:, 0] < 0.3
@@ -91,7 +96,31 @@ def test_oversampled_region_gets_downweighted():
 
 
 def test_input_validation():
-    with pytest.raises(ValueError, match="dimension"):
-        solve_kmm(KernelSpec("linear"), np.ones((3, 2)), np.ones((3, 3)), KmmConfig())
+    pool = SplitKernel(KernelSpec("linear"), np.ones((3, 2)))
     with pytest.raises(ValueError, match="nonempty"):
-        solve_kmm(KernelSpec("linear"), np.empty((0, 2)), np.ones((3, 2)), KmmConfig())
+        solve_kmm(pool, np.arange(0), np.arange(3), KmmConfig())
+    with pytest.raises(ValueError, match="nonempty"):
+        solve_kmm(pool, None, np.arange(0), KmmConfig())
+
+
+@pytest.mark.parametrize("source_first", [False, True])
+def test_sliced_target_kernel_on_triangles_matches_direct_objective(source_first):
+    # the pipeline's shape: the source is a subset of the target, and every
+    # kernel value solve_kmm uses is a slice of the target's kernel
+    X = gen_triangles(100, 100, seed=4).X
+    rng = np.random.default_rng(5)
+    source = np.sort(rng.choice(X.shape[0], 150, replace=False))
+    gamma = 10.0
+    config = KmmConfig()
+    if source_first:  # the source block is then a view of the kernel
+        rest = np.setdiff1d(np.arange(X.shape[0]), source)
+        result = solve_kmm(SplitKernel(KernelSpec("rbf", gamma), X[np.concatenate([source, rest])]),
+                           None, np.arange(source.size), config)
+    else:
+        result = solve_kmm(SplitKernel(KernelSpec("rbf", gamma), X), None, source, config)
+    direct = kmm_objective_direct(gamma, X, X[source], result.beta)
+    assert abs(result.objective - direct) <= 1e-8
+    eps = default_epsilon(source.size)
+    assert np.all(result.beta >= 0.0)
+    assert np.all(result.beta <= config.upper_bound_B)
+    assert abs(result.beta.mean() - 1.0) <= eps + 1e-12

@@ -6,6 +6,7 @@ from pgpu import (
     KernelSpec,
     PlattCalibration,
     SvmConfig,
+    SplitKernel,
     SvmModel,
     decision_value,
     decision_values,
@@ -17,13 +18,19 @@ from pgpu import (
     train_prob_svm,
     train_weighted_svm,
 )
+from pgpu.kernels import default_kernel
 
 SEPARABLE_X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
 SEPARABLE_Y = np.array([-1, -1, 1, 1])
 
 
+def _split(X, spec=None):
+    X = np.asarray(X, dtype=float)
+    return SplitKernel(spec if spec is not None else default_kernel(X.shape[1]), X)
+
+
 def test_separable_points_classified_perfectly():
-    model = train_weighted_svm(SEPARABLE_X, SEPARABLE_Y, np.ones(4), C=1.0)
+    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4), C=1.0)
     pred = np.where(decision_values(model, SEPARABLE_X) >= 0, 1, -1)
     assert np.array_equal(pred, SEPARABLE_Y)
 
@@ -34,9 +41,9 @@ def test_integer_weight_equals_duplication():
     y = np.array([1, 1, 1, -1, -1, -1])
     w = np.ones(6)
     w[2] = 3.0
-    weighted = train_weighted_svm(X, y, w, C=1.0, tol=1e-10)
+    weighted = train_weighted_svm(_split(X), y, w, C=1.0, tol=1e-10)
     duplicated = train_weighted_svm(
-        np.vstack([X, X[2], X[2]]),
+        _split(np.vstack([X, X[2], X[2]])),
         np.concatenate([y, [1, 1]]),
         np.ones(8),
         C=1.0,
@@ -49,15 +56,15 @@ def test_integer_weight_equals_duplication():
 
 def test_single_class_is_degenerate():
     with pytest.raises(ValueError, match="degenerate training set"):
-        train_weighted_svm(SEPARABLE_X, np.ones(4, dtype=int), np.ones(4), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), np.ones(4, dtype=int), np.ones(4), C=1.0)
 
 
 def test_zero_weights_rejected():
     with pytest.raises(ValueError, match="weights"):
-        train_weighted_svm(SEPARABLE_X, SEPARABLE_Y, np.zeros(4), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.zeros(4), C=1.0)
     # weights that silence one class leave a degenerate problem
     with pytest.raises(ValueError, match="degenerate"):
-        train_weighted_svm(SEPARABLE_X, SEPARABLE_Y, np.array([1.0, 1.0, 0.0, 0.0]), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.array([1.0, 1.0, 0.0, 0.0]), C=1.0)
 
 
 def test_kkt_residuals_within_tolerance():
@@ -84,7 +91,7 @@ def test_box_constraint_respected():
     if np.abs(y.sum()) == 12:
         y[0] = -y[0]
     w = rng.uniform(0.1, 3.0, size=12)
-    model = train_weighted_svm(X, y, w, C=2.0)
+    model = train_weighted_svm(_split(X), y, w, C=2.0)
     assert np.all(np.abs(model.dual_coefs) <= 2.0 * w.max() + 1e-12)
     assert len(model.dual_coefs) == len(model.support_vectors)
     assert np.all(model.dual_coefs != 0.0)
@@ -111,8 +118,8 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(30, 2))
     y = np.where(X[:, 0] > 0, 1, -1)
-    a = train_weighted_svm(X, y, np.ones(30), C=1.0)
-    b = train_weighted_svm(X, y, np.ones(30), C=1.0)
+    a = train_weighted_svm(_split(X), y, np.ones(30), C=1.0)
+    b = train_weighted_svm(_split(X), y, np.ones(30), C=1.0)
     assert np.array_equal(a.dual_coefs, b.dual_coefs)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert a.bias == b.bias
@@ -149,7 +156,7 @@ def test_platt_single_class_rejected():
 
 
 def _toy_model_calib():
-    model = train_weighted_svm(SEPARABLE_X, SEPARABLE_Y, np.ones(4), C=1.0)
+    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4), C=1.0)
     dv = decision_values(model, SEPARABLE_X)
     return model, fit_platt(dv, SEPARABLE_Y)
 
@@ -190,11 +197,39 @@ def test_train_prob_svm_runs_on_small_and_large_samples():
     y = np.where(X[:, 0] > 0, 1, -1)
     if np.abs(y.sum()) == 12:
         y[0] = -y[0]
-    model, calib = train_prob_svm(X, y, SvmConfig())  # raw decision values branch
+    model, calib = train_prob_svm(_split(X), y, SvmConfig())  # raw decision values branch
     assert calib.A < 0
 
     X = rng.normal(size=(90, 2))
     y = np.where(X[:, 0] + 0.1 * rng.normal(size=90) > 0, 1, -1)
-    model, calib = train_prob_svm(X, y, SvmConfig())  # cross-validated branch
+    model, calib = train_prob_svm(_split(X), y, SvmConfig())  # cross-validated branch
     p = predict_proba_batch(model, calib, X)
     assert ((y == 1) == (p > 0.5)).mean() > 0.9
+
+
+def test_split_decision_values_match_features():
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(50, 2))
+    y = np.where(X[:, 0] + 0.5 * rng.normal(size=50) > 0, 1, -1)
+    kernel = _split(X)
+    rows = np.arange(0, 50, 2)
+    model = train_weighted_svm(kernel, y[rows], np.ones(rows.size), C=1.0, rows=rows)
+    held = np.arange(1, 50, 2)
+    assert np.abs(decision_values(model, kernel, held) - decision_values(model, X[held])).max() <= 1e-12
+    assert np.abs(decision_values(model, kernel) - decision_values(model, X)).max() <= 1e-12
+    with pytest.raises(ValueError, match="not trained on this split kernel"):
+        decision_values(model, _split(X + 1.0), held)
+
+
+def test_repeated_rows_equal_duplicated_features():
+    # a row listed twice trains exactly like a duplicated feature row
+    rng = np.random.default_rng(9)
+    X = rng.normal(size=(8, 2))
+    y = np.array([1, 1, 1, 1, -1, -1, -1, -1])
+    rows = np.concatenate([np.arange(8), [1, 5]])
+    labels = np.concatenate([y, [-1, 1]])
+    weights = rng.uniform(0.2, 1.0, size=10)
+    by_rows = train_weighted_svm(_split(X), labels, weights, C=1.0, rows=rows)
+    by_copies = train_weighted_svm(_split(X[rows]), labels, weights, C=1.0)
+    grid = rng.uniform(-2.0, 2.0, size=(30, 2))
+    assert np.abs(decision_values(by_rows, grid) - decision_values(by_copies, grid)).max() <= 1e-12
