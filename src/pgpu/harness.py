@@ -165,6 +165,8 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     20% of the training data, then duplicate each unlabelled example into a
     weighted positive and a weighted negative copy. Both fits slice one
     kernel of the training split; the copies are repeated rows of it."""
+    # the kernel comes first, before any array of this run (see gram_matrix)
+    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
     n_fit = int(round(0.8 * n))
@@ -174,7 +176,6 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     cal_pos = cal_idx[train.s[cal_idx] == 1]
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
-    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
     model, calib = train_prob_svm(kernel, train.s[fit_idx], config.svm, rows=fit_idx)
     c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())
     if c <= 0:

@@ -57,9 +57,13 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
         raise ValueError("gram_matrix requires nonempty inputs")
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
+    # The output is allocated before the row norms. A matrix the size of one
+    # freed earlier then takes exactly the space it left; a small array taken
+    # from that space first would leave it a few kilobytes short, and the heap
+    # would grow by a whole matrix.
+    out = np.empty((X.shape[0], Z.shape[0]))
     sx = np.sum(X * X, axis=1)
     sz = sx if same else np.sum(Z * Z, axis=1)
-    out = np.empty((X.shape[0], Z.shape[0]))
     for i in range(0, X.shape[0], _BLOCK):
         for j in range(i if same else 0, Z.shape[0], _BLOCK):
             blk = out[i:i + _BLOCK, j:j + _BLOCK]
