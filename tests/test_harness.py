@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,3 +212,73 @@ def test_csv_dataset_without_latent_labels_reports_errors(tmp_path):
     records = run_suite(cfg)
     assert len(records[0].per_split) == 0
     assert all("latent" in err for err in records[0].errors)
+
+
+def _readme_config() -> dict:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1, "README should hold exactly one ```json block, the example config"
+    return json.loads(blocks[0])
+
+
+_INVERSE = {"kind": "inverse", "alpha": 0.1, "beta": 0.5}
+
+CONFIG_CASES = [
+    pytest.param(_readme_config(), ExperimentConfig(
+        flip=FlipRateSpec("inverse", 0.1, 0.5),
+        methods=("svm_naive", "elkan", "pgpu", "pgpu_cv", "clean")), id="readme-example"),
+    pytest.param({}, ExperimentConfig(), id="empty"),
+    pytest.param({"train_fraction": 1, "svm": {"C": 2, "kernel": {"kind": "rbf", "gamma": 3}},
+                  "kmm": {"upper_bound_B": 50, "epsilon": 0, "tol": 1},
+                  "flip": {"kind": "inverse", "alpha": 1, "beta": 2}},
+                 None, id="integers-for-floats"),
+    pytest.param({"svm": {"C": 1.5, "kernel": None}, "kmm": {"epsilon": None}, "kmm_kernel": None},
+                 ExperimentConfig(svm=SvmConfig(C=1.5)), id="null-epsilon-and-kernels"),
+    pytest.param({"svm": {"kernel": {"kind": "linear"}}, "kmm_kernel": {"kind": "linear"}},
+                 ExperimentConfig(svm=SvmConfig(kernel=KernelSpec("linear")),
+                                  kmm_kernel=KernelSpec("linear")), id="linear-kernels"),
+    pytest.param({"flip": _INVERSE}, ExperimentConfig(flip=FlipRateSpec("inverse", 0.1, 0.5)),
+                 id="single-flip"),
+    pytest.param({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2}]},
+                 ExperimentConfig(flip=(FlipRateSpec("inverse", 0.1, 0.5),
+                                        FlipRateSpec("constant", 0.2))), id="flip-list"),
+    pytest.param({"flip": None}, ExperimentConfig(flip=None), id="no-flip"),
+    pytest.param({"dataset_source": {"csv": "data/pu.csv"}, "methods": ["elkan"], "n_splits": 3,
+                  "master_seed": 4, "n_prime": 2, "dataset_n": 50},
+                 ExperimentConfig(dataset_source={"csv": "data/pu.csv"}, methods=("elkan",),
+                                  n_splits=3, master_seed=4, n_prime=2, dataset_n=50),
+                 id="csv-source"),
+]
+
+
+@pytest.mark.parametrize("raw, expected", CONFIG_CASES)
+def test_config_from_dict_table(raw, expected):
+    cfg = config_from_dict(raw)
+    if expected is None:  # integers-for-floats: every float field holds a float
+        expected = ExperimentConfig(
+            flip=FlipRateSpec("inverse", 1.0, 2.0), train_fraction=1.0,
+            svm=SvmConfig(C=2.0, kernel=KernelSpec("rbf", 3.0)),
+            kmm=KmmConfig(upper_bound_B=50.0, epsilon=0.0, tol=1.0))
+        for value in (cfg.train_fraction, cfg.svm.C, cfg.svm.kernel.gamma, cfg.kmm.upper_bound_B,
+                      cfg.kmm.epsilon, cfg.kmm.tol, cfg.flip.alpha, cfg.flip.beta):
+            assert type(value) is float
+    assert cfg == expected
+
+
+UNKNOWN_FIELD_CASES = [
+    ({"dataset_source": "triangles", "bogus": 1, "alpha": 2}, "unknown config fields: ['alpha', 'bogus']"),
+    ({"svm": {"c": 1.0}}, "unknown svm fields: ['c']"),
+    ({"kmm": {"B": 5.0, "eps": 0.1}}, "unknown kmm fields: ['B', 'eps']"),
+    ({"svm": {"kernel": {"kind": "rbf", "width": 2.0}}}, "unknown kernel fields: ['width']"),
+    ({"kmm_kernel": {"sigma": 1.0}}, "unknown kernel fields: ['sigma']"),
+    ({"flip": {"kind": "linear", "alpha": 0.2, "rate": 0.1}}, "unknown flip fields: ['rate']"),
+    ({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2, "gap": 1}]},
+     "unknown flip fields: ['gap']"),
+]
+
+
+@pytest.mark.parametrize("raw, message", UNKNOWN_FIELD_CASES)
+def test_config_from_dict_unknown_field_messages(raw, message):
+    with pytest.raises(ValueError) as info:
+        config_from_dict(raw)
+    assert str(info.value) == message
