@@ -21,7 +21,6 @@ from .datagen import (
     save_csv,
 )
 from .harness import SUMMARY_FILE, config_from_dict, run_suite, write_results
-from .svm import SvmConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +55,7 @@ def _cmd_gen(args) -> int:
     dataset = clean
     if args.flip is not None:
         spec = FlipRateSpec.parse(args.flip)
-        gap = rank_normalized_gap(estimate_clean_gap(clean, SvmConfig()), clean.y)
+        gap = rank_normalized_gap(estimate_clean_gap(clean), clean.y)
         dataset = flip_labels(clean, gap, spec, seed=args.seed + 1)
     save_csv(dataset, args.out)
     n_pos = int((dataset.s == 1).sum())

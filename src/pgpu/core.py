@@ -3,14 +3,13 @@
 The observed gap of an instance is P(s=+1|x) - P(s=-1|x) under the PU labels.
 Unlabelled instances whose gap falls below a negative boundary l are safely
 negative, those with positive gap are safely positive, and the band in
-between is discarded. The forward map from true gap to observed gap under a
-positive-class flip rate is provided for synthetic oracles and tests.
+between is discarded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .svm import (
 BOUNDARY_GRID: tuple[float, ...] = tuple(round(-0.90 + 0.01 * k, 2) for k in range(31))
 
 _BOUNDARY_MARGIN = 1e-6
+_BOUNDARY_FOLDS = 5  # cross-validation folds of estimate_boundary_cv
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,6 @@ class GapEstimate:
 class RelabelResult:
     """Partition of instance indices into relabelled-positive, relabelled-negative, discarded."""
 
-    boundary_l: float
     positive_idx: np.ndarray
     negative_idx: np.ndarray
     discarded_idx: np.ndarray
@@ -154,23 +153,6 @@ def observed_gap(p_pos) -> GapEstimate:
     return GapEstimate(2.0 * p - 1.0)
 
 
-def forward_gap(true_gap, rho_plus):
-    """Observed gap produced by a true gap under positive flip rate rho_plus.
-
-    Equals (1 - rho)*(gap + 1) - 1; used by synthetic oracles and tests only.
-    """
-    g = np.asarray(true_gap, dtype=float)
-    r = np.asarray(rho_plus, dtype=float)
-    if np.any(g < -1.0) or np.any(g > 1.0):
-        raise ValueError("true gap must lie in [-1, 1]")
-    if np.any(r < 0.0) or np.any(r >= 1.0):
-        raise ValueError("flip rate must lie in [0, 1)")
-    out = (1.0 - r) * (g + 1.0) - 1.0
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def estimate_boundary_min(gaps: GapEstimate, observed_labels, n_prime: int = 3) -> float:
     """Mean of the n_prime smallest gaps among observed positives, clamped into (-1, 0).
 
@@ -206,7 +188,6 @@ def relabel(gaps: GapEstimate, observed_labels, boundary_l: float) -> RelabelRes
     new_pos = unl & (g > 0.0)
     discard = unl & ~new_neg & ~new_pos
     return RelabelResult(
-        boundary_l=float(boundary_l),
         positive_idx=np.flatnonzero(obs_pos | new_pos),
         negative_idx=np.flatnonzero(new_neg),
         discarded_idx=np.flatnonzero(discard),
@@ -259,9 +240,8 @@ def _stratified_folds(s: np.ndarray, folds: int, rng: np.random.Generator) -> np
 
 
 def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = PipelineConfig(),
-                         grid: Sequence[float] = BOUNDARY_GRID, folds: int = 5,
-                         seed: int = 0) -> float:
-    """Pick the boundary from ``grid`` that maximizes cross-validated accuracy.
+                         grid: Sequence[float] = BOUNDARY_GRID, seed: int = 0) -> float:
+    """Pick the boundary from ``grid`` that maximizes 5-fold cross-validated accuracy.
 
     ``kernel`` is the classifier kernel of the training split and ``s`` its
     observed labels. Each candidate is scored by running the full
@@ -278,14 +258,15 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     s = np.asarray(s, dtype=int)
     if s.shape != (kernel.n,):
         raise ValueError("s must have one label per row of the kernel")
-    if min(int((s == 1).sum()), int((s == -1).sum())) < folds:
-        raise ValueError(f"each observed class needs at least {folds} examples for {folds}-fold CV")
-    fold = _stratified_folds(s, folds, np.random.default_rng(seed))
+    if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
+        raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
+                         f"for {_BOUNDARY_FOLDS}-fold CV")
+    fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
     kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
 
     sums = np.zeros(len(grid))
     counts = np.zeros(len(grid))
-    for k in range(folds):
+    for k in range(_BOUNDARY_FOLDS):
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
@@ -308,24 +289,3 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     scores = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
     return float(grid[int(np.argmax(scores))])
 
-
-def monotone_rate(spec: FlipRateSpec) -> Callable[[np.ndarray], np.ndarray]:
-    """Monotone non-increasing extension of a flip-rate family over the whole gap range.
-
-    The data-generation semantics zero the rate on negative gaps, which makes
-    the observed gap jump at zero. The ordering guarantees of the forward map
-    hold for rates that decrease monotonically over the full range, so tests
-    use this extension: the inverse family saturates just below 1 on
-    nonpositive gaps, and linear rates are clipped below 1.
-    """
-    cap = 1.0 - 1e-9
-
-    def rho(gaps: np.ndarray) -> np.ndarray:
-        g = np.asarray(gaps, dtype=float)
-        if spec.kind == "constant":
-            return np.full_like(g, min(spec.alpha, cap))
-        if spec.kind == "linear":
-            return np.clip(spec.alpha * (1.0 - g), 0.0, cap)
-        return np.minimum(spec.alpha / (spec.alpha + np.maximum(g, 0.0) * (1.0 + spec.beta)), cap)
-
-    return rho

@@ -18,13 +18,11 @@ from .svm import SvmConfig, predict_proba_batch, train_prob_svm
 
 @dataclass
 class PUDataset:
-    """Feature matrix plus observed labels s, optional latent labels y, and
-    the gap values that drove synthetic flipping (diagnostics only)."""
+    """Feature matrix plus observed labels s and optional latent labels y."""
 
     X: np.ndarray
     s: np.ndarray
     y: np.ndarray | None = None
-    gap_truth: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
@@ -45,10 +43,6 @@ class PUDataset:
                 raise ValueError("latent labels must be +1 or -1")
             if np.any((self.s == 1) & (self.y != 1)):
                 raise ValueError("observed positives must have latent label +1")
-        if self.gap_truth is not None:
-            self.gap_truth = np.asarray(self.gap_truth, dtype=float)
-            if self.gap_truth.shape != (n,):
-                raise ValueError("gap_truth must have one value per row of X")
 
     @property
     def n(self) -> int:
@@ -64,18 +58,11 @@ class PUDataset:
             self.X[idx].copy(),
             self.s[idx].copy(),
             None if self.y is None else self.y[idx].copy(),
-            None if self.gap_truth is None else self.gap_truth[idx].copy(),
         )
 
     def without_latent(self) -> "PUDataset":
-        """Copy with latent labels and synthetic diagnostics stripped, for training."""
+        """Copy with latent labels stripped, for training."""
         return PUDataset(self.X.copy(), self.s.copy())
-
-
-def upper_triangle_mask(X) -> np.ndarray:
-    """True for points on or above the diagonal x2 = x1 (the positive region)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    return X[:, 1] >= X[:, 0]
 
 
 def gen_triangles(n_pos: int = 1000, n_neg: int = 1000, seed: int = 0) -> PUDataset:
@@ -116,8 +103,7 @@ def gen_overlap_square(n: int = 2000, seed: int = 0) -> PUDataset:
 def flip_labels(clean: PUDataset, gap, spec: FlipRateSpec, seed: int = 0) -> PUDataset:
     """Turn clean positives into unlabelled examples with probability spec.rate(gap).
 
-    Negatives and all feature vectors are untouched; latent labels are kept
-    and the driving gap values are retained as gap_truth.
+    Negatives and all feature vectors are untouched; latent labels are kept.
     """
     gap = np.asarray(gap, dtype=float)
     if clean.y is None or not np.array_equal(clean.s, clean.y):
@@ -131,7 +117,7 @@ def flip_labels(clean: PUDataset, gap, spec: FlipRateSpec, seed: int = 0) -> PUD
     flip = (clean.s == 1) & (rng.random(clean.n) < rho)
     s_new = clean.s.copy()
     s_new[flip] = -1
-    return PUDataset(clean.X.copy(), s_new, clean.y.copy(), gap_truth=gap.copy())
+    return PUDataset(clean.X.copy(), s_new, clean.y.copy())
 
 
 def rank_normalized_gap(gap, y) -> np.ndarray:

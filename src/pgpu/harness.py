@@ -8,9 +8,11 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+import types
+import typing
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -82,7 +84,8 @@ class ExperimentConfig:
         if isinstance(self.dataset_source, str):
             if self.dataset_source not in ("triangles", "overlap_square"):
                 raise ValueError(f"unknown dataset_source {self.dataset_source!r}")
-        elif not (isinstance(self.dataset_source, Mapping) and "csv" in self.dataset_source):
+        elif not (isinstance(self.dataset_source, Mapping)
+                  and isinstance(self.dataset_source.get("csv"), str)):
             raise ValueError("dataset_source must be 'triangles', 'overlap_square', or {'csv': path}")
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
@@ -103,8 +106,7 @@ class ResultRecord:
     per_split: tuple[float, ...]
     split_ids: tuple[int, ...]
     errors: tuple[str, ...]
-    wall_time_s: float
-    cell_times: tuple[tuple[int, float], ...] = field(default=())
+    cell_times: tuple[tuple[int, float], ...] = ()
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -177,9 +179,7 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
     model, calib = train_prob_svm(kernel, train.s[fit_idx], config.svm, rows=fit_idx)
-    c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())
-    if c <= 0:
-        raise ValueError("estimated label frequency is zero")
+    c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())  # > 0: clipped posteriors
 
     pos = np.flatnonzero(train.s == 1)
     unl = np.flatnonzero(train.s == -1)
@@ -252,7 +252,6 @@ def _aggregate(method: str, setting: str,
         per_split=accs,
         split_ids=tuple(sid for sid, _ in oks),
         errors=tuple(f"split {sid}: {err}" for sid, _, err, _ in cells if err is not None),
-        wall_time_s=float(sum(t for _, _, _, t in cells)),
         cell_times=tuple((sid, t) for sid, _, _, t in cells),
     )
 
@@ -351,118 +350,53 @@ def write_results(records: list[ResultRecord], out_dir) -> dict[str, Path]:
     return paths
 
 
-def _kernel_from_dict(d) -> KernelSpec | None:
-    if d is None:
-        return None
-    if not isinstance(d, Mapping):
-        raise ValueError("kernel must be null or an object with 'kind' (and 'gamma')")
-    unknown = set(d) - {"kind", "gamma"}
+_SECTIONS = {ExperimentConfig: "config", SvmConfig: "svm", KmmConfig: "kmm",
+             KernelSpec: "kernel", FlipRateSpec: "flip"}
+
+
+def _from_json(cls, d: Mapping, path: str):
+    """Build the config dataclass ``cls`` from a JSON object keyed by its field names."""
+    section = _SECTIONS[cls]
+    unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown kernel fields: {sorted(unknown)}")
-    kind = d.get("kind", "rbf")
-    if kind == "linear":
-        return KernelSpec(kind="linear")
-    return KernelSpec(kind=kind, gamma=float(d.get("gamma", 1.0)))
+        raise ValueError(f"unknown {section} fields: {sorted(unknown)}")
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
+    if missing:
+        raise ValueError(f"missing {section} fields: {missing}")
+    hints = typing.get_type_hints(cls)
+    return cls(**{k: _json_value(hints[k], v, f"{path}.{k}".lstrip(".")) for k, v in d.items()})
 
 
-def _kernel_to_dict(k: KernelSpec | None):
-    if k is None:
+def _json_value(hint, value, path: str):
+    """A JSON value as the field type ``hint``, or a ValueError naming the field at ``path``."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    options = typing.get_args(hint) if union else (hint,)
+    if value is None and type(None) in options:
         return None
-    if k.kind == "linear":
-        return {"kind": "linear"}
-    return {"kind": k.kind, "gamma": k.gamma}
-
-
-def _flip_from_dict(d) -> FlipRateSpec:
-    if not isinstance(d, Mapping):
-        raise ValueError("flip setting must be an object with 'kind' and parameters")
-    unknown = set(d) - {"kind", "alpha", "beta"}
-    if unknown:
-        raise ValueError(f"unknown flip fields: {sorted(unknown)}")
-    beta = d.get("beta")
-    return FlipRateSpec(d.get("kind", ""), float(d.get("alpha", -1.0)),
-                        None if beta is None else float(beta))
-
-
-def _flip_to_dict(f: FlipRateSpec) -> dict:
-    out = {"kind": f.kind, "alpha": f.alpha}
-    if f.beta is not None:
-        out["beta"] = f.beta
-    return out
+    for opt in options:
+        if is_dataclass(opt):
+            if isinstance(value, Mapping):
+                return _from_json(opt, value, path)
+        elif typing.get_origin(opt) is tuple:
+            if isinstance(value, (list, tuple)):
+                return tuple(_json_value(typing.get_args(opt)[0], v, f"{path}[{i}]")
+                             for i, v in enumerate(value))
+        elif opt in (int, float):
+            try:
+                return opt(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
+        elif opt is not type(None):
+            return value  # str and mapping fields are checked by the dataclass itself
+    raise ValueError(f"invalid value for {path}: {json.dumps(value, default=repr)}")
 
 
 def config_from_dict(d: Mapping) -> ExperimentConfig:
-    """Build an ExperimentConfig from the JSON object form, rejecting unknown keys."""
+    """Build an ExperimentConfig from the JSON object form, rejecting unknown keys.
+
+    Each section (svm, kmm, kernels, flips) takes exactly its dataclass's
+    fields; a value of the wrong JSON type raises a ValueError naming its field.
+    """
     if not isinstance(d, Mapping):
         raise ValueError("config must be a JSON object")
-    valid = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(d) - valid
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    kwargs: dict = {}
-    if "dataset_source" in d:
-        kwargs["dataset_source"] = d["dataset_source"]
-    if "flip" in d:
-        flip = d["flip"]
-        if flip is None:
-            kwargs["flip"] = None
-        elif isinstance(flip, (list, tuple)):
-            kwargs["flip"] = tuple(_flip_from_dict(x) for x in flip)
-        else:
-            kwargs["flip"] = _flip_from_dict(flip)
-    if "methods" in d:
-        kwargs["methods"] = tuple(d["methods"])
-    for key in ("n_splits", "master_seed", "n_prime", "dataset_n"):
-        if key in d:
-            kwargs[key] = int(d[key])
-    if "train_fraction" in d:
-        kwargs["train_fraction"] = float(d["train_fraction"])
-    if "svm" in d:
-        sd = d["svm"]
-        unknown = set(sd) - {"C", "kernel"}
-        if unknown:
-            raise ValueError(f"unknown svm fields: {sorted(unknown)}")
-        kwargs["svm"] = SvmConfig(C=float(sd.get("C", 1.0)), kernel=_kernel_from_dict(sd.get("kernel")))
-    if "kmm" in d:
-        kd = d["kmm"]
-        unknown = set(kd) - {"upper_bound_B", "epsilon", "max_iters", "tol"}
-        if unknown:
-            raise ValueError(f"unknown kmm fields: {sorted(unknown)}")
-        eps = kd.get("epsilon")
-        kwargs["kmm"] = KmmConfig(
-            upper_bound_B=float(kd.get("upper_bound_B", 1000.0)),
-            epsilon=None if eps is None else float(eps),
-            max_iters=int(kd.get("max_iters", 5000)),
-            tol=float(kd.get("tol", 1e-6)),
-        )
-    if "kmm_kernel" in d:
-        kwargs["kmm_kernel"] = _kernel_from_dict(d["kmm_kernel"])
-    return ExperimentConfig(**kwargs)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if cfg.flip is None:
-        flip = None
-    elif isinstance(cfg.flip, FlipRateSpec):
-        flip = _flip_to_dict(cfg.flip)
-    else:
-        flip = [_flip_to_dict(f) for f in cfg.flip]
-    return {
-        "dataset_source": cfg.dataset_source if isinstance(cfg.dataset_source, str)
-        else dict(cfg.dataset_source),
-        "flip": flip,
-        "methods": list(cfg.methods),
-        "n_splits": cfg.n_splits,
-        "master_seed": cfg.master_seed,
-        "svm": {"C": cfg.svm.C, "kernel": _kernel_to_dict(cfg.svm.kernel)},
-        "kmm": {
-            "upper_bound_B": cfg.kmm.upper_bound_B,
-            "epsilon": cfg.kmm.epsilon,
-            "max_iters": cfg.kmm.max_iters,
-            "tol": cfg.kmm.tol,
-        },
-        "n_prime": cfg.n_prime,
-        "dataset_n": cfg.dataset_n,
-        "train_fraction": cfg.train_fraction,
-        "kmm_kernel": _kernel_to_dict(cfg.kmm_kernel),
-    }
+    return _from_json(ExperimentConfig, d, "")

@@ -31,18 +31,6 @@ def default_kernel(dim: int) -> KernelSpec:
     return KernelSpec(kind="rbf", gamma=1.0 / dim)
 
 
-def kernel_eval(spec: KernelSpec, x, z) -> float:
-    """Evaluate the kernel on a single pair of feature vectors."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if x.ndim != 1 or x.shape != z.shape:
-        raise ValueError(f"feature vectors must share one dimension, got {x.shape} and {z.shape}")
-    if spec.kind == "linear":
-        return float(np.dot(x, z))
-    diff = x - z
-    return float(np.exp(-spec.gamma * np.dot(diff, diff)))
-
-
 def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
 

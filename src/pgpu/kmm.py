@@ -42,8 +42,7 @@ class BetaWeights:
     """Importance weights on the source sample, with solver diagnostics."""
 
     beta: np.ndarray
-    objective: float
-    trace: np.ndarray  # objective value after each solver iteration
+    trace: np.ndarray  # objective value after each solver iteration; the last is the final one
 
 
 def default_epsilon(n_source: int) -> float:
@@ -148,8 +147,6 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     if n < 1 or ns < 1:
         raise ValueError("target and source must be nonempty")
     eps = config.epsilon if config.epsilon is not None else default_epsilon(ns)
-    if config.upper_bound_B < 1.0 - eps:
-        raise ValueError("infeasible constraints: upper_bound_B below the mean band")
 
     k_ss = kernel.block(source, source)
     if target is None:
@@ -169,4 +166,4 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
         except _SolverBreakdown as exc:
             raise RuntimeError(f"KMM solver failed even with ridge regularization: {exc}") from exc
     trace = trace + const
-    return BetaWeights(beta=beta, objective=float(trace[-1]), trace=trace)
+    return BetaWeights(beta=beta, trace=trace)

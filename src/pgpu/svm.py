@@ -17,6 +17,11 @@ from .kernels import KernelSpec, SplitKernel, default_kernel, gram_matrix
 
 _TAU = 1e-12
 _P_EPS = 1e-12
+_PLATT_MAX_ITER = 100  # Newton rounds
+_PLATT_GRAD_TOL = 1e-8
+_PLATT_SIGMA = 1e-12  # Hessian ridge
+_CV_MIN_SIZE = 30  # smallest sample whose Platt targets are cross-validated
+_CV_FOLDS = 3
 
 
 @dataclass(frozen=True)
@@ -42,7 +47,6 @@ class SvmModel:
     dual_coefs: np.ndarray       # (m,), alpha_i * y_i, all nonzero
     bias: float
     kernel: KernelSpec
-    C: float
     support_idx: np.ndarray | None = None  # rows of the SplitKernel trained on; None if hand-built
 
 
@@ -164,7 +168,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
 
 
 def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None,
-                       tol: float = 1e-3, max_iter: int | None = None) -> SvmModel:
+                       tol: float = 1e-3) -> SvmModel:
     """Train a soft-margin SVM where example i gets box constraint C * weights[i].
 
     The examples are the rows ``rows`` of the split (None: all of them, in
@@ -196,14 +200,13 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
 
     ia = idx[active]
     alpha, bias, _ = smo_solve(kernel.block(ia, ia), ya.astype(float), C * weights[active],
-                               tol=tol, max_iter=max_iter)
+                               tol=tol)
     sv = alpha > 0.0
     return SvmModel(
         support_vectors=kernel.X[ia[sv]],
         dual_coefs=(alpha * ya)[sv],
         bias=bias,
         kernel=kernel.spec,
-        C=float(C),
         support_idx=ia[sv],
     )
 
@@ -232,19 +235,11 @@ def decision_values(model: SvmModel, X, rows=None) -> np.ndarray:
     return gram_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefs + model.bias
 
 
-def decision_value(model: SvmModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single feature vector")
-    return float(decision_values(model, x[None, :])[0])
-
-
-def fit_platt(decision_vals, y, max_iter: int = 100, grad_tol: float = 1e-8,
-              sigma: float = 1e-12) -> PlattCalibration:
+def fit_platt(decision_vals, y) -> PlattCalibration:
     """Fit sigmoid parameters (A, B) by Newton descent on the calibration likelihood.
 
     Targets are the smoothed values (N+ + 1)/(N+ + 2) and 1/(N- + 2). Iterates
-    until the gradient norm drops below ``grad_tol`` or ``max_iter`` rounds.
+    until the gradient norm drops below 1e-8, for at most 100 rounds.
     """
     f = np.asarray(decision_vals, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -266,18 +261,18 @@ def fit_platt(decision_vals, y, max_iter: int = 100, grad_tol: float = 1e-8,
     a_par = 0.0
     b_par = math.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = objective(a_par, b_par)
-    for _ in range(max_iter):
+    for _ in range(_PLATT_MAX_ITER):
         z = a_par * f + b_par
         ez = np.exp(-np.abs(z))
         p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
         d1 = t - p
         g1 = float(np.dot(f, d1))
         g2 = float(d1.sum())
-        if math.hypot(g1, g2) < grad_tol:
+        if math.hypot(g1, g2) < _PLATT_GRAD_TOL:
             break
         d2 = p * (1.0 - p)
-        h11 = float(np.dot(f * f, d2)) + sigma
-        h22 = float(d2.sum()) + sigma
+        h11 = float(np.dot(f * f, d2)) + _PLATT_SIGMA
+        h22 = float(d2.sum()) + _PLATT_SIGMA
         h21 = float(np.dot(f, d2))
         det = h11 * h22 - h21 * h21
         da = -(h22 * g1 - h21 * g2) / det
@@ -306,15 +301,6 @@ def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X, rows=None) 
     return np.clip(p, _P_EPS, 1.0 - _P_EPS)
 
 
-def predict_proba(model: SvmModel, calib: PlattCalibration, x) -> tuple[float, float]:
-    """(P(y=+1|x), P(y=-1|x)); the two sum to 1 exactly."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("expected a single feature vector")
-    p_pos = float(predict_proba_batch(model, calib, x[None, :])[0])
-    return p_pos, 1.0 - p_pos
-
-
 def _round_robin_folds(y: np.ndarray, k: int) -> np.ndarray:
     fold = np.empty(y.size, dtype=int)
     for cls in (1, -1):
@@ -323,37 +309,31 @@ def _round_robin_folds(y: np.ndarray, k: int) -> np.ndarray:
     return fold
 
 
-def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(), weights=None,
-                   rows=None, tol: float = 1e-3, cv_min_size: int = 30,
-                   cv_folds: int = 3) -> tuple[SvmModel, PlattCalibration]:
+def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
+                   rows=None) -> tuple[SvmModel, PlattCalibration]:
     """Train an SVM on rows ``rows`` of the split (None: all) and calibrate its posteriors.
 
     Calibration targets come from 3-fold cross-validated decision values when
-    the sample is large enough (n >= cv_min_size and at least cv_folds
-    examples per class); smaller samples use raw training decision values,
-    which avoids fitting a sigmoid on three points. Every fit and decision
-    value is a block of ``kernel.K``.
+    the sample is large enough (at least 30 examples and 3 per class); smaller
+    samples use raw training decision values, which avoids fitting a sigmoid
+    on three points. Every fit and decision value is a block of ``kernel.K``.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     y = np.asarray(y, dtype=int)
-    weights = np.ones(idx.size) if weights is None else np.asarray(weights, dtype=float)
-    model = train_weighted_svm(kernel, y, weights, config.C, rows, tol=tol)
+    weights = np.ones(idx.size)
+    model = train_weighted_svm(kernel, y, weights, config.C, rows)
 
     n = y.size
     min_class = min(int((y > 0).sum()), int((y < 0).sum()))
-    dv = None
-    if n >= cv_min_size and min_class >= cv_folds:
-        try:
-            dv = np.empty(n)
-            fold = _round_robin_folds(y, cv_folds)
-            for k in range(cv_folds):
-                hold = fold == k
-                sub = train_weighted_svm(kernel, y[~hold], weights[~hold], config.C, idx[~hold],
-                                         tol=tol)
-                dv[hold] = decision_values(sub, kernel, idx[hold])
-        except ValueError:
-            dv = None  # a fold went degenerate (e.g. zero weights): fall back
-    if dv is None:
+    if n >= _CV_MIN_SIZE and min_class >= _CV_FOLDS:
+        # each training fold keeps at least 2 examples of each class, so no fit degenerates
+        dv = np.empty(n)
+        fold = _round_robin_folds(y, _CV_FOLDS)
+        for k in range(_CV_FOLDS):
+            hold = fold == k
+            sub = train_weighted_svm(kernel, y[~hold], weights[~hold], config.C, idx[~hold])
+            dv[hold] = decision_values(sub, kernel, idx[hold])
+    else:
         dv = decision_values(model, kernel, rows)
     calib = fit_platt(dv, y)
     return model, calib

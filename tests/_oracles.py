@@ -99,3 +99,42 @@ def svm_kkt_residuals(K, y, alpha, c_box, bias):
         np.where(alpha >= c_box, np.maximum(0.0, r), np.abs(r)),
     )
     return resid
+
+
+def forward_gap(true_gap, rho_plus):
+    """Observed gap produced by a true gap under positive flip rate rho_plus.
+
+    Equals (1 - rho)*(gap + 1) - 1.
+    """
+    g = np.asarray(true_gap, dtype=float)
+    r = np.asarray(rho_plus, dtype=float)
+    if np.any(g < -1.0) or np.any(g > 1.0):
+        raise ValueError("true gap must lie in [-1, 1]")
+    if np.any(r < 0.0) or np.any(r >= 1.0):
+        raise ValueError("flip rate must lie in [0, 1)")
+    out = (1.0 - r) * (g + 1.0) - 1.0
+    if out.ndim == 0:
+        return float(out)
+    return out
+
+
+def monotone_rate(spec):
+    """Monotone non-increasing extension of a flip-rate family over the whole gap range.
+
+    The data-generation semantics zero the rate on negative gaps, which makes
+    the observed gap jump at zero. The ordering guarantees of the forward map
+    hold for rates that decrease monotonically over the full range, so tests
+    use this extension: the inverse family saturates just below 1 on
+    nonpositive gaps, and linear rates are clipped below 1.
+    """
+    cap = 1.0 - 1e-9
+
+    def rho(gaps):
+        g = np.asarray(gaps, dtype=float)
+        if spec.kind == "constant":
+            return np.full_like(g, min(spec.alpha, cap))
+        if spec.kind == "linear":
+            return np.clip(spec.alpha * (1.0 - g), 0.0, cap)
+        return np.minimum(spec.alpha / (spec.alpha + np.maximum(g, 0.0) * (1.0 + spec.beta)), cap)
+
+    return rho

@@ -95,3 +95,21 @@ def test_usage_errors_exit_one(capsys):
 def test_missing_report_dir_exits_one(tmp_path, capsys):
     assert main(["report", "--in", str(tmp_path / "nope"), "--format", "csv"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("svm", None),
+    ("kmm", 3),
+    ("n_splits", None),
+    ("train_fraction", []),
+    ("methods", "pgpu"),
+    ("flip", [3]),
+    ("flip", {"kind": "inverse"}),
+    ("dataset_source", {"csv": 3}),
+])
+def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, value):
+    config = _write_config(tmp_path, **{field: value})
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert field in err[0]

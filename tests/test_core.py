@@ -4,16 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpu
-from pgpu import (
+from _oracles import forward_gap, monotone_rate
+from pgpu import FlipRateSpec, PipelineConfig, observed_gap
+from pgpu.core import (
     BOUNDARY_GRID,
-    FlipRateSpec,
     GapEstimate,
-    PipelineConfig,
     estimate_boundary_cv,
     estimate_boundary_min,
-    forward_gap,
-    monotone_rate,
-    observed_gap,
+    fit_relabelled_classifier,
     relabel,
 )
 
@@ -153,7 +151,7 @@ def test_single_class_relabelling_is_surfaced():
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
     with pytest.raises(ValueError, match="relabelling produced one class"):
         X = np.random.default_rng(0).normal(size=(4, 2))
-        pgpu.fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s,
+        fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s,
                                        gaps, -0.5, PipelineConfig())
 
 
@@ -190,7 +188,7 @@ def test_boundary_cv_needs_enough_of_each_class():
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])
     with pytest.raises(ValueError, match="5-fold"):
         estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, PipelineConfig(),
-                             folds=5, seed=0)
+                             seed=0)
 
 
 def test_flip_rate_spec_validation_and_parse():

@@ -11,12 +11,11 @@ from pgpu import (
     gen_overlap_square,
     gen_triangles,
     load_csv,
-    overlap_positive_prob,
     rank_normalized_gap,
     save_csv,
     split,
-    upper_triangle_mask,
 )
+from pgpu.datagen import overlap_positive_prob
 
 
 def test_triangles_counts_and_bounds():
@@ -30,13 +29,9 @@ def test_triangles_counts_and_bounds():
 
 def test_triangles_classes_live_in_their_triangles():
     data = gen_triangles(500, 500, seed=1)
-    above = upper_triangle_mask(data.X)
+    above = data.X[:, 1] >= data.X[:, 0]  # on or above the diagonal x2 = x1
     assert np.all(above[data.y == 1])
     assert np.all(~above[data.y == -1] | (data.X[data.y == -1, 0] == data.X[data.y == -1, 1]))
-
-
-def test_half_plane_membership_example():
-    assert upper_triangle_mask(np.array([[-0.5, 0.5]]))[0]
 
 
 def test_overlap_probability_formula():
@@ -98,7 +93,6 @@ def test_flip_leaves_negatives_and_features_alone():
     assert np.array_equal(flipped.s[negatives], clean.s[negatives])
     assert np.array_equal(flipped.X, clean.X)
     assert np.array_equal(flipped.y, clean.y)
-    assert np.array_equal(flipped.gap_truth, gap)
 
 
 def test_flip_requires_clean_dataset():
@@ -231,11 +225,11 @@ def test_dataset_invariants_enforced():
         PUDataset(np.ones((2, 2)), np.array([1, 1]), np.array([1, -1]))
     with pytest.raises(ValueError, match="\\+1 or -1"):
         PUDataset(np.ones((2, 2)), np.array([1, 0]))
-    data = PUDataset(np.ones((2, 2)), np.array([1, -1]), np.array([1, 1]), np.array([0.5, -0.5]))
+    data = PUDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1]), np.array([1, 1]))
     sub = data.subset([1])
-    assert sub.n == 1 and sub.y[0] == 1 and sub.gap_truth[0] == -0.5
+    assert sub.n == 1 and sub.y[0] == 1 and sub.s[0] == -1 and sub.X[0, 0] == 3.0
     blind = data.without_latent()
-    assert blind.y is None and blind.gap_truth is None
+    assert blind.y is None and np.array_equal(blind.s, data.s)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

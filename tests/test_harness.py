@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -15,12 +16,7 @@ from pgpu import (
     PUDataset,
     PipelineConfig,
     SvmConfig,
-    SvmModel,
     config_from_dict,
-    config_to_dict,
-    derive_seed,
-    elkan_weights,
-    evaluate,
     gen_triangles,
     run_elkan,
     run_pgpu,
@@ -29,10 +25,12 @@ from pgpu import (
     split,
     write_results,
 )
+from pgpu.harness import derive_seed, elkan_weights, evaluate
+from pgpu.svm import SvmModel
 
 
 def _constant_model(bias):
-    return SvmModel(np.empty((0, 2)), np.empty(0), bias, KernelSpec("linear"), 1.0)
+    return SvmModel(np.empty((0, 2)), np.empty(0), bias, KernelSpec("linear"))
 
 
 def test_evaluate_counts_matching_signs():
@@ -105,7 +103,8 @@ def test_suite_cardinality_and_record_invariants():
         assert r.accuracy_mean == pytest.approx(float(np.mean(r.per_split)), abs=1e-12)
         assert r.accuracy_std == pytest.approx(float(np.std(r.per_split, ddof=1)), abs=1e-12)
         assert 0.0 <= r.accuracy_mean <= 1.0
-        assert r.wall_time_s >= 0.0
+        assert [sid for sid, _ in r.cell_times] == list(range(10))
+        assert all(t >= 0.0 for _, t in r.cell_times)
 
 
 def test_suite_multiple_settings_make_one_record_each():
@@ -177,9 +176,9 @@ def test_config_json_round_trip():
         train_fraction=0.8,
         kmm_kernel=KernelSpec("rbf", 4.0),
     )
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     # JSON text survives the trip too
-    assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+    assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
 
 def test_config_rejects_unknown_fields_and_methods():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from _oracles import kmm_brute_force_min, kmm_objective_direct
-from pgpu import KernelSpec, KmmConfig, SplitKernel, default_epsilon, gen_triangles, solve_kmm
+from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles
+from pgpu.kmm import default_epsilon, solve_kmm
 
 
 def kmm(spec, target, source, config):
@@ -35,7 +36,7 @@ def test_identical_source_and_target_keeps_unit_weights():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
     result = kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
-    assert result.objective <= 1e-6
+    assert result.trace[-1] <= 1e-6
     assert np.abs(result.beta - 1.0).mean() <= 0.05
 
 
@@ -45,7 +46,7 @@ def test_reported_objective_matches_direct_recomputation():
     source = rng.normal(size=(5, 2))
     result = kmm(KernelSpec("rbf", 0.7), target, source, KmmConfig())
     direct = kmm_objective_direct(0.7, target, source, result.beta)
-    assert result.objective == pytest.approx(direct, abs=1e-10)
+    assert result.trace[-1] == pytest.approx(direct, abs=1e-10)
 
 
 def test_four_point_instance_matches_brute_force_oracle():
@@ -55,7 +56,7 @@ def test_four_point_instance_matches_brute_force_oracle():
     config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
     result = kmm(KernelSpec("rbf", 1.0), target, source, config)
     oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
-    assert abs(result.objective - oracle) <= 1e-4
+    assert abs(result.trace[-1] - oracle) <= 1e-4
 
 
 def test_feasibility_on_random_instances():
@@ -119,7 +120,7 @@ def test_sliced_target_kernel_on_triangles_matches_direct_objective(source_first
     else:
         result = solve_kmm(SplitKernel(KernelSpec("rbf", gamma), X), None, source, config)
     direct = kmm_objective_direct(gamma, X, X[source], result.beta)
-    assert abs(result.objective - direct) <= 1e-8
+    assert abs(result.trace[-1] - direct) <= 1e-8
     eps = default_epsilon(source.size)
     assert np.all(result.beta >= 0.0)
     assert np.all(result.beta <= config.upper_bound_B)

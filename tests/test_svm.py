@@ -4,21 +4,21 @@ import pytest
 from _oracles import svm_kkt_residuals
 from pgpu import (
     KernelSpec,
-    PlattCalibration,
-    SvmConfig,
     SplitKernel,
+    SvmConfig,
+    default_kernel,
+    predict_proba_batch,
+    train_prob_svm,
+)
+from pgpu.kernels import gram_matrix
+from pgpu.svm import (
+    PlattCalibration,
     SvmModel,
-    decision_value,
     decision_values,
     fit_platt,
-    gram_matrix,
-    predict_proba,
-    predict_proba_batch,
     smo_solve,
-    train_prob_svm,
     train_weighted_svm,
 )
-from pgpu.kernels import default_kernel
 
 SEPARABLE_X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
 SEPARABLE_Y = np.array([-1, -1, 1, 1])
@@ -98,20 +98,20 @@ def test_box_constraint_respected():
 
 
 def test_decision_value_empty_support_returns_bias():
-    model = SvmModel(np.empty((0, 2)), np.empty(0), bias=1.25, kernel=KernelSpec("linear"), C=1.0)
-    assert decision_value(model, [5.0, -3.0]) == 1.25
+    model = SvmModel(np.empty((0, 2)), np.empty(0), bias=1.25, kernel=KernelSpec("linear"))
+    assert decision_values(model, [[5.0, -3.0]])[0] == 1.25
 
 
 def test_decision_value_hand_built():
     sv = np.array([[1.0, 1.0]])  # ||sv||^2 = 2
-    model = SvmModel(sv, np.array([1.0]), bias=0.0, kernel=KernelSpec("linear"), C=1.0)
-    assert decision_value(model, [1.0, 1.0]) == pytest.approx(2.0)
+    model = SvmModel(sv, np.array([1.0]), bias=0.0, kernel=KernelSpec("linear"))
+    assert decision_values(model, [[1.0, 1.0]])[0] == pytest.approx(2.0)
 
 
 def test_decision_value_dimension_mismatch():
-    model = SvmModel(np.ones((1, 2)), np.array([1.0]), 0.0, KernelSpec("linear"), 1.0)
+    model = SvmModel(np.ones((1, 2)), np.array([1.0]), 0.0, KernelSpec("linear"))
     with pytest.raises(ValueError, match="dimension"):
-        decision_value(model, [1.0, 2.0, 3.0])
+        decision_values(model, [[1.0, 2.0, 3.0]])
 
 
 def test_training_is_deterministic():
@@ -138,7 +138,6 @@ def test_platt_confident_on_separated_values():
     f = np.concatenate([rng.uniform(1.0, 2.0, 25), rng.uniform(-2.0, -1.0, 25)])
     y = np.concatenate([np.ones(25, dtype=int), -np.ones(25, dtype=int)])
     calib = fit_platt(f, y)
-    model = SvmModel(np.empty((0, 1)), np.empty(0), 0.0, KernelSpec("linear"), 1.0)
     for fi, yi in zip(f, y):
         z = calib.A * fi + calib.B
         p_pos = 1.0 / (1.0 + np.exp(z))
@@ -164,21 +163,18 @@ def _toy_model_calib():
 def test_predict_proba_midpoint():
     model, _ = _toy_model_calib()
     # choose x with decision value f, then craft a calibration with A*f+B = 0
-    x = np.array([1.5, 0.5])
-    f = decision_value(model, x)
+    x = np.array([[1.5, 0.5]])
+    f = decision_values(model, x)[0]
     calib = PlattCalibration(A=-2.0, B=2.0 * f)
-    p_pos, p_neg = predict_proba(model, calib, x)
-    assert p_pos == pytest.approx(0.5, abs=1e-12)
-    assert p_neg == pytest.approx(0.5, abs=1e-12)
+    assert predict_proba_batch(model, calib, x)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_predict_proba_sums_to_one_exactly():
     model, calib = _toy_model_calib()
     rng = np.random.default_rng(13)
-    for x in rng.uniform(-4, 7, size=(25, 2)):
-        p_pos, p_neg = predict_proba(model, calib, x)
-        assert p_pos + p_neg == 1.0
-        assert 0.0 < p_pos < 1.0
+    p_pos = predict_proba_batch(model, calib, rng.uniform(-4, 7, size=(25, 2)))
+    assert np.all(p_pos + (1.0 - p_pos) == 1.0)
+    assert np.all((0.0 < p_pos) & (p_pos < 1.0))
 
 
 def test_predict_proba_monotone_in_decision_value():
