@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import mmap
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 _VALID_KINDS = ("linear", "rbf")
 _BLOCK = 256  # rows and columns per block of a Gram matrix
+_GATHER_ROWS = 32  # rows per step when a block is copied out of a kernel matrix
+_MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,22 @@ def default_kernel(dim: int) -> KernelSpec:
     return KernelSpec(kind="rbf", gamma=1.0 / dim)
 
 
+def _empty(rows: int, cols: int) -> np.ndarray:
+    """An uninitialised float matrix; a large one in a memory mapping of its own.
+
+    On the heap, a small array put in the space a freed matrix left makes the
+    next matrix miss it and the heap grow by a whole matrix, so peak memory
+    hung on unrelated earlier allocations. A mapping goes back to the system
+    on release; huge pages keep the cost of its fresh memory low.
+    """
+    if 8 * rows * cols < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty((rows, cols))
+    buf = mmap.mmap(-1, 8 * rows * cols, flags=mmap.MAP_PRIVATE)
+    with suppress(OSError):  # a kernel without huge pages: 4 KiB pages, just slower
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf).reshape(rows, cols)
+
+
 def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
 
@@ -45,11 +65,9 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
         raise ValueError("gram_matrix requires nonempty inputs")
     if X.shape[1] != Z.shape[1]:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
-    # The output is allocated before the row norms. A matrix the size of one
-    # freed earlier then takes exactly the space it left; a small array taken
-    # from that space first would leave it a few kilobytes short, and the heap
-    # would grow by a whole matrix.
-    out = np.empty((X.shape[0], Z.shape[0]))
+    # the output comes before the row norms, so a small one on the heap takes the
+    # exact space a freed matrix of its size left (see _empty)
+    out = _empty(X.shape[0], Z.shape[0])
     sx = np.sum(X * X, axis=1)
     sz = sx if same else np.sum(Z * Z, axis=1)
     for i in range(0, X.shape[0], _BLOCK):
@@ -75,13 +93,14 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     return out
 
 
-def _as_run(idx):
+def _as_run(idx, n: int):
     """A slice for None (everything) or for consecutive ascending indices, else an index array."""
     if idx is None:
         return slice(None)
     idx = np.asarray(idx, dtype=np.intp)
-    if (idx.size and idx[0] >= 0 and idx[-1] - idx[0] == idx.size - 1
-            and np.all(np.diff(idx) == 1)):
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise IndexError(f"index out of range for a kernel matrix of {n} rows")
+    if idx.size and idx[-1] - idx[0] == idx.size - 1 and np.all(np.diff(idx) == 1):
         return slice(int(idx[0]), int(idx[-1]) + 1)
     return idx
 
@@ -106,7 +125,20 @@ class SplitKernel:
     def block(self, rows=None, cols=None) -> np.ndarray:
         """K[rows][:, cols] for index sets (None: all). Consecutive ascending
         indices give a view, anything else a copy; indices may repeat."""
-        r, c = _as_run(rows), _as_run(cols)
-        if isinstance(r, slice) or isinstance(c, slice):
+        r, c = _as_run(rows, self.n), _as_run(cols, self.n)
+        n_r, n_c = (len(range(self.n)[i]) if isinstance(i, slice) else i.size for i in (r, c))
+        if isinstance(r, slice) and isinstance(c, slice):
             return self.K[r, c]
-        return self.K[np.ix_(r, c)]
+        if 8 * n_r * n_c < _MAPPED_BYTES:
+            return self.K[r, c] if isinstance(r, slice) or isinstance(c, slice) else self.K[np.ix_(r, c)]
+        # A large copy goes to a mapping of its own (see _empty), laid out as numpy lays
+        # out the same indexing, since matrix products sum in an order set by the layout.
+        if isinstance(r, slice):  # column-major: rows c of K are its columns, K being symmetric
+            return np.take(self.K[:, r], c, axis=0, out=_empty(n_c, n_r), mode="clip").T
+        if isinstance(c, slice):
+            return np.take(self.K[:, c], r, axis=0, out=_empty(n_r, n_c), mode="clip")
+        # fancy indexing cannot write into a given array, so gather a few rows at a time
+        out = _empty(n_r, n_c)
+        for i in range(0, n_r, _GATHER_ROWS):
+            np.take(self.K[r[i:i + _GATHER_ROWS]], c, axis=1, out=out[i:i + _GATHER_ROWS], mode="clip")
+        return out

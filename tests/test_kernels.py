@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import gram_direct
 from pgpu import KernelSpec, SplitKernel, default_kernel
+from pgpu import kernels
 from pgpu.kernels import gram_matrix
 
 finite_floats = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -129,6 +130,40 @@ def test_split_kernel_blocks_equal_recomputation(n, d, seed, data):
         assert np.abs(got - expected).max() <= 1e-12
         diagonal = split.block(a, a)
         assert np.array_equal(diagonal, diagonal.T)
+
+
+def test_mapped_matrices_equal_heap_ones(monkeypatch):
+    # matrices of 4 MiB and more live in mappings of their own; here every one does
+    X = np.random.default_rng(5).normal(size=(300, 2))
+    spec = KernelSpec("rbf", 0.5)
+    rng = np.random.default_rng(6)
+    subset = np.sort(rng.choice(300, 170, replace=False))
+    repeats = rng.integers(0, 300, size=90)
+    pairs = [(subset, subset), (repeats, subset), (None, subset), (subset, None),
+             (np.arange(40, 80), repeats)]
+    heap = SplitKernel(spec, X)
+    expected = [heap.block(a, b) for a, b in pairs]
+    monkeypatch.setattr(kernels, "_MAPPED_BYTES", 1)
+    mapped = SplitKernel(spec, X)
+    assert heap.K.flags.owndata and not mapped.K.flags.owndata
+    assert np.array_equal(mapped.K, heap.K)
+    for (a, b), want in zip(pairs, expected):
+        got = mapped.block(a, b)
+        assert not got.flags.owndata
+        assert np.array_equal(got, want)
+        # the same memory layout, so products with the block sum in the same order
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        v = rng.normal(size=got.shape[1])
+        assert np.array_equal(got @ v, want @ v)
+
+
+def test_block_rejects_out_of_range_indices():
+    split = SplitKernel(KernelSpec("linear"), np.ones((5, 2)))
+    for bad in ([0, 5], [-1, 2]):
+        with pytest.raises(IndexError):
+            split.block(bad, [0, 1])
+        with pytest.raises(IndexError):
+            split.block(None, bad)
 
 
 def test_gram_symmetric_across_blocks():
