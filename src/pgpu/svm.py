@@ -61,11 +61,19 @@ class PlattCalibration:
 def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
     """Minimize 0.5 a'Qa - sum(a), Q_ij = y_i y_j K_ij, over the weighted box.
 
-    Constraints are 0 <= a_i <= c_box_i and sum_i a_i y_i = 0. The working
-    pair is the maximal violating one, ties broken by lowest index, so
-    identical inputs give bit-identical results.
+    Constraints are 0 <= a_i <= c_box_i and sum_i a_i y_i = 0, for labels
+    y_i of +1 or -1. The working pair is the maximal violating one, ties
+    broken by lowest index, so identical inputs give bit-identical results.
 
-    Returns (alpha, bias, iterations).
+    The solver keeps its state between steps (Fan, Chen & Lin, JMLR 2005):
+    m = -y*grad and two penalty vectors, ``up_pen`` 0 where y_t*a_t may grow
+    and -inf elsewhere, ``low_pen`` 0 where it may shrink and +inf elsewhere.
+    The pair is argmax(m + up_pen), argmin(m + low_pen); a step changes m by
+    two kernel rows and the penalties at its pair only.
+
+    Returns (alpha, bias, iterations). Raises RuntimeError if the pair still
+    violates the optimality conditions by more than ``tol`` after
+    ``max_iter`` steps (default max(10000, 100 n)).
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -73,34 +81,40 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
     n = y.size
     if max_iter is None:
         max_iter = max(10_000, 100 * n)
+    if not np.all((y == 1.0) | (y == -1.0)):
+        raise ValueError("labels must be +1 or -1")
 
+    add, multiply, inf = np.add, np.multiply, math.inf
     alpha = np.zeros(n)
-    grad = -np.ones(n)
-    y_pos = y > 0
+    m = y.copy()  # -y*grad at alpha = 0, where grad = -1
+    pos, under_cap, over_zero = y > 0, alpha < c_box, alpha > 0.0
+    up_pen = np.where(np.where(pos, under_cap, over_zero), 0.0, -inf)
+    low_pen = np.where(np.where(pos, over_zero, under_cap), 0.0, inf)
+    buf_i = np.empty(n)
+    buf_j = np.empty(n)
+    labels = y.tolist()
+    caps = c_box.tolist()
     iters = 0
     while True:
-        minus_yg = -(y * grad)
-        can_up = np.where(y_pos, alpha < c_box, alpha > 0.0)
-        can_low = np.where(y_pos, alpha > 0.0, alpha < c_box)
-        up_vals = np.where(can_up, minus_yg, -np.inf)
-        low_vals = np.where(can_low, minus_yg, np.inf)
-        i = int(np.argmax(up_vals))
-        j = int(np.argmin(low_vals))
-        m_up = up_vals[i]
-        m_low = low_vals[j]
-        if not np.isfinite(m_up) or not np.isfinite(m_low):
+        i = int(add(m, up_pen, out=buf_i).argmax())
+        j = int(add(m, low_pen, out=buf_j).argmin())
+        m_up = buf_i.item(i)
+        m_low = buf_j.item(j)
+        if not (math.isfinite(m_up) and math.isfinite(m_low)) or m_up - m_low <= tol:
             break
-        if m_up - m_low <= tol or iters >= max_iter:
-            break
+        if iters >= max_iter:
+            raise RuntimeError(f"SMO reached its iteration cap max_iter={max_iter} with a "
+                               f"violation of {m_up - m_low:.3g} > tol={tol:g}")
         iters += 1
 
-        ci, cj = c_box[i], c_box[j]
-        old_ai, old_aj = alpha[i], alpha[j]
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        yi, yj = labels[i], labels[j]
+        ci, cj = caps[i], caps[j]
+        old_ai, old_aj = alpha.item(i), alpha.item(j)
+        quad = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
         if quad <= 0.0:
             quad = _TAU
-        if y[i] != y[j]:
-            delta = (-grad[i] - grad[j]) / quad
+        if yi != yj:
+            delta = yi * (m_up - m_low) / quad  # (-grad_i - grad_j) / quad
             diff = old_ai - old_aj
             ai = old_ai + delta
             aj = old_aj + delta
@@ -121,7 +135,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
                     aj = cj
                     ai = cj + diff
         else:
-            delta = (grad[i] - grad[j]) / quad
+            delta = yi * (m_low - m_up) / quad  # (grad_i - grad_j) / quad
             ssum = old_ai + old_aj
             ai = old_ai - delta
             aj = old_aj + delta
@@ -143,28 +157,25 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
                     aj = ssum
         alpha[i] = ai
         alpha[j] = aj
-        qi = (y[i] * y) * K[i]
-        qj = (y[j] * y) * K[j]
-        grad += qi * (ai - old_ai) + qj * (aj - old_aj)
+        # grad_k grows by y_k (K_ik y_i (ai - old_ai) + K_jk y_j (aj - old_aj)), so m_k
+        # falls by the bracket; it is rounded as the product with Q's rows would be
+        multiply(K[i], yi * (ai - old_ai), out=buf_i)
+        multiply(K[j], yj * (aj - old_aj), out=buf_j)
+        buf_i += buf_j
+        m -= buf_i
+        for k in (i, j):  # i == j leaves alpha[i] = aj, and both see it
+            a = alpha.item(k)
+            under_cap, over_zero = a < caps[k], a > 0.0
+            up_ok, low_ok = (under_cap, over_zero) if labels[k] > 0 else (over_zero, under_cap)
+            up_pen[k] = 0.0 if up_ok else -inf
+            low_pen[k] = 0.0 if low_ok else inf
 
-    minus_yg = -(y * grad)
     free = (alpha > 0.0) & (alpha < c_box)
     if free.any():
-        bias = float(minus_yg[free].mean())
-    else:
-        can_up = np.where(y_pos, alpha < c_box, alpha > 0.0)
-        can_low = np.where(y_pos, alpha > 0.0, alpha < c_box)
-        lo = float(minus_yg[can_up].max()) if can_up.any() else None
-        hi = float(minus_yg[can_low].min()) if can_low.any() else None
-        if lo is not None and hi is not None:
-            bias = 0.5 * (lo + hi)
-        elif lo is not None:
-            bias = lo
-        elif hi is not None:
-            bias = hi
-        else:
-            bias = 0.0
-    return alpha, bias, iters
+        return alpha, float(m[free].mean()), iters
+    # no free example: the middle of the interval the optimality conditions leave
+    ends = [v for v in (m_up, m_low) if math.isfinite(v)]
+    return alpha, (sum(ends) / len(ends) if ends else 0.0), iters
 
 
 def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None,

@@ -101,6 +101,137 @@ def svm_kkt_residuals(K, y, alpha, c_box, bias):
     return resid
 
 
+def smo_reference(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
+    """SMO in its plain form, rebuilding -y*grad and both masks every step.
+
+    The library's smo_solve keeps that state from one step to the next and
+    must return bit-equal alpha, bias and iteration count; this reference
+    returns a partial answer at max_iter instead of raising.
+    Minimizes 0.5 a'Qa - sum(a), Q_ij = y_i y_j K_ij, over the weighted box:
+    0 <= a_i <= c_box_i and sum_i a_i y_i = 0, with the maximal violating
+    pair each step, ties broken by lowest index.
+
+    Returns (alpha, bias, iterations).
+    """
+    K = np.asarray(K, dtype=float)
+    y = np.asarray(y, dtype=float)
+    c_box = np.asarray(c_box, dtype=float)
+    n = y.size
+    if max_iter is None:
+        max_iter = max(10_000, 100 * n)
+
+    alpha = np.zeros(n)
+    grad = -np.ones(n)
+    y_pos = y > 0
+    iters = 0
+    while True:
+        minus_yg = -(y * grad)
+        can_up = np.where(y_pos, alpha < c_box, alpha > 0.0)
+        can_low = np.where(y_pos, alpha > 0.0, alpha < c_box)
+        up_vals = np.where(can_up, minus_yg, -np.inf)
+        low_vals = np.where(can_low, minus_yg, np.inf)
+        i = int(np.argmax(up_vals))
+        j = int(np.argmin(low_vals))
+        m_up = up_vals[i]
+        m_low = low_vals[j]
+        if not np.isfinite(m_up) or not np.isfinite(m_low):
+            break
+        if m_up - m_low <= tol or iters >= max_iter:
+            break
+        iters += 1
+
+        ci, cj = c_box[i], c_box[j]
+        old_ai, old_aj = alpha[i], alpha[j]
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 0.0:
+            quad = 1e-12
+        if y[i] != y[j]:
+            delta = (-grad[i] - grad[j]) / quad
+            diff = old_ai - old_aj
+            ai = old_ai + delta
+            aj = old_aj + delta
+            if diff > 0.0:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = diff
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = -diff
+            if diff > ci - cj:
+                if ai > ci:
+                    ai = ci
+                    aj = ci - diff
+            else:
+                if aj > cj:
+                    aj = cj
+                    ai = cj + diff
+        else:
+            delta = (grad[i] - grad[j]) / quad
+            ssum = old_ai + old_aj
+            ai = old_ai - delta
+            aj = old_aj + delta
+            if ssum > ci:
+                if ai > ci:
+                    ai = ci
+                    aj = ssum - ci
+            else:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = ssum
+            if ssum > cj:
+                if aj > cj:
+                    aj = cj
+                    ai = ssum - cj
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = ssum
+        alpha[i] = ai
+        alpha[j] = aj
+        qi = (y[i] * y) * K[i]
+        qj = (y[j] * y) * K[j]
+        grad += qi * (ai - old_ai) + qj * (aj - old_aj)
+
+    minus_yg = -(y * grad)
+    free = (alpha > 0.0) & (alpha < c_box)
+    if free.any():
+        bias = float(minus_yg[free].mean())
+    else:
+        can_up = np.where(y_pos, alpha < c_box, alpha > 0.0)
+        can_low = np.where(y_pos, alpha > 0.0, alpha < c_box)
+        lo = float(minus_yg[can_up].max()) if can_up.any() else None
+        hi = float(minus_yg[can_low].min()) if can_low.any() else None
+        if lo is not None and hi is not None:
+            bias = 0.5 * (lo + hi)
+        elif lo is not None:
+            bias = lo
+        elif hi is not None:
+            bias = hi
+        else:
+            bias = 0.0
+    return alpha, bias, iters
+
+
+def svm_dual_scipy(K, y, c_box):
+    """The SVM dual QP of smo_solve solved by scipy's SLSQP, a solver that shares
+    no code with it: minimize 0.5 a'Qa - sum(a), Q_ij = y_i y_j K_ij, subject to
+    0 <= a <= c_box and a'y = 0. Returns (alpha, objective). Needs scipy."""
+    from scipy import optimize
+
+    y = np.asarray(y, dtype=float)
+    Q = np.outer(y, y) * np.asarray(K, dtype=float)
+    res = optimize.minimize(
+        lambda a: 0.5 * a @ Q @ a - a.sum(), np.zeros(y.size), jac=lambda a: Q @ a - 1.0,
+        method="SLSQP", bounds=list(zip(np.zeros(y.size), c_box)),
+        constraints=[{"type": "eq", "fun": lambda a: a @ y, "jac": lambda a: y}],
+        options={"ftol": 1e-12, "maxiter": 2000},
+    )
+    if not res.success:
+        raise RuntimeError(f"SLSQP failed: {res.message}")
+    return res.x, float(res.fun)
+
+
 def forward_gap(true_gap, rho_plus):
     """Observed gap produced by a true gap under positive flip rate rho_plus.
 
