@@ -173,7 +173,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
     free = (alpha > 0.0) & (alpha < c_box)
     if free.any():
         return alpha, float(m[free].mean()), iters
-    # no free example: the middle of the interval the optimality conditions leave
+    # no free example: the midpoint of the bias interval m_low..m_up, or its one finite end
     ends = [v for v in (m_up, m_low) if math.isfinite(v)]
     return alpha, (sum(ends) / len(ends) if ends else 0.0), iters
 

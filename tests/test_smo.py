@@ -39,19 +39,22 @@ def _assert_same_solve(K, y, c_box, tol, max_iter=None):
     duplicates=st.integers(0, 20),
     kind=st.sampled_from(["rbf", "linear"]),
     gamma=st.sampled_from([0.1, 1.0, 5.0]),
-    C=st.sampled_from([0.1, 1.0, 10.0]),
+    C=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    equal_boxes=st.booleans(),
     tol=st.sampled_from([1e-1, 1e-3, 1e-6]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=150, deadline=None)
-def test_smo_matches_reference_bit_for_bit(n, dim, duplicates, kind, gamma, C, tol, seed):
-    # duplicated rows make K_ii + K_jj - 2 K_ij vanish, the solver's quad <= 0 branch
+def test_smo_matches_reference_bit_for_bit(n, dim, duplicates, kind, gamma, C, equal_boxes, tol,
+                                           seed):
+    # duplicated rows make K_ii + K_jj - 2 K_ij vanish, the solver's quad <= 0 branch;
+    # small equal boxes leave no alpha strictly inside its box, the bias's other branch
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, dim))
     copies = rng.integers(0, n, size=min(duplicates, n - 1))
     X[rng.choice(n, copies.size, replace=False)] = X[copies]
     y = rng.choice([-1.0, 1.0], size=n)
-    c_box = C * rng.uniform(0.1, 3.0, size=n)  # unequal boxes
+    c_box = np.full(n, C) if equal_boxes else C * rng.uniform(0.1, 3.0, size=n)
     K = gram_matrix(KernelSpec(kind, gamma), X, X)
     # a low cap: rank-deficient problems at tol=1e-6 can take tens of thousands of steps
     _assert_same_solve(K, y, c_box, tol, max_iter=2000)
