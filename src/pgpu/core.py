@@ -201,8 +201,8 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps: GapEstimate, boundar
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
     The sample is the rows ``rows`` (None: all) of the classifier kernel, with
-    ``s`` and ``gaps`` given per sample row; the final SVM trains on a block
-    of ``kernel.K``. The KMM target is the full sample and the source is the
+    ``s`` and ``gaps`` given per sample row; the final SVM reads its kernel
+    rows from ``kernel.K``. The KMM target is the full sample and the source is the
     relabelled subset, so the weights undo the bias from dropping the
     ambiguous band. ``kmm_kernel``, the matching kernel on the sample's rows,
     is passed by callers that fit many boundaries on one sample; otherwise it
@@ -226,7 +226,7 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps: GapEstimate, boundar
     else:
         source = sel
     beta = solve_kmm(kmm_kernel, None, source, config.kmm)
-    del kmm_kernel  # free the matching kernel before the SVM slices its block
+    del kmm_kernel  # free the matching kernel before the SVM gathers its kernel rows
     model = train_weighted_svm(kernel, labels, beta.beta, config.svm.C, idx[sel])
     return model, result, beta
 
@@ -246,11 +246,12 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     ``kernel`` is the classifier kernel of the training split and ``s`` its
     observed labels. Each candidate is scored by running the full
     relabel-KMM-SVM pipeline on the training folds and measuring accuracy
-    against the held-out observed PU labels; every classifier kernel value is
-    a block of ``kernel.K``, and each fold builds its matching kernel once for
+    against the held-out observed PU labels; every classifier kernel value
+    comes from ``kernel.K``, and each fold builds its matching kernel once for
     all candidates. Grid candidates are scanned in ascending order, so ties
     resolve to the most negative boundary. Degenerate (candidate, fold) pairs
-    are skipped; if every candidate degenerates everywhere, this raises.
+    (a ValueError) are skipped; if every candidate degenerates everywhere,
+    this raises. A solver failure (RuntimeError) is not skipped: it propagates.
     """
     grid = list(grid)
     if not grid:
@@ -279,7 +280,7 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
             try:
                 clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand, config,
                                                       fit_rows, kmm_kernel)
-            except (ValueError, RuntimeError):
+            except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
             sums[ci] += float(np.mean(pred == s[hold_rows]))

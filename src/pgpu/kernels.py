@@ -108,9 +108,10 @@ def _as_run(idx, n: int):
 class SplitKernel:
     """The rows of one sample (a training split) and their kernel matrix, computed once.
 
-    Every fit, fold and decision value on the sample takes a block of ``K``
-    by index sets instead of recomputing kernels from features. ``K`` is
-    exactly symmetric, so every block on the diagonal is too.
+    Every fit, fold and decision value on the sample reads ``K`` (SMO the
+    kernel rows it uses, the others a block by index sets) instead of
+    recomputing kernels from features. ``K`` is exactly symmetric, so every
+    block on the diagonal is too.
     """
 
     def __init__(self, spec: KernelSpec, X) -> None:

@@ -128,6 +128,9 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.
             obj = new_obj
             break
         obj = new_obj
+    else:
+        raise RuntimeError(f"KMM reached its iteration cap max_iters={max_iters} with a "
+                           f"relative decrease above tol={tol:g}")
     return beta, np.asarray(trace)
 
 
@@ -139,7 +142,9 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     source block, the row sums kappa over the target, and their total. Putting
     the source first in the kernel's rows makes its block a view, not a copy.
     The returned trace (objective per iteration, offset so it equals the true
-    squared mean discrepancy) is monotonically non-increasing.
+    squared mean discrepancy) is monotonically non-increasing. Raises
+    RuntimeError if the descent still makes progress above ``config.tol``
+    after ``config.max_iters`` steps, or breaks down even with a ridge.
     """
     source = np.asarray(source, dtype=np.intp)
     n = kernel.n if target is None else np.asarray(target).size

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernel, default_kernel, gram_matrix
+from .kernels import KernelSpec, SplitKernel, _as_run, _empty, default_kernel, gram_matrix
 
 _TAU = 1e-12
 _P_EPS = 1e-12
@@ -58,8 +58,16 @@ class PlattCalibration:
     B: float
 
 
-def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
+def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=None):
     """Minimize 0.5 a'Qa - sum(a), Q_ij = y_i y_j K_ij, over the weighted box.
+
+    The examples are the rows and columns ``rows`` of ``K`` (None: all of
+    them; repeats allowed), with ``y`` and ``c_box`` given per entry of
+    ``rows``. Consecutive ascending rows are read through a view of ``K``;
+    otherwise each kernel row is gathered from ``K`` the first time a step
+    uses it, so no block is copied whole. Either way the solver sees the
+    values of the block ``K[rows][:, rows]``, and its results are those of
+    that block.
 
     Constraints are 0 <= a_i <= c_box_i and sum_i a_i y_i = 0, for labels
     y_i of +1 or -1. The working pair is the maximal violating one, ties
@@ -83,6 +91,26 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
         max_iter = max(10_000, 100 * n)
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be +1 or -1")
+    src = None
+    if rows is not None:
+        if np.shape(rows) != (n,):
+            raise ValueError("rows and y must have matching lengths")
+        src = _as_run(rows, K.shape[0])
+        if isinstance(src, slice):
+            K, src = K[src, src], None
+    if src is None:
+        fetch = K.__getitem__
+    else:
+        gathered = _empty(n, n)  # filled in first-use order; only the pages of used rows are touched
+        by_row = {}
+
+        def fetch(k):  # examples listing the same row of K share its gathered row
+            r = src.item(k)
+            got = by_row.get(r)
+            if got is None:  # _as_run checked src; with mode="clip", take fills out without a temporary
+                got = by_row[r] = K[r].take(src, out=gathered[len(by_row)], mode="clip")
+            return got
+    cache = [None] * n  # example -> its kernel row; looked up inline, fetched once per example
 
     add, multiply, inf = np.add, np.multiply, math.inf
     alpha = np.zeros(n)
@@ -107,10 +135,17 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
                                f"violation of {m_up - m_low:.3g} > tol={tol:g}")
         iters += 1
 
+        row_i = cache[i]
+        if row_i is None:
+            row_i = cache[i] = fetch(i)
+        row_j = cache[j]
+        if row_j is None:
+            row_j = cache[j] = fetch(j)
+
         yi, yj = labels[i], labels[j]
         ci, cj = caps[i], caps[j]
         old_ai, old_aj = alpha.item(i), alpha.item(j)
-        quad = K.item(i, i) + K.item(j, j) - 2.0 * K.item(i, j)
+        quad = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
         if quad <= 0.0:
             quad = _TAU
         if yi != yj:
@@ -159,8 +194,8 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None):
         alpha[j] = aj
         # grad_k grows by y_k (K_ik y_i (ai - old_ai) + K_jk y_j (aj - old_aj)), so m_k
         # falls by the bracket; it is rounded as the product with Q's rows would be
-        multiply(K[i], yi * (ai - old_ai), out=buf_i)
-        multiply(K[j], yj * (aj - old_aj), out=buf_j)
+        multiply(row_i, yi * (ai - old_ai), out=buf_i)
+        multiply(row_j, yj * (aj - old_aj), out=buf_j)
         buf_i += buf_j
         m -= buf_i
         for k in (i, j):  # i == j leaves alpha[i] = aj, and both see it
@@ -184,7 +219,8 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
 
     The examples are the rows ``rows`` of the split (None: all of them, in
     order; repeats allowed), with labels ``y`` and ``weights`` given per
-    entry of ``rows``; their Gram matrix is a block of ``kernel.K``.
+    entry of ``rows``; SMO reads their kernel rows from ``kernel.K`` and
+    copies no block.
     Zero-weight examples are dropped before training; both classes must
     remain among the positively weighted ones.
     """
@@ -210,8 +246,7 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
         raise ValueError("degenerate training set")
 
     ia = idx[active]
-    alpha, bias, _ = smo_solve(kernel.block(ia, ia), ya.astype(float), C * weights[active],
-                               tol=tol)
+    alpha, bias, _ = smo_solve(kernel.K, ya.astype(float), C * weights[active], tol=tol, rows=ia)
     sv = alpha > 0.0
     return SvmModel(
         support_vectors=kernel.X[ia[sv]],
@@ -327,7 +362,7 @@ def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
     Calibration targets come from 3-fold cross-validated decision values when
     the sample is large enough (at least 30 examples and 3 per class); smaller
     samples use raw training decision values, which avoids fitting a sigmoid
-    on three points. Every fit and decision value is a block of ``kernel.K``.
+    on three points. Every fit and decision value reads ``kernel.K``.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     y = np.asarray(y, dtype=int)

@@ -183,6 +183,26 @@ def test_boundary_cv_ties_resolve_to_most_negative():
     assert got == -0.90
 
 
+def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeypatch):
+    kernel, s = _cv_dataset(0.2)  # every candidate ties, so -0.90 wins unless it is skipped
+    real = pgpu.core.fit_relabelled_classifier
+
+    def degenerate_first(kernel, s, gaps, boundary_l, *args):
+        if boundary_l == -0.90:
+            raise ValueError("relabelling produced one class")
+        return real(kernel, s, gaps, boundary_l, *args)
+
+    monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_first)
+    assert estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1) == -0.89
+
+    def capped(*args):
+        raise RuntimeError("SMO reached its iteration cap max_iter=1")
+
+    monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", capped)
+    with pytest.raises(RuntimeError, match="max_iter=1"):
+        estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
+
+
 def test_boundary_cv_needs_enough_of_each_class():
     X = np.random.default_rng(0).normal(size=(12, 2))
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])

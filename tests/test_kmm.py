@@ -3,6 +3,7 @@ import pytest
 
 from _oracles import kmm_brute_force_min, kmm_objective_direct
 from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles
+from pgpu import kmm as kmm_module
 from pgpu.kmm import default_epsilon, solve_kmm
 
 
@@ -94,6 +95,26 @@ def test_oversampled_region_gets_downweighted():
     )
     inside = source[:, 0] < 0.3
     assert result.beta[inside].mean() < result.beta[~inside].mean()
+
+
+def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
+    rng = np.random.default_rng(6)
+    target = rng.normal(size=(60, 2))
+    source = target[target[:, 0] > -0.2]  # a biased subsample, so the weights must move
+    spec = KernelSpec("rbf", 1.0)
+    assert kmm(spec, target, source, KmmConfig()).trace.size > 2  # needs more than one step
+
+    ridges = []
+    descent = kmm_module._projected_descent
+
+    def recording(*args, ridge=0.0):
+        ridges.append(ridge)
+        return descent(*args, ridge=ridge)
+
+    monkeypatch.setattr(kmm_module, "_projected_descent", recording)
+    with pytest.raises(RuntimeError, match="max_iters=1"):
+        kmm(spec, target, source, KmmConfig(max_iters=1))
+    assert ridges == [0.0]  # no retry with a ridge
 
 
 def test_input_validation():

@@ -60,6 +60,54 @@ def test_smo_matches_reference_bit_for_bit(n, dim, duplicates, kind, gamma, C, e
     _assert_same_solve(K, y, c_box, tol, max_iter=2000)
 
 
+@given(
+    n=st.integers(2, 30),
+    size=st.integers(2, 40),
+    layout=st.sampled_from(["repeats", "run", "shuffled"]),
+    kind=st.sampled_from(["rbf", "linear"]),
+    gamma=st.sampled_from([0.1, 1.0, 5.0]),
+    C=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+    equal_boxes=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_smo_on_rows_matches_the_copied_block(n, size, layout, kind, gamma, C, equal_boxes, seed):
+    # rows index the full matrix: gathered row by row, or a view when they are consecutive
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    K = gram_matrix(KernelSpec(kind, gamma), X, X)
+    if layout == "repeats":
+        idx = rng.integers(0, n, size=size)
+    elif layout == "run":
+        start = int(rng.integers(0, n - 1))
+        idx = np.arange(start, min(n, start + size))
+    else:
+        idx = rng.permutation(n)[:size]
+    y = rng.choice([-1.0, 1.0], size=idx.size)
+    c_box = np.full(idx.size, C) if equal_boxes else C * rng.uniform(0.1, 3.0, size=idx.size)
+    block = K[np.ix_(idx, idx)]
+    try:
+        ref_alpha, ref_bias, ref_iters = smo_solve(block, y, c_box, max_iter=2000)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="max_iter=2000"):
+            smo_solve(K, y, c_box, max_iter=2000, rows=idx)
+        return
+    alpha, bias, iters = smo_solve(K, y, c_box, max_iter=2000, rows=idx)
+    assert np.array_equal(alpha, ref_alpha)
+    assert bias == ref_bias
+    assert iters == ref_iters
+
+
+def test_smo_rejects_rows_outside_the_matrix():
+    K = gram_matrix(KernelSpec("rbf", 1.0), np.arange(8.0)[:, None], np.arange(8.0)[:, None])
+    y = np.array([1.0, -1.0, 1.0])
+    for rows in ([0, 3, 8], [-1, 2, 5], [5, 6, 8]):  # scattered, negative, a run past the end
+        with pytest.raises(IndexError, match="out of range"):
+            smo_solve(K, y, np.ones(3), rows=rows)
+    with pytest.raises(ValueError, match="matching lengths"):
+        smo_solve(K, y, np.ones(3), rows=[0, 1])
+
+
 def test_smo_matches_reference_on_a_triangles_split():
     # the first fit of train_prob_svm on a split of the paper's headline setting
     clean = gen_triangles(1000, 1000, seed=4)

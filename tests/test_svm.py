@@ -229,3 +229,29 @@ def test_repeated_rows_equal_duplicated_features():
     by_copies = train_weighted_svm(_split(X[rows]), labels, weights, C=1.0)
     grid = rng.uniform(-2.0, 2.0, size=(30, 2))
     assert np.abs(decision_values(by_rows, grid) - decision_values(by_copies, grid)).max() <= 1e-12
+
+
+def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(60, 2))
+    kernel = _split(X)
+    rows = np.concatenate([rng.permutation(60)[:40], [3, 3, 17]])
+    y = np.where(X[rows, 0] + 0.5 * rng.normal(size=rows.size) > 0, 1, -1)
+    weights = rng.uniform(0.2, 2.0, size=rows.size)
+    weights[5] = 0.0  # dropped before training
+
+    # the positively weighted examples with their kernel block as a matrix of its own
+    keep = rows[weights > 0]
+    dense = SplitKernel.__new__(SplitKernel)
+    dense.spec, dense.X, dense.K = kernel.spec, X[keep], kernel.K[np.ix_(keep, keep)]
+    expected = train_weighted_svm(dense, y[weights > 0], weights[weights > 0], C=1.0)
+
+    def no_copy(self, rows=None, cols=None):
+        raise AssertionError("SplitKernel.block called")
+
+    monkeypatch.setattr(SplitKernel, "block", no_copy)
+    model = train_weighted_svm(kernel, y, weights, C=1.0, rows=rows)
+    assert np.array_equal(model.dual_coefs, expected.dual_coefs)
+    assert model.bias == expected.bias
+    assert np.array_equal(model.support_idx, keep[expected.support_idx])
+    assert np.array_equal(model.support_vectors, expected.support_vectors)
