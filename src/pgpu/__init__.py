@@ -32,7 +32,7 @@ from .harness import (
 )
 from .kernels import KernelSpec, SplitKernel, default_kernel
 from .kmm import KmmConfig
-from .svm import SvmConfig, predict_proba_batch, train_prob_svm
+from .svm import SvmConfig
 
 __all__ = [
     # data
@@ -43,8 +43,8 @@ __all__ = [
     "run_suite", "ResultRecord", "write_results",
     # configuration
     "FlipRateSpec", "PipelineConfig", "SvmConfig", "KmmConfig", "KernelSpec",
-    # lower level: the split's kernel matrix, the calibrated SVM, observed gaps
-    "SplitKernel", "default_kernel", "train_prob_svm", "predict_proba_batch", "observed_gap",
+    # lower level: the split's kernel matrix and its observed gaps
+    "SplitKernel", "default_kernel", "observed_gap",
 ]
 
 __version__ = "0.1.0"

@@ -31,21 +31,6 @@ _BOUNDARY_FOLDS = 5  # cross-validation folds of estimate_boundary_cv
 
 
 @dataclass(frozen=True)
-class GapEstimate:
-    """Per-instance observed probability gaps, each in [-1, 1]."""
-
-    gaps: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gaps, dtype=float)
-        if g.ndim != 1:
-            raise ValueError("gaps must be a 1-d array")
-        if np.any(g < -1.0) or np.any(g > 1.0):
-            raise ValueError("gaps must lie in [-1, 1]")
-        object.__setattr__(self, "gaps", g)
-
-
-@dataclass(frozen=True)
 class RelabelResult:
     """Partition of instance indices into relabelled-positive, relabelled-negative, discarded."""
 
@@ -145,15 +130,25 @@ class PipelineConfig:
         return KernelSpec(kind="rbf", gamma=KMM_GAMMA_SCALE / dim)
 
 
-def observed_gap(p_pos) -> GapEstimate:
-    """Gap values 2p - 1 from positive-class posterior probabilities."""
-    p = np.asarray(p_pos, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        raise ValueError("probabilities must lie in [0, 1]")
-    return GapEstimate(2.0 * p - 1.0)
+def observed_gap(kernel: SplitKernel, labels, config: SvmConfig = SvmConfig(),
+                 rows=None) -> np.ndarray:
+    """Observed gaps 2P(s=+1|x) - 1 of the rows ``rows`` of the split (None: all), one per
+    row, from a calibrated SVM trained on those rows with their ``labels``."""
+    model, calib = train_prob_svm(kernel, labels, config, rows=rows)
+    return 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0
 
 
-def estimate_boundary_min(gaps: GapEstimate, observed_labels, n_prime: int = 3) -> float:
+def _checked_gaps(gaps, observed_labels) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps and labels as arrays, after checking there is one gap in [-1, 1] per label."""
+    g, s = np.asarray(gaps, dtype=float), np.asarray(observed_labels, dtype=int)
+    if g.ndim != 1 or s.shape != g.shape:
+        raise ValueError("gaps must be a 1-d array with one gap per label")
+    if not np.all((g >= -1.0) & (g <= 1.0)):
+        raise ValueError("gaps must lie in [-1, 1]")
+    return g, s
+
+
+def estimate_boundary_min(gaps, observed_labels, n_prime: int = 3) -> float:
     """Mean of the n_prime smallest gaps among observed positives, clamped into (-1, 0).
 
     Averaging over n_prime > 1 points robustifies the plain minimum against
@@ -161,10 +156,7 @@ def estimate_boundary_min(gaps: GapEstimate, observed_labels, n_prime: int = 3) 
     """
     if n_prime < 1:
         raise ValueError("n_prime must be positive")
-    s = np.asarray(observed_labels, dtype=int)
-    g = gaps.gaps
-    if s.shape != g.shape:
-        raise ValueError("labels and gaps must have equal length")
+    g, s = _checked_gaps(gaps, observed_labels)
     pos = g[s == 1]
     if pos.size < n_prime:
         raise ValueError(f"need at least {n_prime} observed positives, got {pos.size}")
@@ -172,16 +164,13 @@ def estimate_boundary_min(gaps: GapEstimate, observed_labels, n_prime: int = 3) 
     return float(np.clip(smallest.mean(), -1.0 + _BOUNDARY_MARGIN, -_BOUNDARY_MARGIN))
 
 
-def relabel(gaps: GapEstimate, observed_labels, boundary_l: float) -> RelabelResult:
+def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
     """Assign confident labels: observed positives stay positive, unlabelled
     instances become negative when gap <= boundary_l, positive when gap > 0,
     and are discarded inside the ambiguous band (boundary_l, 0]."""
     if not -1.0 < boundary_l < 0.0:
         raise ValueError("boundary_l must lie strictly inside (-1, 0)")
-    s = np.asarray(observed_labels, dtype=int)
-    g = gaps.gaps
-    if s.shape != g.shape:
-        raise ValueError("labels and gaps must have equal length")
+    g, s = _checked_gaps(gaps, observed_labels)
     obs_pos = s == 1
     unl = ~obs_pos
     new_neg = unl & (g <= boundary_l)
@@ -194,7 +183,7 @@ def relabel(gaps: GapEstimate, observed_labels, boundary_l: float) -> RelabelRes
     )
 
 
-def fit_relabelled_classifier(kernel: SplitKernel, s, gaps: GapEstimate, boundary_l: float,
+def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
                               config: PipelineConfig = PipelineConfig(), rows=None,
                               kmm_kernel: SplitKernel | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
@@ -210,7 +199,6 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps: GapEstimate, boundar
     Relabelled-positive and relabelled-negative indices are sample positions.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
-    s = np.asarray(s, dtype=int)
     result = relabel(gaps, s, boundary_l)
     if result.positive_idx.size == 0 or result.negative_idx.size == 0:
         raise ValueError("relabelling produced one class")
@@ -249,13 +237,17 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     against the held-out observed PU labels; every classifier kernel value
     comes from ``kernel.K``, and each fold builds its matching kernel once for
     all candidates. Grid candidates are scanned in ascending order, so ties
-    resolve to the most negative boundary. Degenerate (candidate, fold) pairs
-    (a ValueError) are skipped; if every candidate degenerates everywhere,
-    this raises. A solver failure (RuntimeError) is not skipped: it propagates.
+    resolve to the most negative boundary; each must lie inside (-1, 0).
+    Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every
+    candidate degenerates everywhere, this raises. A solver failure
+    (RuntimeError) is not skipped: it propagates.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    outside = [cand for cand in grid if not -1.0 < cand < 0.0]
+    if outside:
+        raise ValueError(f"boundary candidate {outside[0]!r} lies outside (-1, 0)")
     s = np.asarray(s, dtype=int)
     if s.shape != (kernel.n,):
         raise ValueError("s must have one label per row of the kernel")
@@ -271,10 +263,9 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
-            model, calib = train_prob_svm(kernel, s[fit_rows], config.svm, rows=fit_rows)
+            fold_gaps = observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
         except ValueError:
             continue
-        fold_gaps = observed_gap(predict_proba_batch(model, calib, kernel, fit_rows))
         kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
         for ci, cand in enumerate(grid):
             try:

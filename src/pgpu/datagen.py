@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FlipRateSpec
+from .core import FlipRateSpec, observed_gap
 from .kernels import SplitKernel
-from .svm import SvmConfig, predict_proba_batch, train_prob_svm
+from .svm import SvmConfig
 
 
 @dataclass
@@ -156,8 +156,7 @@ def estimate_clean_gap(clean: PUDataset, svm_config: SvmConfig = SvmConfig()) ->
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
     kernel = SplitKernel(svm_config.resolve_kernel(clean.dim), clean.X)
-    model, calib = train_prob_svm(kernel, clean.y, svm_config)
-    return 2.0 * predict_proba_batch(model, calib, kernel) - 1.0
+    return observed_gap(kernel, clean.y, svm_config)
 
 
 def split(dataset: PUDataset, train_fraction: float = 0.75, seed: int = 0,

@@ -134,8 +134,7 @@ def run_pgpu(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipelin
     if boundary_mode not in ("min_nprime", "cv"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
     kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
-    model, calib = train_prob_svm(kernel, train.s, config.svm)
-    gaps = observed_gap(predict_proba_batch(model, calib, kernel))
+    gaps = observed_gap(kernel, train.s, config.svm)
     if boundary_mode == "cv":
         boundary = estimate_boundary_cv(kernel, train.s, config, seed=cv_seed)
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import mmap
 from contextlib import suppress
 from dataclasses import dataclass
@@ -10,7 +11,6 @@ import numpy as np
 
 _VALID_KINDS = ("linear", "rbf")
 _BLOCK = 256  # rows and columns per block of a Gram matrix
-_GATHER_ROWS = 32  # rows per step when a block is copied out of a kernel matrix
 _MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
 
 
@@ -24,8 +24,8 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in _VALID_KINDS:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kind == "rbf" and not self.gamma > 0:
-            raise ValueError("rbf kernel requires gamma > 0")
+        if self.kind == "rbf" and not 0 < self.gamma < math.inf:
+            raise ValueError(f"rbf kernel requires a finite gamma > 0, got {self.gamma!r}")
 
 
 def default_kernel(dim: int) -> KernelSpec:
@@ -127,19 +127,17 @@ class SplitKernel:
         """K[rows][:, cols] for index sets (None: all). Consecutive ascending
         indices give a view, anything else a copy; indices may repeat."""
         r, c = _as_run(rows, self.n), _as_run(cols, self.n)
-        n_r, n_c = (len(range(self.n)[i]) if isinstance(i, slice) else i.size for i in (r, c))
         if isinstance(r, slice) and isinstance(c, slice):
             return self.K[r, c]
-        if 8 * n_r * n_c < _MAPPED_BYTES:
-            return self.K[r, c] if isinstance(r, slice) or isinstance(c, slice) else self.K[np.ix_(r, c)]
-        # A large copy goes to a mapping of its own (see _empty), laid out as numpy lays
-        # out the same indexing, since matrix products sum in an order set by the layout.
+        # Copies are laid out as numpy lays out the same indexing, since matrix products
+        # sum in an order set by the layout; a large one is a mapping (see _empty). _as_run
+        # checked the indices, and with mode="clip" take fills out without a temporary.
         if isinstance(r, slice):  # column-major: rows c of K are its columns, K being symmetric
-            return np.take(self.K[:, r], c, axis=0, out=_empty(n_c, n_r), mode="clip").T
+            return self.block(cols, rows).T
         if isinstance(c, slice):
-            return np.take(self.K[:, c], r, axis=0, out=_empty(n_r, n_c), mode="clip")
-        # fancy indexing cannot write into a given array, so gather a few rows at a time
-        out = _empty(n_r, n_c)
-        for i in range(0, n_r, _GATHER_ROWS):
-            np.take(self.K[r[i:i + _GATHER_ROWS]], c, axis=1, out=out[i:i + _GATHER_ROWS], mode="clip")
+            n_c = len(range(self.n)[c])
+            return np.take(self.K[:, c], r, axis=0, out=_empty(r.size, n_c), mode="clip")
+        out = _empty(r.size, c.size)
+        for row, i in zip(out, r.tolist()):
+            self.K[i].take(c, out=row, mode="clip")
         return out

@@ -232,6 +232,38 @@ def svm_dual_scipy(K, y, c_box):
     return res.x, float(res.fun)
 
 
+def kmm_qp_scipy(K, source, cap, eps):
+    """The QP of solve_kmm with every row of K as the target, solved by scipy's
+    SLSQP, a solver that shares no code with it: minimize the squared mean
+    discrepancy b'K_ss b/ns^2 - 2 kappa'b/(n ns) + sum(K)/n^2, where K_ss is
+    K on the source rows and kappa their row sums, subject to 0 <= b <= cap
+    and ns(1 - eps) <= sum(b) <= ns(1 + eps). Returns (beta, objective). Needs scipy."""
+    from scipy import optimize
+
+    K = np.asarray(K, dtype=float)
+    source = np.asarray(source)
+    n, ns = K.shape[0], source.size
+    # in units of ns^2 times the objective less its constant, so values are of order ns^2
+    quad = K[np.ix_(source, source)]
+    lin = K[source].sum(axis=1) * (ns / n)
+    ones = np.ones(ns)
+    res = optimize.minimize(
+        lambda b: b @ quad @ b - 2.0 * lin @ b, ones, jac=lambda b: 2.0 * quad @ b - 2.0 * lin,
+        method="SLSQP", bounds=[(0.0, cap)] * ns,
+        constraints=[
+            {"type": "ineq", "fun": lambda b: b.sum() - ns * (1.0 - eps), "jac": lambda b: ones},
+            {"type": "ineq", "fun": lambda b: ns * (1.0 + eps) - b.sum(), "jac": lambda b: -ones},
+        ],
+        options={"ftol": 1e-15, "maxiter": 5000},
+    )
+    beta = res.x
+    violation = max(-beta.min(), beta.max() - cap, abs(beta.sum() / ns - 1.0) - eps)
+    # status 8: no descent direction left, which this ftol reaches at float precision
+    if res.status not in (0, 8) or violation > 1e-9:
+        raise RuntimeError(f"SLSQP failed: {res.message} (constraint violation {violation:.2g})")
+    return beta, float(res.fun) / (ns * ns) + K.sum() / (n * n)
+
+
 def forward_gap(true_gap, rho_plus):
     """Observed gap produced by a true gap under positive flip rate rho_plus.
 

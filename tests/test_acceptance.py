@@ -20,15 +20,19 @@ from pgpu import (
     SvmConfig,
     default_kernel,
     observed_gap,
-    predict_proba_batch,
     run_suite,
-    train_prob_svm,
     write_results,
 )
-from pgpu.core import GapEstimate, estimate_boundary_min, relabel
+from pgpu.core import estimate_boundary_min, relabel
 from pgpu.kernels import gram_matrix
 from pgpu.kmm import solve_kmm
-from pgpu.svm import decision_values, fit_platt, smo_solve, train_weighted_svm
+from pgpu.svm import (
+    decision_values,
+    fit_platt,
+    predict_proba_batch,
+    smo_solve,
+    train_weighted_svm,
+)
 
 MASTER_SEED = 2
 
@@ -98,7 +102,7 @@ def test_criterion_4_relabelling_consistency():
         true_gap = rng.uniform(-1.0, 1.0, 4000)
         observed = forward_gap(true_gap, spec.rate(true_gap))
         boundary = -float(spec.rate(np.array([0.0]))[0])
-        result = relabel(GapEstimate(observed), -np.ones(4000, dtype=int), boundary)
+        result = relabel(observed, -np.ones(4000, dtype=int), boundary)
         oracle_ok = oracle_ok and bool(
             np.all(true_gap[result.positive_idx] > 0) and np.all(true_gap[result.negative_idx] < 0)
         )
@@ -108,8 +112,7 @@ def test_criterion_4_relabelling_consistency():
     drive = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, drive, FlipRateSpec("linear", 0.6), seed=12)
     kernel = SplitKernel(default_kernel(pu.dim), pu.X)
-    model, calib = train_prob_svm(kernel, pu.s, SvmConfig())
-    gaps = observed_gap(predict_proba_batch(model, calib, kernel))
+    gaps = observed_gap(kernel, pu.s, SvmConfig())
     boundary = estimate_boundary_min(gaps, pu.s, 3)
     result = relabel(gaps, pu.s, boundary)
     bayes = np.where(pu.X[:, 1] > pu.X[:, 0], 1, -1)

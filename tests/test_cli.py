@@ -113,3 +113,14 @@ def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, val
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert field in err[0]
+
+
+def test_run_infinite_gamma_prints_one_error_line(tmp_path, capsys):
+    # JSON parses 1e400 to inf; an rbf kernel with it would train a NaN model
+    config = _write_config(tmp_path, svm={"C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.5}})
+    text = config.read_text(encoding="utf-8")
+    config.write_text(text.replace('"gamma": 0.5', '"gamma": 1e400'), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "gamma" in err[0]

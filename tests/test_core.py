@@ -5,29 +5,41 @@ from hypothesis import strategies as st
 
 import pgpu
 from _oracles import forward_gap, monotone_rate
-from pgpu import FlipRateSpec, PipelineConfig, observed_gap
+from pgpu import FlipRateSpec, PipelineConfig, SvmConfig, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
-    GapEstimate,
     estimate_boundary_cv,
     estimate_boundary_min,
     fit_relabelled_classifier,
     relabel,
 )
+from pgpu.svm import predict_proba_batch, train_prob_svm
 
 
-def test_observed_gap_values():
-    est = observed_gap([0.5, 0.9, 0.0])
-    assert est.gaps[0] == 0.0
-    assert est.gaps[1] == pytest.approx(0.8, abs=1e-15)
-    assert est.gaps[2] == -1.0
+def test_observed_gap_is_the_calibrated_svm_gap_of_its_rows():
+    kernel, s = _cv_dataset(1.5)
+    rows = np.flatnonzero(np.arange(s.size) % 4 != 0)
+    model, calib = train_prob_svm(kernel, s[rows], SvmConfig(), rows=rows)
+    got = observed_gap(kernel, s[rows], SvmConfig(), rows)
+    assert np.array_equal(got, 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0)
+    assert got.shape == rows.shape and np.all(np.abs(got) < 1.0)
+    # far-apart blobs: each labelled positive gets a positive gap, each other row a negative one
+    kernel, s = _cv_dataset(0.2)
+    assert np.array_equal(np.sign(observed_gap(kernel, s)), s)
 
 
-def test_observed_gap_rejects_bad_probabilities():
-    with pytest.raises(ValueError):
-        observed_gap([0.5, 1.2])
-    with pytest.raises(ValueError):
-        observed_gap([-0.01])
+@pytest.mark.parametrize("gaps, labels, match", [
+    (np.zeros((2, 2)), np.ones(2), "1-d"),
+    (np.zeros(3), np.ones(2), "one gap per label"),
+    (np.array([0.5, 1.2]), np.ones(2), r"\[-1, 1\]"),
+    (np.array([-1.01, 0.5]), np.ones(2), r"\[-1, 1\]"),
+    (np.array([0.5, np.nan]), np.ones(2), r"\[-1, 1\]"),
+])
+def test_gaps_are_checked_before_use(gaps, labels, match):
+    with pytest.raises(ValueError, match=match):
+        relabel(gaps, labels, -0.5)
+    with pytest.raises(ValueError, match=match):
+        estimate_boundary_min(gaps, labels, 1)
 
 
 def test_forward_gap_examples():
@@ -78,29 +90,29 @@ def test_composite_map_monotone_for_decreasing_rates():
 
 
 def test_boundary_min_examples():
-    gaps = GapEstimate(np.array([-0.2, -0.1, 0.3, -0.9, 0.7]))
+    gaps = np.array([-0.2, -0.1, 0.3, -0.9, 0.7])
     s = np.array([1, 1, 1, -1, -1])  # positives hold gaps -0.2, -0.1, 0.3
     assert estimate_boundary_min(gaps, s, 1) == pytest.approx(-0.2)
     assert estimate_boundary_min(gaps, s, 2) == pytest.approx(-0.15)
 
 
 def test_boundary_min_requires_enough_positives():
-    gaps = GapEstimate(np.array([-0.2, 0.3]))
+    gaps = np.array([-0.2, 0.3])
     with pytest.raises(ValueError, match="observed positives"):
         estimate_boundary_min(gaps, np.array([1, -1]), 2)
 
 
 def test_boundary_min_clamped_into_open_interval():
-    gaps = GapEstimate(np.array([0.4, 0.6, 0.8]))
+    gaps = np.array([0.4, 0.6, 0.8])
     s = np.ones(3, dtype=int)
     assert estimate_boundary_min(gaps, s, 3) == pytest.approx(-1e-6)
-    gaps = GapEstimate(np.array([-1.0, -1.0, -1.0]))
+    gaps = np.array([-1.0, -1.0, -1.0])
     got = estimate_boundary_min(gaps, s, 3)
     assert -1.0 < got < 0.0
 
 
 def test_relabel_rules():
-    gaps = GapEstimate(np.array([0.5, -0.5, -0.1, -0.9]))
+    gaps = np.array([0.5, -0.5, -0.1, -0.9])
     s = np.array([-1, -1, -1, 1])
     result = relabel(gaps, s, -0.3)
     assert list(result.positive_idx) == [0, 3]  # gap > 0, and the observed positive
@@ -109,7 +121,7 @@ def test_relabel_rules():
 
 
 def test_relabel_boundary_validation():
-    gaps = GapEstimate(np.array([0.1]))
+    gaps = np.array([0.1])
     for bad in (-1.0, 0.0, 0.4, -1.3):
         with pytest.raises(ValueError):
             relabel(gaps, np.array([-1]), bad)
@@ -120,7 +132,7 @@ def test_relabel_boundary_validation():
 def test_relabel_partitions_everything(seed, boundary):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 40))
-    gaps = GapEstimate(rng.uniform(-1.0, 1.0, n))
+    gaps = rng.uniform(-1.0, 1.0, n)
     s = np.where(rng.random(n) < 0.4, 1, -1)
     result = relabel(gaps, s, boundary)
     parts = [result.positive_idx, result.negative_idx, result.discarded_idx]
@@ -129,9 +141,25 @@ def test_relabel_partitions_everything(seed, boundary):
     assert len(np.unique(merged)) == n
     assert np.all(np.isin(np.flatnonzero(s == 1), result.positive_idx))
     for i in result.negative_idx:
-        assert s[i] == -1 and gaps.gaps[i] <= boundary
+        assert s[i] == -1 and gaps[i] <= boundary
     for i in result.discarded_idx:
-        assert s[i] == -1 and boundary < gaps.gaps[i] <= 0.0
+        assert s[i] == -1 and boundary < gaps[i] <= 0.0
+
+
+@given(st.integers(0, 100_000), st.floats(min_value=-0.99, max_value=-0.01),
+       st.floats(min_value=-0.99, max_value=-0.01))
+@settings(max_examples=80, deadline=None)
+def test_relabel_positives_ignore_the_boundary_and_negatives_nest(seed, l1, l2):
+    lo, hi = sorted((l1, l2))
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    # coarse gaps, so some fall exactly on a boundary or on zero
+    gaps = np.round(rng.uniform(-1.0, 1.0, n), 1)
+    s = np.where(rng.random(n) < 0.4, 1, -1)
+    low, high = relabel(gaps, s, lo), relabel(gaps, s, hi)
+    assert np.array_equal(low.positive_idx, high.positive_idx)
+    assert np.all(np.isin(low.negative_idx, high.negative_idx))
+    assert np.all(np.isin(high.discarded_idx, low.discarded_idx))
 
 
 @pytest.mark.parametrize("spec", [FlipRateSpec("constant", 0.3), FlipRateSpec("linear", 0.6)])
@@ -141,13 +169,13 @@ def test_relabelling_with_oracle_gaps_matches_bayes_sign(spec):
     rho = spec.rate(true_gap)
     observed = forward_gap(true_gap, rho)
     boundary = -float(spec.rate(np.array([0.0]))[0])
-    result = relabel(GapEstimate(observed), -np.ones(4000, dtype=int), boundary)
+    result = relabel(observed, -np.ones(4000, dtype=int), boundary)
     assert np.all(true_gap[result.positive_idx] > 0)
     assert np.all(true_gap[result.negative_idx] < 0)
 
 
 def test_single_class_relabelling_is_surfaced():
-    gaps = GapEstimate(np.array([0.5, 0.6, 0.7, 0.8]))
+    gaps = np.array([0.5, 0.6, 0.7, 0.8])
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
     with pytest.raises(ValueError, match="relabelling produced one class"):
         X = np.random.default_rng(0).normal(size=(4, 2))
@@ -201,6 +229,18 @@ def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeyp
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", capped)
     with pytest.raises(RuntimeError, match="max_iter=1"):
         estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
+
+
+@pytest.mark.parametrize("grid", [[0.3], [-0.5, 0.3], [-1.0]])
+def test_boundary_cv_rejects_candidates_outside_the_interval_before_fitting(grid, monkeypatch):
+    kernel, s = _cv_dataset(0.8)
+
+    def no_fit(*args):
+        raise AssertionError("a fold was fitted")
+
+    monkeypatch.setattr(pgpu.core, "observed_gap", no_fit)
+    with pytest.raises(ValueError, match=f"candidate {grid[-1]!r} lies outside"):
+        estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1)
 
 
 def test_boundary_cv_needs_enough_of_each_class():

@@ -46,6 +46,8 @@ def test_rbf_requires_positive_gamma():
         KernelSpec("rbf", 0.0)
     with pytest.raises(ValueError):
         KernelSpec("rbf", -1.0)
+    with pytest.raises(ValueError, match="finite gamma"):
+        KernelSpec("rbf", float("inf"))  # its Gram diagonal would be 0 * -inf = NaN
     with pytest.raises(ValueError):
         KernelSpec("sigmoid", 1.0)
 

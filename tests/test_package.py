@@ -33,3 +33,15 @@ def test_public_names_resolve_and_match_readme():
     section = readme.split("## Public API", 1)[1].split("\n## ", 1)[0]
     documented = re.findall(r"^- `(\w+)`", section, flags=re.M)
     assert sorted(documented) == sorted(pgpu.__all__)
+
+
+def test_readme_quickstart_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quickstart", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, flags=re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md quickstart", "exec"), namespace)
+    gaps, train = namespace["gaps"], namespace["train"]
+    assert gaps.shape == (train.n,) and ((gaps > -1.0) & (gaps < 1.0)).all()
+    assert 0.5 < namespace["accuracy"] <= 1.0

@@ -2,21 +2,16 @@ import numpy as np
 import pytest
 
 from _oracles import svm_kkt_residuals
-from pgpu import (
-    KernelSpec,
-    SplitKernel,
-    SvmConfig,
-    default_kernel,
-    predict_proba_batch,
-    train_prob_svm,
-)
+from pgpu import KernelSpec, SplitKernel, SvmConfig, default_kernel
 from pgpu.kernels import gram_matrix
 from pgpu.svm import (
     PlattCalibration,
     SvmModel,
     decision_values,
     fit_platt,
+    predict_proba_batch,
     smo_solve,
+    train_prob_svm,
     train_weighted_svm,
 )
 
