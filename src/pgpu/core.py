@@ -236,8 +236,9 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     relabel-KMM-SVM pipeline on the training folds and measuring accuracy
     against the held-out observed PU labels; every classifier kernel value
     comes from ``kernel.K``, and each fold builds its matching kernel once for
-    all candidates. Grid candidates are scanned in ascending order, so ties
-    resolve to the most negative boundary; each must lie inside (-1, 0).
+    all candidates. Candidates that relabel a fold alike share one fit. Ties
+    resolve to the candidate that comes first in ``grid`` (with the default
+    ascending grid, the most negative boundary); each must lie inside (-1, 0).
     Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every
     candidate degenerates everywhere, this raises. A solver failure
     (RuntimeError) is not skipped: it propagates.
@@ -254,6 +255,16 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
         raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
                          f"for {_BOUNDARY_FOLDS}-fold CV")
+    scores = _cv_scores(kernel, s, config, grid, seed)
+    if not np.isfinite(scores).any():
+        raise ValueError("every boundary candidate was degenerate in cross-validation")
+    return float(grid[int(np.argmax(scores))])
+
+
+def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
+               grid: list[float], seed: int) -> np.ndarray:
+    """Mean held-out accuracy of each grid candidate over the folds where it is not
+    degenerate, -inf where it is degenerate in every fold."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
     kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
 
@@ -267,17 +278,19 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
         except ValueError:
             continue
         kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
-        for ci, cand in enumerate(grid):
+        # Positives do not depend on the boundary and negatives (unlabelled, gap <= l)
+        # nest as it grows, so candidates with equal negative counts relabel alike.
+        unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])
+        n_negatives = np.searchsorted(unlabelled_gaps, grid, side="right")
+        for count in np.unique(n_negatives):
+            alike = n_negatives == count
             try:
-                clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand, config,
+                clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,
+                                                      grid[int(np.argmax(alike))], config,
                                                       fit_rows, kmm_kernel)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
-            sums[ci] += float(np.mean(pred == s[hold_rows]))
-            counts[ci] += 1
-    if not (counts > 0).any():
-        raise ValueError("every boundary candidate was degenerate in cross-validation")
-    scores = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
-    return float(grid[int(np.argmax(scores))])
-
+            sums[alike] += float(np.mean(pred == s[hold_rows]))
+            counts[alike] += 1
+    return np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)

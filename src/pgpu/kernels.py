@@ -6,6 +6,7 @@ import math
 import mmap
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +123,11 @@ class SplitKernel:
     @property
     def n(self) -> int:
         return self.X.shape[0]
+
+    @cached_property
+    def row_sums(self) -> np.ndarray:
+        """``K.sum(axis=1)``, summed on first use and kept for every later caller."""
+        return self.K.sum(axis=1)
 
     def block(self, rows=None, cols=None) -> np.ndarray:
         """K[rows][:, cols] for index sets (None: all). Consecutive ascending

@@ -51,19 +51,30 @@ def default_epsilon(n_source: int) -> float:
 
 
 def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
-    """Project v onto {0 <= x <= cap, sum(x) = target} via bisection on the shift."""
-    lo = -float(v.max()) - 1.0
-    hi = cap - float(v.min()) + 1.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v + mid, 0.0, cap).sum() < target:
+    """Project v onto {0 <= x <= cap, sum(x) = target}: x = clip(v + t, 0, cap) for one shift t.
+
+    The sum is piecewise linear in t, with breakpoints where an entry leaves 0
+    (t = -v_i) or reaches cap (t = cap - v_i). A binary search over the sorted
+    breakpoints finds the segment holding the target, on which t is the
+    solution of one linear equation.
+    """
+    rise, full = -v, cap - v  # the shifts at which each entry leaves 0 and reaches cap
+    points = np.unique(np.concatenate([rise, full]))
+    lo, hi = 0, points.size - 1  # the sum is 0 at points[0] and n * cap at points[-1]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if np.clip(v + points[mid], 0.0, cap).sum() <= target:
             lo = mid
         else:
             hi = mid
-    x = np.clip(v + 0.5 * (lo + hi), 0.0, cap)
+    capped = full <= points[lo]  # at cap all along the segment
+    interior = (rise <= points[lo]) & ~capped
+    n_int = int(interior.sum())
+    shift = (target - cap * int(capped.sum()) - v[interior].sum()) / n_int if n_int else points[lo]
+    x = np.clip(v + shift, 0.0, cap)
     interior = (x > 0.0) & (x < cap)
     n_int = int(interior.sum())
-    if n_int:  # polish the last bisection residue on the unclipped entries
+    if n_int:  # polish the rounding residue of the sum on the unclipped entries
         x[interior] += (target - x.sum()) / n_int
         np.clip(x, 0.0, cap, out=x)
     return x
@@ -106,11 +117,14 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.
 
     obj = objective(beta, k_beta)
     trace = [obj]
+    grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
+    grad, moved = np.empty(ns), np.empty(ns)  # reused by every step
     for _ in range(max_iters):
-        grad = 2.0 * inv2 * k_beta - 2.0 * lin
-        cand = _project(beta - step * grad, cap, lo_sum, hi_sum)
-        d = cand - beta
-        if np.abs(d).max() <= 1e-14 * max(1.0, np.abs(beta).max()):
+        np.subtract(np.multiply(k_beta, grad_scale, out=grad), lin2, out=grad)
+        np.subtract(beta, np.multiply(grad, step, out=moved), out=moved)
+        d = _project(moved, cap, lo_sum, hi_sum)  # the projected point, then the step to it
+        d -= beta
+        if max(d.max(), -d.min()) <= 1e-14 * max(1.0, beta.max()):  # beta is never negative
             break
         k_d = k_times(d)
         curv = float(d @ k_d) * inv2
@@ -118,8 +132,10 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.
             raise _SolverBreakdown("negative curvature in the source Gram matrix")
         gd = float(grad @ d)
         theta = 1.0 if curv <= 0.0 else min(1.0, max(0.0, -gd / (2.0 * curv)))
-        beta = beta + theta * d
-        k_beta = k_beta + theta * k_d
+        d *= theta
+        beta += d
+        k_d *= theta
+        k_beta += k_d
         new_obj = objective(beta, k_beta)
         if not np.isfinite(new_obj):
             raise _SolverBreakdown("objective became non-finite")
@@ -139,8 +155,9 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
 
     ``target`` and ``source`` index the rows of ``kernel`` (target None: all
     rows; repeats allowed). Every kernel value is a block of ``kernel.K``: the
-    source block, the row sums kappa over the target, and their total. Putting
-    the source first in the kernel's rows makes its block a view, not a copy.
+    source block, the row sums kappa over the target, and their total (with
+    target None, the kernel's cached ``row_sums``). Putting the source first
+    in the kernel's rows makes its block a view, not a copy.
     The returned trace (objective per iteration, offset so it equals the true
     squared mean discrepancy) is monotonically non-increasing. Raises
     RuntimeError if the descent still makes progress above ``config.tol``
@@ -155,7 +172,7 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
 
     k_ss = kernel.block(source, source)
     if target is None:
-        row_sums = kernel.K.sum(axis=1)
+        row_sums = kernel.row_sums
         kappa = row_sums[source]
     else:
         kappa = kernel.block(source, target).sum(axis=1)

@@ -264,6 +264,64 @@ def kmm_qp_scipy(K, source, cap, eps):
     return beta, float(res.fun) / (ns * ns) + K.sum() / (n * n)
 
 
+def clip_to_sum_bisection(v, cap, target):
+    """Projection of v onto {0 <= x <= cap, sum(x) = target} by 100 bisection
+    passes on the shift t of x = clip(v + t, 0, cap), then a polish of the sum
+    on the unclipped entries."""
+    v = np.asarray(v, dtype=float)
+    lo = -float(v.max()) - 1.0
+    hi = cap - float(v.min()) + 1.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v + mid, 0.0, cap).sum() < target:
+            lo = mid
+        else:
+            hi = mid
+    x = np.clip(v + 0.5 * (lo + hi), 0.0, cap)
+    interior = (x > 0.0) & (x < cap)
+    n_int = int(interior.sum())
+    if n_int:
+        x[interior] += (target - x.sum()) / n_int
+        np.clip(x, 0.0, cap, out=x)
+    return x
+
+
+def boundary_cv_reference(kernel, s, config, grid, seed):
+    """estimate_boundary_cv as one relabel-KMM-SVM fit per (candidate, fold) pair,
+    with no sharing between candidates. Returns (boundary, per-candidate scores),
+    the scores being mean held-out accuracy, -inf where every fold degenerated.
+    Calls the pipeline steps through ``pgpu.core``, so patches of them apply."""
+    from pgpu import core
+    from pgpu.kernels import SplitKernel
+    from pgpu.svm import decision_values
+
+    grid = list(grid)
+    s = np.asarray(s, dtype=int)
+    fold = core._stratified_folds(s, core._BOUNDARY_FOLDS, np.random.default_rng(seed))
+    kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
+    sums = np.zeros(len(grid))
+    counts = np.zeros(len(grid))
+    for k in range(core._BOUNDARY_FOLDS):
+        fit_rows = np.flatnonzero(fold != k)
+        hold_rows = np.flatnonzero(fold == k)
+        try:
+            fold_gaps = core.observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
+        except ValueError:
+            continue
+        kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
+        for ci, cand in enumerate(grid):
+            try:
+                clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,
+                                                           config, fit_rows, kmm_kernel)
+            except ValueError:
+                continue
+            pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
+            sums[ci] += float(np.mean(pred == s[hold_rows]))
+            counts[ci] += 1
+    scores = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
+    return float(grid[int(np.argmax(scores))]), scores
+
+
 def forward_gap(true_gap, rho_plus):
     """Observed gap produced by a true gap under positive flip rate rho_plus.
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpu
-from _oracles import forward_gap, monotone_rate
+from _oracles import boundary_cv_reference, forward_gap, monotone_rate
 from pgpu import FlipRateSpec, PipelineConfig, SvmConfig, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
@@ -212,16 +212,19 @@ def test_boundary_cv_ties_resolve_to_most_negative():
 
 
 def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeypatch):
-    kernel, s = _cv_dataset(0.2)  # every candidate ties, so -0.90 wins unless it is skipped
+    kernel, s = _cv_dataset(0.2)  # unlabelled gaps lie in [-0.97, -0.95], so -0.96 splits them
+    grid = [-0.96, -0.90]
+    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1) == -0.96  # a tie
     real = pgpu.core.fit_relabelled_classifier
 
-    def degenerate_first(kernel, s, gaps, boundary_l, *args):
-        if boundary_l == -0.90:
-            raise ValueError("relabelling produced one class")
+    def degenerate_if_rows_discarded(kernel, s, gaps, boundary_l, *args):
+        # fails a relabelling, not a boundary value: candidates that relabel alike fail alike
+        if relabel(gaps, s, boundary_l).discarded_idx.size:
+            raise ValueError("relabelling discarded rows")
         return real(kernel, s, gaps, boundary_l, *args)
 
-    monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_first)
-    assert estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1) == -0.89
+    monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_if_rows_discarded)
+    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1) == -0.90
 
     def capped(*args):
         raise RuntimeError("SMO reached its iteration cap max_iter=1")
@@ -229,6 +232,50 @@ def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeyp
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", capped)
     with pytest.raises(RuntimeError, match="max_iter=1"):
         estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
+
+
+def _pu_triangles(n, seed):
+    """pgpu_cv's benchmark data: n triangles points with inverse(0.1, 0.5) label flips."""
+    clean = pgpu.gen_triangles(n // 2, n - n // 2, seed=seed)
+    gap = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
+    pu = pgpu.flip_labels(clean, gap, FlipRateSpec("inverse", 0.1, 0.5), seed=seed + 1)
+    return pgpu.SplitKernel(pgpu.default_kernel(2), pu.X), pu.s
+
+
+# descending, then a repeat of one candidate and a candidate out of order
+_UNSORTED_GRID = [*BOUNDARY_GRID[::-1], -0.75, -0.905]
+
+
+@pytest.mark.parametrize("n, grid", [(200, BOUNDARY_GRID), (800, BOUNDARY_GRID),
+                                     (200, _UNSORTED_GRID)], ids=["200", "800", "200-unsorted"])
+def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_candidate(
+        n, grid, monkeypatch):
+    kernel, s = _pu_triangles(n, seed=n)
+    config = PipelineConfig()
+    expected_l, expected_scores = boundary_cv_reference(kernel, s, config, grid, seed=2)
+
+    fits, fold_gaps = [], {}
+    fit, cv_scores = pgpu.core.fit_relabelled_classifier, pgpu.core._cv_scores
+    scores = []
+
+    def counted_fit(kernel, s, gaps, boundary_l, config, rows, *args):
+        fold_gaps[rows.tobytes()] = (s, gaps)
+        fits.append((rows.tobytes(), relabel(gaps, s, boundary_l).negative_idx.size))
+        return fit(kernel, s, gaps, boundary_l, config, rows, *args)
+
+    def recorded_scores(*args):
+        scores.append(cv_scores(*args))
+        return scores[-1]
+
+    monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", counted_fit)
+    monkeypatch.setattr(pgpu.core, "_cv_scores", recorded_scores)
+    assert estimate_boundary_cv(kernel, s, config, grid=grid, seed=2) == expected_l
+    assert np.array_equal(scores[0], expected_scores)
+    # one fit per distinct (fold, negatives count) pair, and every such pair fitted
+    distinct = {(fold, relabel(gaps, fold_s, cand).negative_idx.size)
+                for fold, (fold_s, gaps) in fold_gaps.items() for cand in grid}
+    assert len(fold_gaps) == 5
+    assert len(fits) == len(distinct) and set(fits) == distinct
 
 
 @pytest.mark.parametrize("grid", [[0.3], [-0.5, 0.3], [-1.0]])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import kmm_brute_force_min, kmm_objective_direct, kmm_qp_scipy
+from _oracles import clip_to_sum_bisection, kmm_brute_force_min, kmm_objective_direct, kmm_qp_scipy
 from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles
 from pgpu import kmm as kmm_module
 from pgpu.kmm import _clip_to_sum, default_epsilon, solve_kmm
@@ -214,3 +214,4 @@ def test_clip_to_sum_is_a_feasible_idempotent_projection(seed, n, cap, frac, sca
     assert x.min() >= 0.0 and x.max() <= cap
     assert abs(x.sum() - target) <= 1e-12 * max(1.0, target)
     assert np.abs(_clip_to_sum(x, cap, target) - x).max() <= 1e-12 * cap
+    assert np.abs(x - clip_to_sum_bisection(v, cap, target)).max() <= 1e-12 * cap
