@@ -69,7 +69,7 @@ def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
             hi = mid
     capped = full <= points[lo]  # at cap all along the segment
     interior = (rise <= points[lo]) & ~capped
-    n_int = int(interior.sum())
+    n_int = int(interior.sum())  # 0 only on a flat segment, whose sum is the target up to rounding
     shift = (target - cap * int(capped.sum()) - v[interior].sum()) / n_int if n_int else points[lo]
     x = np.clip(v + shift, 0.0, cap)
     interior = (x > 0.0) & (x < cap)
