@@ -34,14 +34,17 @@ def main() -> int:
     parser.add_argument("--out-dir", default="results/benchmark")
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        dataset_source="triangles" if args.dataset == "triangles" else "overlap_square",
-        flip=FAMILIES[args.family],
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
-        n_splits=args.splits,
-        master_seed=args.seed,
-        dataset_n=args.size,
-    )
+    try:
+        config = ExperimentConfig(
+            dataset_source="triangles" if args.dataset == "triangles" else "overlap_square",
+            flip=FAMILIES[args.family],
+            methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+            n_splits=args.splits,
+            master_seed=args.seed,
+            dataset_n=args.size,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     started = time.perf_counter()
     records = run_suite(config)
     paths = write_results(records, args.out_dir)

@@ -18,6 +18,7 @@ from .kmm import BetaWeights, KmmConfig, solve_kmm
 from .svm import (
     SvmConfig,
     SvmModel,
+    _stratified_folds,
     decision_values,
     predict_proba_batch,
     train_prob_svm,
@@ -183,6 +184,22 @@ def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
     )
 
 
+def _matching_order(s, gaps) -> np.ndarray:
+    """Sample positions: positives (observed, or unlabelled with gap > 0) in sample order,
+    then the other unlabelled rows stably sorted by gap. Negatives are the unlabelled rows
+    with gap <= l, so every boundary l's relabelled sample is a leading run of this order."""
+    g, s = _checked_gaps(gaps, s)
+    positive = (s == 1) | (g > 0.0)
+    rest = np.flatnonzero(~positive)
+    return np.concatenate([np.flatnonzero(positive), rest[np.argsort(g[rest], kind="stable")]])
+
+
+def _matching_kernel(kernel: SplitKernel, s, gaps, config: PipelineConfig, rows) -> SplitKernel:
+    """The KMM matching kernel on the sample rows ``rows`` of ``kernel``, in ``_matching_order``."""
+    order = np.asarray(rows, dtype=np.intp)[_matching_order(s, gaps)]
+    return SplitKernel(config.resolve_kmm_kernel(kernel.X.shape[1]), kernel.X[order])
+
+
 def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
                               config: PipelineConfig = PipelineConfig(), rows=None,
                               kmm_kernel: SplitKernel | None = None,
@@ -193,38 +210,28 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
     ``s`` and ``gaps`` given per sample row; the final SVM reads its kernel
     rows from ``kernel.K``. The KMM target is the full sample and the source is the
     relabelled subset, so the weights undo the bias from dropping the
-    ambiguous band. ``kmm_kernel``, the matching kernel on the sample's rows,
-    is passed by callers that fit many boundaries on one sample; otherwise it
-    is built here with the source rows first, so the source block is a view.
-    Relabelled-positive and relabelled-negative indices are sample positions.
+    ambiguous band. The matching kernel ``kmm_kernel`` (None: built here) is
+    ``_matching_kernel``'s, whose row order puts every boundary's relabelled
+    sample first, so the KMM source block is a view; callers that fit many
+    boundaries on one sample pass it. Relabelled-positive and relabelled-negative
+    indices are sample positions; ``beta`` lines up with them, positives first.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     result = relabel(gaps, s, boundary_l)
-    if result.positive_idx.size == 0 or result.negative_idx.size == 0:
+    n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
+    if n_pos == 0 or n_neg == 0:
         raise ValueError("relabelling produced one class")
-    sel = np.concatenate([result.positive_idx, result.negative_idx])
-    labels = np.concatenate([
-        np.ones(result.positive_idx.size, dtype=int),
-        -np.ones(result.negative_idx.size, dtype=int),
-    ])
     if kmm_kernel is None:
-        ordered = idx[np.concatenate([sel, result.discarded_idx])]
-        kmm_kernel = SplitKernel(config.resolve_kmm_kernel(kernel.X.shape[1]), kernel.X[ordered])
-        source = np.arange(sel.size)
-    else:
-        source = sel
-    beta = solve_kmm(kmm_kernel, None, source, config.kmm)
+        kmm_kernel = _matching_kernel(kernel, s, gaps, config, idx)
+    beta = solve_kmm(kmm_kernel, None, np.arange(n_pos + n_neg), config.kmm)
     del kmm_kernel  # free the matching kernel before the SVM gathers its kernel rows
-    model = train_weighted_svm(kernel, labels, beta.beta, config.svm.C, idx[sel])
+    # the source lists negatives by gap; the SVM and the result take them in sample order
+    order = _matching_order(s, gaps)
+    back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
+    beta.beta = beta.beta[back]
+    model = train_weighted_svm(kernel, np.repeat([1, -1], [n_pos, n_neg]), beta.beta,
+                               config.svm.C, idx[order[back]])
     return model, result, beta
-
-
-def _stratified_folds(s: np.ndarray, folds: int, rng: np.random.Generator) -> np.ndarray:
-    fold = np.empty(s.size, dtype=int)
-    for cls in (1, -1):
-        idx = rng.permutation(np.flatnonzero(s == cls))
-        fold[idx] = np.arange(idx.size) % folds
-    return fold
 
 
 def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = PipelineConfig(),
@@ -235,13 +242,13 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     observed labels. Each candidate is scored by running the full
     relabel-KMM-SVM pipeline on the training folds and measuring accuracy
     against the held-out observed PU labels; every classifier kernel value
-    comes from ``kernel.K``, and each fold builds its matching kernel once for
-    all candidates. Candidates that relabel a fold alike share one fit. Ties
-    resolve to the candidate that comes first in ``grid`` (with the default
-    ascending grid, the most negative boundary); each must lie inside (-1, 0).
-    Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every
-    candidate degenerates everywhere, this raises. A solver failure
-    (RuntimeError) is not skipped: it propagates.
+    comes from ``kernel.K``. Each fold builds its matching kernel once, and every
+    candidate's KMM source is a leading view of it; candidates that relabel a fold alike
+    share one fit. Ties resolve to the candidate that comes first in ``grid`` (with the
+    default ascending grid, the most negative boundary); each must lie inside (-1, 0).
+    Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every candidate
+    degenerates everywhere, this raises. A solver failure (RuntimeError) is not skipped: it
+    propagates.
     """
     grid = list(grid)
     if not grid:
@@ -266,7 +273,6 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
     """Mean held-out accuracy of each grid candidate over the folds where it is not
     degenerate, -inf where it is degenerate in every fold."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
-    kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
 
     sums = np.zeros(len(grid))
     counts = np.zeros(len(grid))
@@ -277,7 +283,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
             fold_gaps = observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
         except ValueError:
             continue
-        kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
+        kmm_kernel = _matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
         # Positives do not depend on the boundary and negatives (unlabelled, gap <= l)
         # nest as it grows, so candidates with equal negative counts relabel alike.
         unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])

@@ -81,6 +81,11 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; valid: {METHOD_NAMES}")
+        settings = [name for name, _ in _normalize_settings(self.flip)]
+        for field, entries in (("methods", list(self.methods)), ("flip", settings)):
+            repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
+            if repeated:
+                raise ValueError(f"{field} lists {repeated[0]!r} more than once")
         if isinstance(self.dataset_source, str):
             if self.dataset_source not in ("triangles", "overlap_square"):
                 raise ValueError(f"unknown dataset_source {self.dataset_source!r}")
@@ -184,29 +189,17 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     unl = np.flatnonzero(train.s == -1)
     w_unl = elkan_weights(c, predict_proba_batch(model, calib, kernel, unl))
     rows = np.concatenate([pos, unl, unl])
-    y_big = np.concatenate([
-        np.ones(pos.size, dtype=int),
-        np.ones(unl.size, dtype=int),
-        -np.ones(unl.size, dtype=int),
-    ])
+    y_big = np.repeat([1, 1, -1], [pos.size, unl.size, unl.size])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
     final = train_weighted_svm(kernel, y_big, w_big, config.svm.C, rows)
     return evaluate(final, test)
 
 
 def _normalize_settings(flip) -> list[tuple[str, FlipRateSpec | None]]:
-    if flip is None:
-        return [("none", None)]
-    if isinstance(flip, FlipRateSpec):
-        return [(flip.describe(), flip)]
-    out = []
-    for spec in flip:
-        if not isinstance(spec, FlipRateSpec):
-            raise ValueError("flip entries must be FlipRateSpec instances")
-        out.append((spec.describe(), spec))
-    if not out:
-        return [("none", None)]
-    return out
+    specs = (flip,) if isinstance(flip, FlipRateSpec) else tuple(flip or ())
+    if not all(isinstance(spec, FlipRateSpec) for spec in specs):
+        raise ValueError("flip entries must be FlipRateSpec instances")
+    return [(spec.describe(), spec) for spec in specs] or [("none", None)]
 
 
 def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:

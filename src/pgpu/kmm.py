@@ -156,8 +156,8 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     ``target`` and ``source`` index the rows of ``kernel`` (target None: all
     rows; repeats allowed). Every kernel value is a block of ``kernel.K``: the
     source block, the row sums kappa over the target, and their total (with
-    target None, the kernel's cached ``row_sums``). Putting the source first
-    in the kernel's rows makes its block a view, not a copy.
+    target None, the kernel's cached ``row_sums``). A leading run ``arange(ns)``
+    as the source, as every pipeline fit passes, makes its block a view, not a copy.
     The returned trace (objective per iteration, offset so it equals the true
     squared mean discrepancy) is monotonically non-increasing. Raises
     RuntimeError if the descent still makes progress above ``config.tol``

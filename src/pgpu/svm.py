@@ -213,8 +213,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
     return alpha, (sum(ends) / len(ends) if ends else 0.0), iters
 
 
-def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None,
-                       tol: float = 1e-3) -> SvmModel:
+def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None) -> SvmModel:
     """Train a soft-margin SVM where example i gets box constraint C * weights[i].
 
     The examples are the rows ``rows`` of the split (None: all of them, in
@@ -246,7 +245,7 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
         raise ValueError("degenerate training set")
 
     ia = idx[active]
-    alpha, bias, _ = smo_solve(kernel.K, ya.astype(float), C * weights[active], tol=tol, rows=ia)
+    alpha, bias, _ = smo_solve(kernel.K, ya.astype(float), C * weights[active], rows=ia)
     sv = alpha > 0.0
     return SvmModel(
         support_vectors=kernel.X[ia[sv]],
@@ -347,11 +346,13 @@ def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X, rows=None) 
     return np.clip(p, _P_EPS, 1.0 - _P_EPS)
 
 
-def _round_robin_folds(y: np.ndarray, k: int) -> np.ndarray:
+def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Fold of each example: each class dealt round robin into k folds, in sample order
+    or, given ``rng``, in a random permutation."""
     fold = np.empty(y.size, dtype=int)
     for cls in (1, -1):
         idx = np.flatnonzero(y == cls)
-        fold[idx] = np.arange(idx.size) % k
+        fold[idx if rng is None else rng.permutation(idx)] = np.arange(idx.size) % k
     return fold
 
 
@@ -374,7 +375,7 @@ def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
     if n >= _CV_MIN_SIZE and min_class >= _CV_FOLDS:
         # each training fold keeps at least 2 examples of each class, so no fit degenerates
         dv = np.empty(n)
-        fold = _round_robin_folds(y, _CV_FOLDS)
+        fold = _stratified_folds(y, _CV_FOLDS)
         for k in range(_CV_FOLDS):
             hold = fold == k
             sub = train_weighted_svm(kernel, y[~hold], weights[~hold], config.C, idx[~hold])

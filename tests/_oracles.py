@@ -292,13 +292,11 @@ def boundary_cv_reference(kernel, s, config, grid, seed):
     the scores being mean held-out accuracy, -inf where every fold degenerated.
     Calls the pipeline steps through ``pgpu.core``, so patches of them apply."""
     from pgpu import core
-    from pgpu.kernels import SplitKernel
-    from pgpu.svm import decision_values
+    from pgpu.svm import _stratified_folds, decision_values
 
     grid = list(grid)
     s = np.asarray(s, dtype=int)
-    fold = core._stratified_folds(s, core._BOUNDARY_FOLDS, np.random.default_rng(seed))
-    kmm_spec = config.resolve_kmm_kernel(kernel.X.shape[1])
+    fold = _stratified_folds(s, core._BOUNDARY_FOLDS, np.random.default_rng(seed))
     sums = np.zeros(len(grid))
     counts = np.zeros(len(grid))
     for k in range(core._BOUNDARY_FOLDS):
@@ -308,7 +306,7 @@ def boundary_cv_reference(kernel, s, config, grid, seed):
             fold_gaps = core.observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
         except ValueError:
             continue
-        kmm_kernel = SplitKernel(kmm_spec, kernel.X[fit_rows])
+        kmm_kernel = core._matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
         for ci, cand in enumerate(grid):
             try:
                 clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,

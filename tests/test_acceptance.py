@@ -27,7 +27,6 @@ from pgpu.core import estimate_boundary_min, relabel
 from pgpu.kernels import gram_matrix
 from pgpu.kmm import solve_kmm
 from pgpu.svm import (
-    decision_values,
     fit_platt,
     predict_proba_batch,
     smo_solve,
@@ -186,11 +185,14 @@ def test_criterion_6_svm_and_calibration_suite():
     y = np.array([1, 1, 1, -1, -1, -1])
     w = np.ones(6)
     w[2] = 3.0
-    weighted = train_weighted_svm(SplitKernel(default_kernel(2), X), y, w, C=1.0, tol=1e-10)
-    duplicated = train_weighted_svm(SplitKernel(default_kernel(2), np.vstack([X, X[2], X[2]])),
-                                    np.concatenate([y, [1, 1]]), np.ones(8), C=1.0, tol=1e-10)
     grid = rng.uniform(-2, 2, size=(40, 2))
-    dup_gap = float(np.abs(decision_values(weighted, grid) - decision_values(duplicated, grid)).max())
+    values = []  # SMO at C = 1 with weight 3 on one example, then with that example thrice
+    for pts, labels, c_box in ((X, y, w), (np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
+                                           np.ones(8))):
+        K = gram_matrix(default_kernel(2), pts, pts)
+        alpha, bias, _ = smo_solve(K, labels.astype(float), c_box, tol=1e-10)
+        values.append(gram_matrix(default_kernel(2), grid, pts) @ (alpha * labels) + bias)
+    dup_gap = float(np.abs(values[0] - values[1]).max())
     dup_ok = dup_gap <= 1e-6
 
     f = np.concatenate([rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, -0.5, 30)])

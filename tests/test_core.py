@@ -8,11 +8,14 @@ from _oracles import boundary_cv_reference, forward_gap, monotone_rate
 from pgpu import FlipRateSpec, PipelineConfig, SvmConfig, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
+    _matching_kernel,
+    _matching_order,
     estimate_boundary_cv,
     estimate_boundary_min,
     fit_relabelled_classifier,
     relabel,
 )
+from pgpu.kmm import solve_kmm
 from pgpu.svm import predict_proba_batch, train_prob_svm
 
 
@@ -160,6 +163,22 @@ def test_relabel_positives_ignore_the_boundary_and_negatives_nest(seed, l1, l2):
     assert np.array_equal(low.positive_idx, high.positive_idx)
     assert np.all(np.isin(low.negative_idx, high.negative_idx))
     assert np.all(np.isin(high.discarded_idx, low.discarded_idx))
+
+
+@given(st.lists(st.tuples(st.sampled_from([1, -1]),
+                          st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.5, 0.0]))),
+                min_size=1, max_size=40),
+       st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True), st.just(-0.5)))
+@settings(max_examples=150, deadline=None)
+def test_matching_order_leads_with_the_relabelled_sample_of_every_boundary(rows, boundary):
+    s = np.array([label for label, _ in rows])
+    gaps = np.array([gap for _, gap in rows])
+    order = _matching_order(s, gaps)
+    result = relabel(gaps, s, boundary)
+    n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
+    assert np.array_equal(np.sort(order), np.arange(s.size))
+    assert np.array_equal(order[:n_pos], result.positive_idx)
+    assert np.array_equal(np.sort(order[n_pos:n_pos + n_neg]), result.negative_idx)
 
 
 @pytest.mark.parametrize("spec", [FlipRateSpec("constant", 0.3), FlipRateSpec("linear", 0.6)])
@@ -335,3 +354,44 @@ def test_pipeline_config_resolves_sharper_kmm_kernel():
     assert k.kind == "rbf" and k.gamma == pytest.approx(10.0)
     explicit = PipelineConfig(kmm_kernel=pgpu.KernelSpec("rbf", 3.0))
     assert explicit.resolve_kmm_kernel(2).gamma == 3.0
+
+
+def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monkeypatch):
+    kernel, s = _pu_triangles(200, seed=200)
+    config = PipelineConfig()
+    leading_views = []
+    real = pgpu.core.solve_kmm
+
+    def checked(kmm_kernel, target, source, *args):
+        block = kmm_kernel.block(source, source)
+        leading_views.append(np.array_equal(source, np.arange(len(source)))
+                             and np.shares_memory(block, kmm_kernel.K))
+        return real(kmm_kernel, target, source, *args)
+
+    monkeypatch.setattr(pgpu.core, "solve_kmm", checked)
+    boundary = estimate_boundary_cv(kernel, s, config, seed=2)
+    fit_relabelled_classifier(kernel, s, observed_gap(kernel, s, config.svm), boundary, config)
+    assert len(leading_views) > 5 * 2 and all(leading_views)
+
+
+def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follows_the_relabelling():
+    kernel, s = _pu_triangles(200, seed=200)
+    config = PipelineConfig()
+    rows = np.arange(1, 200, 2)
+    gaps = observed_gap(kernel, s[rows], config.svm, rows)
+    for boundary in (estimate_boundary_min(gaps, s[rows]), -0.9):
+        built, result, beta = fit_relabelled_classifier(kernel, s[rows], gaps, boundary, config,
+                                                        rows)
+        shared, _, shared_beta = fit_relabelled_classifier(
+            kernel, s[rows], gaps, boundary, config, rows,
+            _matching_kernel(kernel, s[rows], gaps, config, rows))
+        assert np.array_equal(built.support_idx, shared.support_idx)
+        assert np.array_equal(built.dual_coefs, shared.dual_coefs) and built.bias == shared.bias
+        assert np.array_equal(beta.beta, shared_beta.beta)
+        # KMM on a matching kernel laid out as [positives, negatives, discarded], each in
+        # sample order, weighs the same points alike, up to rounding
+        laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
+        pool = pgpu.SplitKernel(config.resolve_kmm_kernel(2), kernel.X[rows[laid_out]])
+        direct = solve_kmm(pool, None, np.arange(beta.beta.size), config.kmm)
+        assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
+        assert np.allclose(direct.beta, beta.beta, rtol=0.0, atol=1e-9)

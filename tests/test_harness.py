@@ -192,6 +192,22 @@ def test_config_rejects_unknown_fields_and_methods():
         config_from_dict({"svm": {"c": 1.0}})
 
 
+@pytest.mark.parametrize("field, value, json_value, repeated", [
+    ("methods", ("svm_naive", "pgpu", "svm_naive"), ["svm_naive", "pgpu", "svm_naive"],
+     "'svm_naive'"),
+    ("flip", (FlipRateSpec("linear", 0.3), FlipRateSpec("constant", 0.1),
+              FlipRateSpec("linear", 0.3)),
+     [{"kind": "linear", "alpha": 0.3}, {"kind": "constant", "alpha": 0.1},
+      {"kind": "linear", "alpha": 0.3}], "'linear(0.3)'"),
+])
+def test_config_rejects_repeated_methods_and_flip_settings(field, value, json_value, repeated):
+    message = f"{field} lists {repeated} more than once"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{field: value})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict({field: json_value})
+
+
 def test_csv_dataset_source_round_trip(tmp_path):
     data = gen_triangles(40, 40, seed=21)
     path = tmp_path / "tri.csv"
