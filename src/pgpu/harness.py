@@ -82,7 +82,7 @@ class ExperimentConfig:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; valid: {METHOD_NAMES}")
         settings = [name for name, _ in _normalize_settings(self.flip)]
-        for field, entries in (("methods", list(self.methods)), ("flip", settings)):
+        for field, entries in (("methods", self.methods), ("flip", settings)):
             repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeated:
                 raise ValueError(f"{field} lists {repeated[0]!r} more than once")
