@@ -194,15 +194,17 @@ def _matching_order(s, gaps) -> np.ndarray:
     return np.concatenate([np.flatnonzero(positive), rest[np.argsort(g[rest], kind="stable")]])
 
 
-def _matching_kernel(kernel: SplitKernel, s, gaps, config: PipelineConfig, rows) -> SplitKernel:
-    """The KMM matching kernel on the sample rows ``rows`` of ``kernel``, in ``_matching_order``."""
-    order = np.asarray(rows, dtype=np.intp)[_matching_order(s, gaps)]
-    return SplitKernel(config.resolve_kmm_kernel(kernel.X.shape[1]), kernel.X[order])
+def _matching_kernel(kernel: SplitKernel, s, gaps, config: PipelineConfig, rows,
+                     ) -> tuple[SplitKernel, np.ndarray]:
+    """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``_matching_order``, and that order."""
+    order = _matching_order(s, gaps)
+    spec = config.resolve_kmm_kernel(kernel.X.shape[1])
+    return SplitKernel(spec, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
 
 
 def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
                               config: PipelineConfig = PipelineConfig(), rows=None,
-                              kmm_kernel: SplitKernel | None = None,
+                              matching: tuple[SplitKernel, np.ndarray] | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
@@ -210,8 +212,8 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
     ``s`` and ``gaps`` given per sample row; the final SVM reads its kernel
     rows from ``kernel.K``. The KMM target is the full sample and the source is the
     relabelled subset, so the weights undo the bias from dropping the
-    ambiguous band. The matching kernel ``kmm_kernel`` (None: built here) is
-    ``_matching_kernel``'s, whose row order puts every boundary's relabelled
+    ambiguous band. ``matching`` (None: built here) is ``_matching_kernel``'s
+    pair of matching kernel and its row order, which puts every boundary's relabelled
     sample first, so the KMM source block is a view; callers that fit many
     boundaries on one sample pass it. Relabelled-positive and relabelled-negative
     indices are sample positions; ``beta`` lines up with them, positives first.
@@ -221,12 +223,10 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
     n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
     if n_pos == 0 or n_neg == 0:
         raise ValueError("relabelling produced one class")
-    if kmm_kernel is None:
-        kmm_kernel = _matching_kernel(kernel, s, gaps, config, idx)
+    kmm_kernel, order = matching or _matching_kernel(kernel, s, gaps, config, idx)
     beta = solve_kmm(kmm_kernel, None, np.arange(n_pos + n_neg), config.kmm)
     del kmm_kernel  # free the matching kernel before the SVM gathers its kernel rows
     # the source lists negatives by gap; the SVM and the result take them in sample order
-    order = _matching_order(s, gaps)
     back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
     beta.beta = beta.beta[back]
     model = train_weighted_svm(kernel, np.repeat([1, -1], [n_pos, n_neg]), beta.beta,
@@ -283,7 +283,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
             fold_gaps = observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
         except ValueError:
             continue
-        kmm_kernel = _matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
+        matching = _matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
         # Positives do not depend on the boundary and negatives (unlabelled, gap <= l)
         # nest as it grows, so candidates with equal negative counts relabel alike.
         unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])
@@ -293,7 +293,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
             try:
                 clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,
                                                       grid[int(np.argmax(alike))], config,
-                                                      fit_rows, kmm_kernel)
+                                                      fit_rows, matching)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)

@@ -306,11 +306,11 @@ def boundary_cv_reference(kernel, s, config, grid, seed):
             fold_gaps = core.observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
         except ValueError:
             continue
-        kmm_kernel = core._matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
+        matching = core._matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
         for ci, cand in enumerate(grid):
             try:
                 clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,
-                                                           config, fit_rows, kmm_kernel)
+                                                           config, fit_rows, matching)
             except ValueError:
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)

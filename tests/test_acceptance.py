@@ -194,6 +194,12 @@ def test_criterion_6_svm_and_calibration_suite():
         values.append(gram_matrix(default_kernel(2), grid, pts) @ (alpha * labels) + bias)
     dup_gap = float(np.abs(values[0] - values[1]).max())
     dup_ok = dup_gap <= 1e-6
+    # the library gives example i the box C * weights[i]: the same SMO solution, bit for bit
+    w_box = np.array([1.0, 1.0, 3.0, 1.0, 0.25, 1.0])
+    model = train_weighted_svm(SplitKernel(default_kernel(2), X), y, w_box, C=2.0)
+    alpha, bias, _ = smo_solve(gram_matrix(default_kernel(2), X, X), y.astype(float), 2.0 * w_box)
+    box_ok = (np.array_equal(model.support_idx, np.flatnonzero(alpha > 0.0))
+              and np.array_equal(model.dual_coefs, (alpha * y)[alpha > 0.0]) and model.bias == bias)
 
     f = np.concatenate([rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, -0.5, 30)])
     labels = np.concatenate([np.ones(30, dtype=int), -np.ones(30, dtype=int)])
@@ -206,8 +212,8 @@ def test_criterion_6_svm_and_calibration_suite():
     p_pos = predict_proba_batch(model, calib, rng.uniform(-2, 2, size=(50, 2)))
     sums_ok = bool(np.all(p_pos + (1.0 - p_pos) == 1.0))
 
-    _report(6, "KKT residuals, duplication equivalence, calibration monotonicity, exact sums",
-            kkt_ok and dup_ok and monotone_ok and sums_ok,
+    _report(6, "KKT residuals, duplication equivalence, weighted boxes, calibration "
+            "monotonicity, exact sums", kkt_ok and dup_ok and box_ok and monotone_ok and sums_ok,
             f"worst KKT={worst_kkt:.2e}, duplication gap={dup_gap:.2e}")
 
 
