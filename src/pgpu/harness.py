@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ValueError("dataset_source must be 'triangles', 'overlap_square', or {'csv': path}")
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
+        if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
+            raise ValueError("train_fraction must lie in (0, 1)")
 
     def pipeline(self) -> PipelineConfig:
         return PipelineConfig(svm=self.svm, kmm=self.kmm, n_prime=self.n_prime,

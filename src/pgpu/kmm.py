@@ -80,9 +80,10 @@ def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     return x
 
 
-def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float) -> np.ndarray:
-    x = np.clip(v, 0.0, cap)
-    s = x.sum()
+def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float, out=None) -> np.ndarray:
+    """v projected onto the feasible set: into ``out`` unless a sum constraint binds."""
+    x = v.clip(0.0, cap, out=out)
+    s = np.add.reduce(x)
     if s > hi_sum:
         return _clip_to_sum(v, cap, hi_sum)
     if s < lo_sum:
@@ -101,47 +102,48 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.
     lo_sum = ns * (1.0 - eps)
     hi_sum = ns * (1.0 + eps)
 
-    def k_times(v):  # (k_ss + ridge * I) @ v without forming the ridged matrix
-        return k_ss @ v + ridge * v if ridge else k_ss @ v
-
     beta = _project(np.ones(ns), cap, lo_sum, hi_sum)
-    k_beta = k_times(beta)
-
-    def objective(b, kb):
-        return float(b @ kb * inv2 - 2.0 * (lin @ b))
+    k_beta = k_ss @ beta + ridge * beta if ridge else k_ss @ beta  # (k_ss + ridge * I) @ beta
 
     # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
     row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
     lips = 2.0 * inv2 * (row_max + ridge)
     step = 1.0 / max(lips, 1e-300)
 
-    obj = objective(beta, k_beta)
+    obj = float(beta @ k_beta * inv2 - 2.0 * (lin @ beta))
     trace = [obj]
     grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
-    grad, moved = np.empty(ns), np.empty(ns)  # reused by every step
+    # A step makes one matrix-vector product and a fixed set of length-ns calls
+    # into these buffers; at ns of about 100 the calls, not the product, dominate.
+    grad, moved, proj, k_d = np.empty(ns), np.empty(ns), np.empty(ns), np.empty(ns)
     for _ in range(max_iters):
-        np.subtract(np.multiply(k_beta, grad_scale, out=grad), lin2, out=grad)
-        np.subtract(beta, np.multiply(grad, step, out=moved), out=moved)
-        d = _project(moved, cap, lo_sum, hi_sum)  # the projected point, then the step to it
+        np.multiply(k_beta, grad_scale, out=grad)
+        np.subtract(grad, lin2, out=grad)
+        np.multiply(grad, step, out=moved)
+        np.subtract(beta, moved, out=moved)
+        d = _project(moved, cap, lo_sum, hi_sum, proj)  # the projected point, then the step to it
         d -= beta
-        if max(d.max(), -d.min()) <= 1e-14 * max(1.0, beta.max()):  # beta is never negative
-            break
-        k_d = k_times(d)
-        curv = float(d @ k_d) * inv2
-        if not np.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
+        # max |d| is max(max d, -min d) exactly, NaN included; k_d is free until the product
+        if np.maximum.reduce(np.abs(d, out=k_d)) <= 1e-14 * max(1.0, np.maximum.reduce(beta)):
+            break  # beta is never negative
+        np.matmul(k_ss, d, out=k_d)
+        if ridge:
+            k_d += ridge * d
+        curv = float(d.dot(k_d)) * inv2
+        if not math.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
             raise _SolverBreakdown("negative curvature in the source Gram matrix")
-        gd = float(grad @ d)
+        gd = float(grad.dot(d))
         theta = 1.0 if curv <= 0.0 else min(1.0, max(0.0, -gd / (2.0 * curv)))
-        d *= theta
+        if theta != 1.0:  # x * 1.0 == x for every float, so a full step skips both products
+            d *= theta
+            k_d *= theta
         beta += d
-        k_d *= theta
         k_beta += k_d
-        new_obj = objective(beta, k_beta)
-        if not np.isfinite(new_obj):
+        new_obj = float(beta.dot(k_beta)) * inv2 - 2.0 * float(lin.dot(beta))
+        if not math.isfinite(new_obj):
             raise _SolverBreakdown("objective became non-finite")
         trace.append(new_obj)
         if obj - new_obj <= tol * max(1.0, abs(obj)):
-            obj = new_obj
             break
         obj = new_obj
     else:
@@ -159,7 +161,10 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     target None, the kernel's cached ``row_sums``). A leading run ``arange(ns)``
     as the source, as every pipeline fit passes, makes its block a view, not a copy.
     The returned trace (objective per iteration, offset so it equals the true
-    squared mean discrepancy) is monotonically non-increasing. Raises
+    squared mean discrepancy) is monotonically non-increasing. Each step costs
+    one product with the source block and a fixed set of vector passes into
+    buffers allocated once per solve; a step whose sum constraint binds also
+    runs the closed-form projection ``_clip_to_sum``. Raises
     RuntimeError if the descent still makes progress above ``config.tol``
     after ``config.max_iters`` steps, or breaks down even with a ridge.
     """

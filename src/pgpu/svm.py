@@ -231,7 +231,7 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
         raise ValueError("rows, y, and weights must have matching lengths")
     if n < 2:
         raise ValueError("need at least 2 training examples")
-    if not np.isin(y, (-1, 1)).all():
+    if not ((y == 1) | (y == -1)).all():
         raise ValueError("labels must be +1 or -1")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("weights must be finite and nonnegative")

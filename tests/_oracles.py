@@ -264,6 +264,81 @@ def kmm_qp_scipy(K, source, cap, eps):
     return beta, float(res.fun) / (ns * ns) + K.sum() / (n * n)
 
 
+def _kmm_project_reference(v, cap, lo_sum, hi_sum):
+    from pgpu.kmm import _clip_to_sum
+
+    x = np.clip(v, 0.0, cap)
+    s = x.sum()
+    if s > hi_sum:
+        return _clip_to_sum(v, cap, hi_sum)
+    if s < lo_sum:
+        return _clip_to_sum(v, cap, lo_sum)
+    return x
+
+
+def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.0):
+    """KMM's projected descent in its plain form, with closures, generic numpy
+    calls and a fresh projected array every step. The library's
+    kmm._projected_descent makes fewer calls into reused buffers and must return
+    byte-equal beta and trace; both share kmm._clip_to_sum for sum-binding steps."""
+    from pgpu.kmm import _ROWS, _SolverBreakdown
+
+    _project = _kmm_project_reference
+    ns = k_ss.shape[0]
+    inv2 = 1.0 / (ns * ns)
+    lin = kappa / (n_target * ns)
+    lo_sum = ns * (1.0 - eps)
+    hi_sum = ns * (1.0 + eps)
+
+    def k_times(v):  # (k_ss + ridge * I) @ v without forming the ridged matrix
+        return k_ss @ v + ridge * v if ridge else k_ss @ v
+
+    beta = _project(np.ones(ns), cap, lo_sum, hi_sum)
+    k_beta = k_times(beta)
+
+    def objective(b, kb):
+        return float(b @ kb * inv2 - 2.0 * (lin @ b))
+
+    # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
+    row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
+    lips = 2.0 * inv2 * (row_max + ridge)
+    step = 1.0 / max(lips, 1e-300)
+
+    obj = objective(beta, k_beta)
+    trace = [obj]
+    grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
+    grad, moved = np.empty(ns), np.empty(ns)  # reused by every step
+    for _ in range(max_iters):
+        np.subtract(np.multiply(k_beta, grad_scale, out=grad), lin2, out=grad)
+        np.subtract(beta, np.multiply(grad, step, out=moved), out=moved)
+        d = _project(moved, cap, lo_sum, hi_sum)  # the projected point, then the step to it
+        d -= beta
+        if max(d.max(), -d.min()) <= 1e-14 * max(1.0, beta.max()):  # beta is never negative
+            break
+        k_d = k_times(d)
+        curv = float(d @ k_d) * inv2
+        if not np.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
+            raise _SolverBreakdown("negative curvature in the source Gram matrix")
+        gd = float(grad @ d)
+        theta = 1.0 if curv <= 0.0 else min(1.0, max(0.0, -gd / (2.0 * curv)))
+        d *= theta
+        beta += d
+        k_d *= theta
+        k_beta += k_d
+        new_obj = objective(beta, k_beta)
+        if not np.isfinite(new_obj):
+            raise _SolverBreakdown("objective became non-finite")
+        trace.append(new_obj)
+        if obj - new_obj <= tol * max(1.0, abs(obj)):
+            obj = new_obj
+            break
+        obj = new_obj
+    else:
+        raise RuntimeError(f"KMM reached its iteration cap max_iters={max_iters} with a "
+                           f"relative decrease above tol={tol:g}")
+    return beta, np.asarray(trace)
+
+
 def clip_to_sum_bisection(v, cap, target):
     """Projection of v onto {0 <= x <= cap, sum(x) = target} by 100 bisection
     passes on the shift t of x = clip(v + t, 0, cap), then a polish of the sum

@@ -106,6 +106,8 @@ def test_missing_report_dir_exits_one(tmp_path, capsys):
     ("flip", [3]),
     ("flip", {"kind": "inverse"}),
     ("dataset_source", {"csv": 3}),
+    ("train_fraction", 1.5),
+    ("train_fraction", 0),
 ])
 def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, value):
     config = _write_config(tmp_path, **{field: value})

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpu
-from _oracles import boundary_cv_reference, forward_gap, monotone_rate
+from _oracles import boundary_cv_reference, forward_gap, kmm_descent_reference, monotone_rate
 from pgpu import FlipRateSpec, PipelineConfig, SvmConfig, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
@@ -372,6 +372,25 @@ def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monke
     boundary = estimate_boundary_cv(kernel, s, config, seed=2)
     fit_relabelled_classifier(kernel, s, observed_gap(kernel, s, config.svm), boundary, config)
     assert len(leading_views) > 5 * 2 and all(leading_views)
+
+
+def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(monkeypatch):
+    kernel, s = _pu_triangles(200, seed=201)
+    config = PipelineConfig()
+    descent = pgpu.kmm._projected_descent
+    same = []
+
+    def compared(k_ss, *args, ridge=0.0):
+        beta, trace = descent(k_ss, *args, ridge=ridge)
+        ref_beta, ref_trace = kmm_descent_reference(k_ss, *args, ridge=ridge)
+        same.append(k_ss.base is not None  # a leading view of the fold's matching kernel
+                    and beta.tobytes() == ref_beta.tobytes()
+                    and trace.tobytes() == ref_trace.tobytes())
+        return beta, trace
+
+    monkeypatch.setattr(pgpu.kmm, "_projected_descent", compared)
+    estimate_boundary_cv(kernel, s, config, seed=3)
+    assert len(same) > 5 * 2 and all(same)
 
 
 def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follows_the_relabelling():

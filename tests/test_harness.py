@@ -208,6 +208,17 @@ def test_config_rejects_repeated_methods_and_flip_settings(field, value, json_va
         config_from_dict({field: json_value})
 
 
+@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.25, math.nan, math.inf])
+def test_config_rejects_a_train_fraction_outside_the_open_unit_interval(fraction):
+    message = "train_fraction must lie in (0, 1)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(train_fraction=fraction)
+    # Python's json reads NaN and Infinity, so a JSON config can carry either
+    raw = json.loads(json.dumps({"train_fraction": fraction}))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
 def test_csv_dataset_source_round_trip(tmp_path):
     data = gen_triangles(40, 40, seed=21)
     path = tmp_path / "tri.csv"
@@ -243,7 +254,7 @@ CONFIG_CASES = [
         flip=FlipRateSpec("inverse", 0.1, 0.5),
         methods=("svm_naive", "elkan", "pgpu", "pgpu_cv", "clean")), id="readme-example"),
     pytest.param({}, ExperimentConfig(), id="empty"),
-    pytest.param({"train_fraction": 1, "svm": {"C": 2, "kernel": {"kind": "rbf", "gamma": 3}},
+    pytest.param({"svm": {"C": 2, "kernel": {"kind": "rbf", "gamma": 3}},
                   "kmm": {"upper_bound_B": 50, "epsilon": 0, "tol": 1},
                   "flip": {"kind": "inverse", "alpha": 1, "beta": 2}},
                  None, id="integers-for-floats"),
@@ -271,10 +282,10 @@ def test_config_from_dict_table(raw, expected):
     cfg = config_from_dict(raw)
     if expected is None:  # integers-for-floats: every float field holds a float
         expected = ExperimentConfig(
-            flip=FlipRateSpec("inverse", 1.0, 2.0), train_fraction=1.0,
+            flip=FlipRateSpec("inverse", 1.0, 2.0),
             svm=SvmConfig(C=2.0, kernel=KernelSpec("rbf", 3.0)),
             kmm=KmmConfig(upper_bound_B=50.0, epsilon=0.0, tol=1.0))
-        for value in (cfg.train_fraction, cfg.svm.C, cfg.svm.kernel.gamma, cfg.kmm.upper_bound_B,
+        for value in (cfg.svm.C, cfg.svm.kernel.gamma, cfg.kmm.upper_bound_B,
                       cfg.kmm.epsilon, cfg.kmm.tol, cfg.flip.alpha, cfg.flip.beta):
             assert type(value) is float
     assert cfg == expected

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import clip_to_sum_bisection, kmm_brute_force_min, kmm_objective_direct, kmm_qp_scipy
+from _oracles import (
+    clip_to_sum_bisection,
+    kmm_brute_force_min,
+    kmm_descent_reference,
+    kmm_objective_direct,
+    kmm_qp_scipy,
+)
 from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles
 from pgpu import kmm as kmm_module
 from pgpu.kmm import _clip_to_sum, default_epsilon, solve_kmm
@@ -215,3 +221,64 @@ def test_clip_to_sum_is_a_feasible_idempotent_projection(seed, n, cap, frac, sca
     assert abs(x.sum() - target) <= 1e-12 * max(1.0, target)
     assert np.abs(_clip_to_sum(x, cap, target) - x).max() <= 1e-12 * cap
     assert np.abs(x - clip_to_sum_bisection(v, cap, target)).max() <= 1e-12 * cap
+
+
+def _descent_args(kernel, source, config):
+    """The arguments solve_kmm passes _projected_descent with every row as the target."""
+    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
+    return (kernel.block(source, source), kernel.row_sums[source], kernel.n,
+            config.upper_bound_B, eps, config.max_iters, config.tol)
+
+
+def _biased_problem(kind):
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(120, 2))
+    source = np.flatnonzero(X[:, 0] + 0.5 * rng.normal(size=120) > -0.3)
+    return SplitKernel(KernelSpec(kind, 2.0), X), source
+
+
+def _repeated_point_problem():
+    """A linear kernel whose 5 source rows are one point: their Gram block is
+    rank one with equal row sums, so the Gershgorin step is exactly the inverse
+    of the largest curvature, and the exact line search lands on the full step
+    up to rounding, here an ulp short of it."""
+    X = np.array([[1.0, 1.0]] * 5 + [[2.0, 0.5]])
+    return SplitKernel(KernelSpec("linear"), X), np.arange(5)
+
+
+def _first_theta(k_ss, kappa, n_target, cap, eps, *_):
+    """The line-search fraction of the descent's first step, from its start beta = 1."""
+    ns = k_ss.shape[0]
+    grad = 2.0 * (k_ss @ np.ones(ns)) / ns**2 - 2.0 * kappa / (n_target * ns)
+    step = ns**2 / (2.0 * np.abs(k_ss).sum(axis=1).max())
+    d = np.clip(1.0 - step * grad, 0.0, cap) - 1.0
+    assert abs(d.sum()) <= ns * eps  # the step keeps the sum constraint
+    return -(grad @ d) / (2.0 * (d @ k_ss @ d) / ns**2)
+
+
+@pytest.mark.parametrize("kind, config, ridge", [
+    pytest.param("rbf", KmmConfig(), 0.0, id="rbf"),
+    pytest.param("linear", KmmConfig(), 0.0, id="linear"),
+    pytest.param("rbf", KmmConfig(epsilon=0.0), 0.0, id="sum-bound"),
+    pytest.param("rbf", KmmConfig(upper_bound_B=1.5), 0.0, id="box-bound"),
+    pytest.param("rbf", KmmConfig(), 1e-8, id="ridge"),
+    pytest.param("repeated", KmmConfig(epsilon=0.5), 0.0, id="short-step"),
+])
+def test_descent_is_byte_identical_to_the_plain_loop(kind, config, ridge, monkeypatch):
+    problem = _repeated_point_problem() if kind == "repeated" else _biased_problem(kind)
+    args = _descent_args(*problem, config)
+    projections = []
+    clip_to_sum = kmm_module._clip_to_sum
+    monkeypatch.setattr(kmm_module, "_clip_to_sum",
+                        lambda *a: projections.append(a) or clip_to_sum(*a))
+    beta, trace = kmm_module._projected_descent(*args, ridge=ridge)
+    steps, projected = trace.size - 1, len(projections)
+    ref_beta, ref_trace = kmm_descent_reference(*args, ridge=ridge)
+    assert beta.tobytes() == ref_beta.tobytes() and trace.tobytes() == ref_trace.tobytes()
+    if kind == "repeated":  # one step, shorter than the full one
+        assert steps == 1 and _first_theta(*args) < 1.0
+    else:
+        assert steps >= 10
+    # the case each problem is there for: every step leaves the sum constraint, the box binds
+    assert (projected == steps) == (config.epsilon == 0.0)
+    assert (beta.max() == 1.5) == (config.upper_bound_B == 1.5)
