@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FlipRateSpec, observed_gap
-from .kernels import SplitKernel
+from .kernels import SplitKernel, check_finite
 from .svm import SvmConfig
 
 
@@ -28,9 +28,7 @@ class PUDataset:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         self.s = np.asarray(self.s, dtype=int)
         n = self.X.shape[0]
-        if not np.isfinite(self.X).all():
-            i, j = np.argwhere(~np.isfinite(self.X))[0]
-            raise ValueError(f"features must be finite: data row {i}, x{j + 1} is {self.X[i, j]}")
+        check_finite(self.X)
         if self.s.shape != (n,):
             raise ValueError("s must have one label per row of X")
         if not np.isin(self.s, (-1, 1)).all():

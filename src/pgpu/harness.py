@@ -375,11 +375,13 @@ def _json_value(hint, value, path: str):
             if isinstance(value, (list, tuple)):
                 return tuple(_json_value(typing.get_args(opt)[0], v, f"{path}[{i}]")
                              for i, v in enumerate(value))
-        elif opt in (int, float):
-            try:
-                return opt(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
+        elif opt in (int, float):  # a JSON number; an int field takes only an integral one
+            if (isinstance(value, (int, float)) and not isinstance(value, bool)
+                    and (opt is float or isinstance(value, int) or value.is_integer())):
+                try:
+                    return opt(value)
+                except OverflowError:  # an integer too large for a float
+                    pass
         elif opt is not type(None):
             return value  # str and mapping fields are checked by the dataclass itself
     raise ValueError(f"invalid value for {path}: {json.dumps(value, default=repr)}")

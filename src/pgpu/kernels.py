@@ -36,6 +36,13 @@ def default_kernel(dim: int) -> KernelSpec:
     return KernelSpec(kind="rbf", gamma=1.0 / dim)
 
 
+def check_finite(X: np.ndarray) -> None:
+    """Raise ValueError naming the first non-finite feature of X."""
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"features must be finite: data row {i}, x{j + 1} is {X[i, j]}")
+
+
 def _empty(rows: int, cols: int) -> np.ndarray:
     """An uninitialised float matrix; a large one in a memory mapping of its own.
 
@@ -118,6 +125,7 @@ class SplitKernel:
     def __init__(self, spec: KernelSpec, X) -> None:
         self.spec = spec
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
+        check_finite(self.X)
         self.K = gram_matrix(spec, self.X, self.X)
 
     @property

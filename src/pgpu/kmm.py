@@ -2,7 +2,7 @@
 
 Solves min_beta || (1/n) sum_i phi(x_i) - (1/n') sum_j beta_j phi(x'_j) ||^2
 subject to 0 <= beta_j <= B and |mean(beta) - 1| <= epsilon, by projected
-gradient descent with an exact line search along each feasible segment.
+gradient steps of size 1/L, L a Gershgorin bound on the objective's curvature.
 """
 
 from __future__ import annotations
@@ -80,7 +80,8 @@ def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     return x
 
 
-def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float, out=None) -> np.ndarray:
+def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float,
+             out: np.ndarray) -> np.ndarray:
     """v projected onto the feasible set: into ``out`` unless a sum constraint binds."""
     x = v.clip(0.0, cap, out=out)
     s = np.add.reduce(x)
@@ -91,24 +92,20 @@ def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float, out=None) 
     return x
 
 
-class _SolverBreakdown(RuntimeError):
-    pass
-
-
-def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.0):
+def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     ns = k_ss.shape[0]
     inv2 = 1.0 / (ns * ns)
     lin = kappa / (n_target * ns)
     lo_sum = ns * (1.0 - eps)
     hi_sum = ns * (1.0 + eps)
 
-    beta = _project(np.ones(ns), cap, lo_sum, hi_sum)
-    k_beta = k_ss @ beta + ridge * beta if ridge else k_ss @ beta  # (k_ss + ridge * I) @ beta
+    beta = np.ones(ns)  # feasible, as KmmConfig keeps B >= 1 and 0 <= eps < 1
+    k_beta = k_ss @ beta
 
-    # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
+    # The Gershgorin bound L is at least the largest Hessian eigenvalue, so the projected
+    # step of size 1/L lowers the objective by at least (L/2)|d|^2 whatever the curvature.
     row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
-    lips = 2.0 * inv2 * (row_max + ridge)
-    step = 1.0 / max(lips, 1e-300)
+    step = 1.0 / max(2.0 * inv2 * row_max, 1e-300)
 
     obj = float(beta @ k_beta * inv2 - 2.0 * (lin @ beta))
     trace = [obj]
@@ -127,21 +124,11 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.
         if np.maximum.reduce(np.abs(d, out=k_d)) <= 1e-14 * max(1.0, np.maximum.reduce(beta)):
             break  # beta is never negative
         np.matmul(k_ss, d, out=k_d)
-        if ridge:
-            k_d += ridge * d
-        curv = float(d.dot(k_d)) * inv2
-        if not math.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
-            raise _SolverBreakdown("negative curvature in the source Gram matrix")
-        gd = float(grad.dot(d))
-        theta = 1.0 if curv <= 0.0 else min(1.0, max(0.0, -gd / (2.0 * curv)))
-        if theta != 1.0:  # x * 1.0 == x for every float, so a full step skips both products
-            d *= theta
-            k_d *= theta
         beta += d
         k_beta += k_d
         new_obj = float(beta.dot(k_beta)) * inv2 - 2.0 * float(lin.dot(beta))
         if not math.isfinite(new_obj):
-            raise _SolverBreakdown("objective became non-finite")
+            raise RuntimeError("KMM objective became non-finite")
         trace.append(new_obj)
         if obj - new_obj <= tol * max(1.0, abs(obj)):
             break
@@ -166,7 +153,7 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     buffers allocated once per solve; a step whose sum constraint binds also
     runs the closed-form projection ``_clip_to_sum``. Raises
     RuntimeError if the descent still makes progress above ``config.tol``
-    after ``config.max_iters`` steps, or breaks down even with a ridge.
+    after ``config.max_iters`` steps, or if its objective becomes non-finite.
     """
     source = np.asarray(source, dtype=np.intp)
     n = kernel.n if target is None else np.asarray(target).size
@@ -183,14 +170,7 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
         kappa = kernel.block(source, target).sum(axis=1)
         row_sums = kernel.block(target, target).sum(axis=1)
     const = row_sums.sum() / (n * n)
-    try:
-        beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
-                                         config.max_iters, config.tol)
-    except _SolverBreakdown:
-        try:
-            beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
-                                             config.max_iters, config.tol, ridge=1e-8)
-        except _SolverBreakdown as exc:
-            raise RuntimeError(f"KMM solver failed even with ridge regularization: {exc}") from exc
+    beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
+                                     config.max_iters, config.tol)
     trace = trace + const
     return BetaWeights(beta=beta, trace=trace)

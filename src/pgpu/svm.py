@@ -19,7 +19,7 @@ _TAU = 1e-12
 _P_EPS = 1e-12
 _PLATT_MAX_ITER = 100  # Newton rounds
 _PLATT_GRAD_TOL = 1e-8
-_PLATT_SIGMA = 1e-12  # Hessian ridge
+_PLATT_SIGMA = 1e-12  # added to the Hessian diagonal
 _CV_MIN_SIZE = 30  # smallest sample whose Platt targets are cross-validated
 _CV_FOLDS = 3
 

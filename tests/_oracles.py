@@ -276,12 +276,13 @@ def _kmm_project_reference(v, cap, lo_sum, hi_sum):
     return x
 
 
-def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge=0.0):
+def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     """KMM's projected descent in its plain form, with closures, generic numpy
-    calls and a fresh projected array every step. The library's
-    kmm._projected_descent makes fewer calls into reused buffers and must return
+    calls, a fresh projected array every step, an exact line search along each
+    step and a negative-curvature check. The library's kmm._projected_descent
+    takes every step whole, makes fewer calls into reused buffers and must return
     byte-equal beta and trace; both share kmm._clip_to_sum for sum-binding steps."""
-    from pgpu.kmm import _ROWS, _SolverBreakdown
+    from pgpu.kmm import _ROWS
 
     _project = _kmm_project_reference
     ns = k_ss.shape[0]
@@ -290,18 +291,15 @@ def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge
     lo_sum = ns * (1.0 - eps)
     hi_sum = ns * (1.0 + eps)
 
-    def k_times(v):  # (k_ss + ridge * I) @ v without forming the ridged matrix
-        return k_ss @ v + ridge * v if ridge else k_ss @ v
-
     beta = _project(np.ones(ns), cap, lo_sum, hi_sum)
-    k_beta = k_times(beta)
+    k_beta = k_ss @ beta
 
     def objective(b, kb):
         return float(b @ kb * inv2 - 2.0 * (lin @ b))
 
     # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
     row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
-    lips = 2.0 * inv2 * (row_max + ridge)
+    lips = 2.0 * inv2 * row_max
     step = 1.0 / max(lips, 1e-300)
 
     obj = objective(beta, k_beta)
@@ -315,10 +313,10 @@ def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge
         d -= beta
         if max(d.max(), -d.min()) <= 1e-14 * max(1.0, beta.max()):  # beta is never negative
             break
-        k_d = k_times(d)
+        k_d = k_ss @ d
         curv = float(d @ k_d) * inv2
         if not np.isfinite(curv) or curv < -1e-12 * max(1.0, abs(obj)):
-            raise _SolverBreakdown("negative curvature in the source Gram matrix")
+            raise RuntimeError("negative curvature in the source Gram matrix")
         gd = float(grad @ d)
         theta = 1.0 if curv <= 0.0 else min(1.0, max(0.0, -gd / (2.0 * curv)))
         d *= theta
@@ -327,7 +325,7 @@ def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, ridge
         k_beta += k_d
         new_obj = objective(beta, k_beta)
         if not np.isfinite(new_obj):
-            raise _SolverBreakdown("objective became non-finite")
+            raise RuntimeError("KMM objective became non-finite")
         trace.append(new_obj)
         if obj - new_obj <= tol * max(1.0, abs(obj)):
             obj = new_obj

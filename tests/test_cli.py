@@ -108,6 +108,10 @@ def test_missing_report_dir_exits_one(tmp_path, capsys):
     ("dataset_source", {"csv": 3}),
     ("train_fraction", 1.5),
     ("train_fraction", 0),
+    ("n_splits", 2.5),
+    ("n_splits", True),
+    ("dataset_n", "100"),
+    ("svm", {"C": "1"}),
 ])
 def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, value):
     config = _write_config(tmp_path, **{field: value})

@@ -380,9 +380,9 @@ def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(mo
     descent = pgpu.kmm._projected_descent
     same = []
 
-    def compared(k_ss, *args, ridge=0.0):
-        beta, trace = descent(k_ss, *args, ridge=ridge)
-        ref_beta, ref_trace = kmm_descent_reference(k_ss, *args, ridge=ridge)
+    def compared(k_ss, *args):
+        beta, trace = descent(k_ss, *args)
+        ref_beta, ref_trace = kmm_descent_reference(k_ss, *args)
         same.append(k_ss.base is not None  # a leading view of the fold's matching kernel
                     and beta.tobytes() == ref_beta.tobytes()
                     and trace.tobytes() == ref_trace.tobytes())

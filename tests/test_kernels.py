@@ -175,3 +175,12 @@ def test_gram_symmetric_across_blocks():
         G = gram_matrix(spec, X, X)
         assert np.array_equal(G, G.T)
         assert np.abs(G - gram_matrix(spec, X, X.copy())).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+def test_split_kernel_rejects_non_finite_features(kind, bad):
+    X = np.zeros((4, 2))
+    X[2, 1] = bad
+    with pytest.raises(ValueError, match="features must be finite: data row 2, x2"):
+        SplitKernel(KernelSpec(kind, 0.5), X)

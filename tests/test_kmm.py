@@ -87,13 +87,62 @@ def test_feasibility_on_random_instances():
         assert abs(result.beta.mean() - 1.0) <= eps + 1e-9
 
 
-def test_objective_trace_never_increases():
-    rng = np.random.default_rng(5)
-    target = rng.normal(size=(40, 2))
-    source = rng.normal(loc=0.5, size=(25, 2))
-    result = kmm(KernelSpec("rbf", 2.0), target, source, KmmConfig(epsilon=0.3))
-    assert np.all(np.diff(result.trace) <= 1e-12)
-    assert len(result.trace) >= 2
+def _indefinite(rng, ns, low, high):
+    """A symmetric ns x ns matrix with eigenvalues spread evenly over [low, high]."""
+    q, _ = np.linalg.qr(rng.normal(size=(ns, ns)))
+    k = (q * np.linspace(low, high, ns)) @ q.T
+    return (k + k.T) / 2.0
+
+
+def _assert_descends_feasibly(beta, trace, cap, eps):
+    assert np.all(np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1])))
+    assert beta.min() >= 0.0 and beta.max() <= cap
+    assert abs(beta.mean() - 1.0) <= eps + 1e-12
+
+
+@given(st.integers(0, 100_000), st.sampled_from(["rbf", "linear", "rank-deficient", "indefinite"]),
+       st.integers(2, 40), st.sampled_from([1.0, 1.5, 5.0, 1000.0]),
+       st.sampled_from([0.0, 0.05, 0.3, 0.9]))
+@settings(max_examples=80, deadline=None)
+def test_objective_trace_never_increases(seed, kind, ns, cap, eps):
+    # the descent lemma: a projected step of size 1/L, L at least the largest
+    # Hessian eigenvalue, never raises the objective, whatever the curvature
+    rng = np.random.default_rng(seed)
+    config = KmmConfig(upper_bound_B=cap, epsilon=eps, max_iters=100_000)
+    if kind == "indefinite":  # no kernel has such a Gram block; passed to the descent directly
+        beta, trace = kmm_module._projected_descent(
+            _indefinite(rng, ns, -1.0, 1.0), rng.uniform(0.0, 2.0, size=ns) * ns, 2 * ns,
+            cap, eps, config.max_iters, config.tol)
+    else:
+        if kind == "rank-deficient":  # a linear block of rank at most 2, rows repeated
+            X = np.repeat(rng.normal(size=(int(rng.integers(1, 4)), 3)), 2 * ns, axis=0)
+            X = X[rng.permutation(X.shape[0])]
+        else:
+            X = rng.normal(size=(2 * ns, 2))
+        spec = KernelSpec("rbf" if kind == "rbf" else "linear", float(rng.choice([0.5, 2.0, 10.0])))
+        source = np.sort(rng.choice(X.shape[0], ns, replace=False))
+        result = solve_kmm(SplitKernel(spec, X), None, source, config)
+        beta, trace = result.beta, result.trace
+    _assert_descends_feasibly(beta, trace, cap, eps)
+
+
+@pytest.mark.parametrize("cap", [1.5, 10.0])
+def test_descent_on_an_indefinite_block_falls_strictly_and_stays_feasible(cap):
+    rng = np.random.default_rng(8)
+    k_ss = _indefinite(rng, 40, -8.0, 10.0)
+    kappa = rng.uniform(0.0, 60.0, size=40)
+    beta, trace = kmm_module._projected_descent(k_ss, kappa, 60, cap, 0.3, 5000, 1e-6)
+    assert trace.size > 10 and np.all(np.diff(trace) < 0.0)
+    _assert_descends_feasibly(beta, trace, cap, 0.3)
+
+
+def test_overflowing_kernel_raises_non_finite():
+    X = np.array([[1e160, 2e160], [3e160, 1e160], [2e160, 2e160]])  # finite features
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = SplitKernel(KernelSpec("linear"), X)
+        assert np.isinf(kernel.K).all()
+        with pytest.raises(RuntimeError, match="non-finite"):
+            solve_kmm(kernel, None, np.arange(2), KmmConfig())
 
 
 def test_oversampled_region_gets_downweighted():
@@ -114,17 +163,13 @@ def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
     spec = KernelSpec("rbf", 1.0)
     assert kmm(spec, target, source, KmmConfig()).trace.size > 2  # needs more than one step
 
-    ridges = []
+    calls = []
     descent = kmm_module._projected_descent
-
-    def recording(*args, ridge=0.0):
-        ridges.append(ridge)
-        return descent(*args, ridge=ridge)
-
-    monkeypatch.setattr(kmm_module, "_projected_descent", recording)
+    monkeypatch.setattr(kmm_module, "_projected_descent",
+                        lambda *args: calls.append(args) or descent(*args))
     with pytest.raises(RuntimeError, match="max_iters=1"):
         kmm(spec, target, source, KmmConfig(max_iters=1))
-    assert ridges == [0.0]  # no retry with a ridge
+    assert len(calls) == 1  # no second solve
 
 
 def test_input_validation():
@@ -240,7 +285,7 @@ def _biased_problem(kind):
 def _repeated_point_problem():
     """A linear kernel whose 5 source rows are one point: their Gram block is
     rank one with equal row sums, so the Gershgorin step is exactly the inverse
-    of the largest curvature, and the exact line search lands on the full step
+    of the largest curvature, and an exact line search lands on the full step
     up to rounding, here an ulp short of it."""
     X = np.array([[1.0, 1.0]] * 5 + [[2.0, 0.5]])
     return SplitKernel(KernelSpec("linear"), X), np.arange(5)
@@ -256,28 +301,30 @@ def _first_theta(k_ss, kappa, n_target, cap, eps, *_):
     return -(grad @ d) / (2.0 * (d @ k_ss @ d) / ns**2)
 
 
-@pytest.mark.parametrize("kind, config, ridge", [
-    pytest.param("rbf", KmmConfig(), 0.0, id="rbf"),
-    pytest.param("linear", KmmConfig(), 0.0, id="linear"),
-    pytest.param("rbf", KmmConfig(epsilon=0.0), 0.0, id="sum-bound"),
-    pytest.param("rbf", KmmConfig(upper_bound_B=1.5), 0.0, id="box-bound"),
-    pytest.param("rbf", KmmConfig(), 1e-8, id="ridge"),
-    pytest.param("repeated", KmmConfig(epsilon=0.5), 0.0, id="short-step"),
+@pytest.mark.parametrize("kind, config", [
+    pytest.param("rbf", KmmConfig(), id="rbf"),
+    pytest.param("linear", KmmConfig(), id="linear"),
+    pytest.param("rbf", KmmConfig(epsilon=0.0), id="sum-bound"),
+    pytest.param("rbf", KmmConfig(upper_bound_B=1.5), id="box-bound"),
+    pytest.param("repeated", KmmConfig(epsilon=0.5), id="short-step"),
 ])
-def test_descent_is_byte_identical_to_the_plain_loop(kind, config, ridge, monkeypatch):
+def test_descent_is_byte_identical_to_the_plain_loop(kind, config, monkeypatch):
     problem = _repeated_point_problem() if kind == "repeated" else _biased_problem(kind)
     args = _descent_args(*problem, config)
     projections = []
     clip_to_sum = kmm_module._clip_to_sum
     monkeypatch.setattr(kmm_module, "_clip_to_sum",
                         lambda *a: projections.append(a) or clip_to_sum(*a))
-    beta, trace = kmm_module._projected_descent(*args, ridge=ridge)
+    beta, trace = kmm_module._projected_descent(*args)
     steps, projected = trace.size - 1, len(projections)
-    ref_beta, ref_trace = kmm_descent_reference(*args, ridge=ridge)
-    assert beta.tobytes() == ref_beta.tobytes() and trace.tobytes() == ref_trace.tobytes()
-    if kind == "repeated":  # one step, shorter than the full one
+    ref_beta, ref_trace = kmm_descent_reference(*args)
+    assert beta.tobytes() == ref_beta.tobytes()
+    if kind == "repeated":  # one step, which the reference's line search takes an ulp short
         assert steps == 1 and _first_theta(*args) < 1.0
+        assert trace[0] == ref_trace[0]  # the full step lands on the same beta, its objective
+        assert abs(trace[1] - ref_trace[1]) <= 4 * np.spacing(abs(ref_trace[1]))  # rounds apart
     else:
+        assert trace.tobytes() == ref_trace.tobytes()
         assert steps >= 10
     # the case each problem is there for: every step leaves the sum constraint, the box binds
     assert (projected == steps) == (config.epsilon == 0.0)
