@@ -8,7 +8,7 @@ standard baselines, and an experiment harness are included.
 Lower-level functions live in the submodules (``pgpu.svm``, ``pgpu.kmm``, ...).
 """
 
-from .core import FlipRateSpec, PipelineConfig, observed_gap
+from .core import FlipRateSpec, observed_gap
 from .datagen import (
     PUDataset,
     estimate_clean_gap,
@@ -42,7 +42,7 @@ __all__ = [
     "run_pgpu", "run_elkan", "run_svm_naive", "ExperimentConfig", "config_from_dict",
     "run_suite", "ResultRecord", "write_results",
     # configuration
-    "FlipRateSpec", "PipelineConfig", "SvmConfig", "KmmConfig", "KernelSpec",
+    "FlipRateSpec", "SvmConfig", "KmmConfig", "KernelSpec",
     # lower level: the split's kernel matrix and its observed gaps
     "SplitKernel", "default_kernel", "observed_gap",
 ]

@@ -103,32 +103,10 @@ class FlipRateSpec:
         raise ValueError(f"unknown flip kind: {kind!r}")
 
 
+# The KMM matching kernel is rbf with gamma = KMM_GAMMA_SCALE/dim, sharper than the
+# classifier kernel's 1/dim: the mean embedding has to resolve density differences at the
+# width of the discarded band, which the classifier default smooths away.
 KMM_GAMMA_SCALE = 20.0
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the relabel-reweight-retrain pipeline needs besides the data.
-
-    The matching kernel for KMM defaults to a sharper bandwidth than the
-    classifier kernel (gamma = 20/dim instead of 1/dim): the mean embedding
-    has to resolve density differences at the width of the discarded band,
-    which the classifier default smooths away.
-    """
-
-    svm: SvmConfig = SvmConfig()
-    kmm: KmmConfig = KmmConfig()
-    n_prime: int = 3
-    kmm_kernel: KernelSpec | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_prime < 1:
-            raise ValueError("n_prime must be positive")
-
-    def resolve_kmm_kernel(self, dim: int) -> KernelSpec:
-        if self.kmm_kernel is not None:
-            return self.kmm_kernel
-        return KernelSpec(kind="rbf", gamma=KMM_GAMMA_SCALE / dim)
 
 
 def observed_gap(kernel: SplitKernel, labels, config: SvmConfig = SvmConfig(),
@@ -194,17 +172,16 @@ def _matching_order(s, gaps) -> np.ndarray:
     return np.concatenate([np.flatnonzero(positive), rest[np.argsort(g[rest], kind="stable")]])
 
 
-def _matching_kernel(kernel: SplitKernel, s, gaps, config: PipelineConfig, rows,
-                     ) -> tuple[SplitKernel, np.ndarray]:
+def _matching_kernel(kernel: SplitKernel, s, gaps, rows) -> tuple[SplitKernel, np.ndarray]:
     """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``_matching_order``, and that order."""
     order = _matching_order(s, gaps)
-    spec = config.resolve_kmm_kernel(kernel.X.shape[1])
+    spec = KernelSpec("rbf", KMM_GAMMA_SCALE / kernel.X.shape[1])
     return SplitKernel(spec, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
 
 
 def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
-                              config: PipelineConfig = PipelineConfig(), rows=None,
-                              matching: tuple[SplitKernel, np.ndarray] | None = None,
+                              svm: SvmConfig = SvmConfig(), kmm: KmmConfig = KmmConfig(),
+                              rows=None, matching: tuple[SplitKernel, np.ndarray] | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
@@ -223,19 +200,21 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
     n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
     if n_pos == 0 or n_neg == 0:
         raise ValueError("relabelling produced one class")
-    kmm_kernel, order = matching or _matching_kernel(kernel, s, gaps, config, idx)
-    beta = solve_kmm(kmm_kernel, None, np.arange(n_pos + n_neg), config.kmm)
-    del kmm_kernel  # free the matching kernel before the SVM gathers its kernel rows
+    matching_kernel, order = matching or _matching_kernel(kernel, s, gaps, idx)
+    # source stays solve_kmm's third positional argument: perfbench/spans.py reads it there
+    beta = solve_kmm(matching_kernel, None, np.arange(n_pos + n_neg), kmm)
+    del matching_kernel  # free the matching kernel before the SVM gathers its kernel rows
     # the source lists negatives by gap; the SVM and the result take them in sample order
     back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
     beta.beta = beta.beta[back]
     model = train_weighted_svm(kernel, np.repeat([1, -1], [n_pos, n_neg]), beta.beta,
-                               config.svm.C, idx[order[back]])
+                               svm.C, idx[order[back]])
     return model, result, beta
 
 
-def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = PipelineConfig(),
-                         grid: Sequence[float] = BOUNDARY_GRID, seed: int = 0) -> float:
+def estimate_boundary_cv(kernel: SplitKernel, s, svm: SvmConfig = SvmConfig(),
+                         kmm: KmmConfig = KmmConfig(), grid: Sequence[float] = BOUNDARY_GRID,
+                         seed: int = 0) -> float:
     """Pick the boundary from ``grid`` that maximizes 5-fold cross-validated accuracy.
 
     ``kernel`` is the classifier kernel of the training split and ``s`` its
@@ -262,13 +241,13 @@ def estimate_boundary_cv(kernel: SplitKernel, s, config: PipelineConfig = Pipeli
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
         raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
                          f"for {_BOUNDARY_FOLDS}-fold CV")
-    scores = _cv_scores(kernel, s, config, grid, seed)
+    scores = _cv_scores(kernel, s, svm, kmm, grid, seed)
     if not np.isfinite(scores).any():
         raise ValueError("every boundary candidate was degenerate in cross-validation")
     return float(grid[int(np.argmax(scores))])
 
 
-def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
+def _cv_scores(kernel: SplitKernel, s: np.ndarray, svm: SvmConfig, kmm: KmmConfig,
                grid: list[float], seed: int) -> np.ndarray:
     """Mean held-out accuracy of each grid candidate over the folds where it is not
     degenerate, -inf where it is degenerate in every fold."""
@@ -280,10 +259,10 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
-            fold_gaps = observed_gap(kernel, s[fit_rows], config.svm, fit_rows)
+            fold_gaps = observed_gap(kernel, s[fit_rows], svm, fit_rows)
         except ValueError:
             continue
-        matching = _matching_kernel(kernel, s[fit_rows], fold_gaps, config, fit_rows)
+        matching = _matching_kernel(kernel, s[fit_rows], fold_gaps, fit_rows)
         # Positives do not depend on the boundary and negatives (unlabelled, gap <= l)
         # nest as it grows, so candidates with equal negative counts relabel alike.
         unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])
@@ -292,7 +271,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, config: PipelineConfig,
             alike = n_negatives == count
             try:
                 clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,
-                                                      grid[int(np.argmax(alike))], config,
+                                                      grid[int(np.argmax(alike))], svm, kmm,
                                                       fit_rows, matching)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue

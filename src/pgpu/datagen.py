@@ -6,6 +6,7 @@ instances; latent labels y are kept alongside for synthetic ground truth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,6 +216,9 @@ def load_csv(path) -> PUDataset:
             feats.append([float(p) for p in parts[:d]])
         except ValueError:
             raise ValueError(f"line {line_no}: invalid feature value") from None
+        for j, value in enumerate(feats[-1]):
+            if not math.isfinite(value):
+                raise ValueError(f"line {line_no}: features must be finite: x{j + 1} is {value}")
         s_vals.append(_parse_label(parts[d], line_no))
         y_vals.append(None if parts[d + 1] == "" else _parse_label(parts[d + 1], line_no))
     if not feats:

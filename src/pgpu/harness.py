@@ -18,7 +18,6 @@ import numpy as np
 
 from .core import (
     FlipRateSpec,
-    PipelineConfig,
     estimate_boundary_cv,
     estimate_boundary_min,
     fit_relabelled_classifier,
@@ -68,10 +67,8 @@ class ExperimentConfig:
     master_seed: int = 0
     svm: SvmConfig = SvmConfig()
     kmm: KmmConfig = KmmConfig()
-    n_prime: int = 3
     dataset_n: int = 2000
     train_fraction: float = 0.75
-    kmm_kernel: KernelSpec | None = None
 
     def __post_init__(self) -> None:
         if self.n_splits < 1:
@@ -96,10 +93,6 @@ class ExperimentConfig:
             raise ValueError("dataset_n must be at least 4")
         if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
             raise ValueError("train_fraction must lie in (0, 1)")
-
-    def pipeline(self) -> PipelineConfig:
-        return PipelineConfig(svm=self.svm, kmm=self.kmm, n_prime=self.n_prime,
-                              kmm_kernel=self.kmm_kernel)
 
 
 @dataclass(frozen=True)
@@ -131,8 +124,9 @@ def evaluate(model: SvmModel, test: PUDataset) -> float:
     return float(np.mean(pred == test.y))
 
 
-def run_pgpu(train: PUDataset, test: PUDataset, config: PipelineConfig = PipelineConfig(),
-             boundary_mode: str = "min_nprime", cv_seed: int = 0) -> float:
+def run_pgpu(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
+             kmm: KmmConfig = KmmConfig(), boundary_mode: str = "min_nprime",
+             cv_seed: int = 0) -> float:
     """Full pipeline: estimate observed gaps, pick the boundary, relabel,
     reweight with KMM, train the weighted SVM, and score on the test set.
 
@@ -140,21 +134,20 @@ def run_pgpu(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipelin
     and decision value on the split slices it."""
     if boundary_mode not in ("min_nprime", "cv"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
-    gaps = observed_gap(kernel, train.s, config.svm)
+    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
+    gaps = observed_gap(kernel, train.s, svm)
     if boundary_mode == "cv":
-        boundary = estimate_boundary_cv(kernel, train.s, config, seed=cv_seed)
+        boundary = estimate_boundary_cv(kernel, train.s, svm, kmm, seed=cv_seed)
     else:
-        boundary = estimate_boundary_min(gaps, train.s, config.n_prime)
-    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary, config)
+        boundary = estimate_boundary_min(gaps, train.s)
+    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary, svm, kmm)
     return evaluate(final, test)
 
 
-def run_svm_naive(train: PUDataset, test: PUDataset,
-                  config: PipelineConfig = PipelineConfig()) -> float:
+def run_svm_naive(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig()) -> float:
     """Baseline: unweighted SVM that treats the observed PU labels as truth."""
-    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
-    model = train_weighted_svm(kernel, train.s, np.ones(train.n), config.svm.C)
+    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
+    model = train_weighted_svm(kernel, train.s, np.ones(train.n), svm.C)
     return evaluate(model, test)
 
 
@@ -167,14 +160,14 @@ def elkan_weights(c: float, p_pos_unlabelled) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = PipelineConfig(),
+def run_elkan(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
               seed: int = 0) -> float:
     """Reweighting baseline: estimate the label frequency c on a held-out
     20% of the training data, then duplicate each unlabelled example into a
     weighted positive and a weighted negative copy. Both fits slice one
     kernel of the training split; the copies are repeated rows of it."""
     # the kernel comes first, before any array of this run (see gram_matrix)
-    kernel = SplitKernel(config.svm.resolve_kernel(train.dim), train.X)
+    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
     n_fit = int(round(0.8 * n))
@@ -184,7 +177,7 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     cal_pos = cal_idx[train.s[cal_idx] == 1]
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
-    model, calib = train_prob_svm(kernel, train.s[fit_idx], config.svm, rows=fit_idx)
+    model, calib = train_prob_svm(kernel, train.s[fit_idx], svm, rows=fit_idx)
     c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())  # > 0: clipped posteriors
 
     pos = np.flatnonzero(train.s == 1)
@@ -193,7 +186,7 @@ def run_elkan(train: PUDataset, test: PUDataset, config: PipelineConfig = Pipeli
     rows = np.concatenate([pos, unl, unl])
     y_big = np.repeat([1, 1, -1], [pos.size, unl.size, unl.size])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
-    final = train_weighted_svm(kernel, y_big, w_big, config.svm.C, rows)
+    final = train_weighted_svm(kernel, y_big, w_big, svm.C, rows)
     return evaluate(final, test)
 
 
@@ -215,16 +208,16 @@ def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:
     return load_csv(src["csv"])
 
 
-def _run_method(name: str, train: PUDataset, test: PUDataset, pcfg: PipelineConfig,
+def _run_method(name: str, train: PUDataset, test: PUDataset, config: ExperimentConfig,
                 seed: int) -> float:
     if name == "pgpu":
-        return run_pgpu(train, test, pcfg, boundary_mode="min_nprime")
+        return run_pgpu(train, test, config.svm, config.kmm, boundary_mode="min_nprime")
     if name == "pgpu_cv":
-        return run_pgpu(train, test, pcfg, boundary_mode="cv", cv_seed=seed)
+        return run_pgpu(train, test, config.svm, config.kmm, boundary_mode="cv", cv_seed=seed)
     if name == "svm_naive":
-        return run_svm_naive(train, test, pcfg)
+        return run_svm_naive(train, test, config.svm)
     if name == "elkan":
-        return run_elkan(train, test, pcfg, seed=seed)
+        return run_elkan(train, test, config.svm, seed=seed)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -258,7 +251,6 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
     apart from wall times.
     """
     settings = _normalize_settings(config.flip)
-    pcfg = config.pipeline()
     records: list[ResultRecord] = []
     for si, (sname, fspec) in enumerate(settings):
         clean = _make_dataset(config, si)
@@ -283,10 +275,10 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
                 err: str | None
                 try:
                     if m == "clean":
-                        acc = run_svm_naive(clean_tr.without_latent(), clean_te, pcfg)
+                        acc = run_svm_naive(clean_tr.without_latent(), clean_te, config.svm)
                     else:
                         mseed = derive_seed(config.master_seed, "method", si, split_id, m)
-                        acc = _run_method(m, tr_blind, te, pcfg, mseed)
+                        acc = _run_method(m, tr_blind, te, config, mseed)
                     err = None
                 except (ValueError, RuntimeError) as exc:
                     acc, err = None, str(exc)

@@ -108,6 +108,8 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     step = 1.0 / max(2.0 * inv2 * row_max, 1e-300)
 
     obj = float(beta @ k_beta * inv2 - 2.0 * (lin @ beta))
+    if not math.isfinite(obj):
+        raise RuntimeError("KMM objective is non-finite at the starting point beta = 1")
     trace = [obj]
     grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
     # A step makes one matrix-vector product and a fixed set of length-ns calls
@@ -153,7 +155,7 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     buffers allocated once per solve; a step whose sum constraint binds also
     runs the closed-form projection ``_clip_to_sum``. Raises
     RuntimeError if the descent still makes progress above ``config.tol``
-    after ``config.max_iters`` steps, or if its objective becomes non-finite.
+    after ``config.max_iters`` steps, or if its objective is or becomes non-finite.
     """
     source = np.asarray(source, dtype=np.intp)
     n = kernel.n if target is None else np.asarray(target).size

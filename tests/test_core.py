@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pgpu
 from _oracles import boundary_cv_reference, forward_gap, kmm_descent_reference, monotone_rate
-from pgpu import FlipRateSpec, PipelineConfig, SvmConfig, observed_gap
+from pgpu import FlipRateSpec, KmmConfig, SvmConfig, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
     _matching_kernel,
@@ -198,8 +198,7 @@ def test_single_class_relabelling_is_surfaced():
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
     with pytest.raises(ValueError, match="relabelling produced one class"):
         X = np.random.default_rng(0).normal(size=(4, 2))
-        fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s,
-                                       gaps, -0.5, PipelineConfig())
+        fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, gaps, -0.5)
 
 
 def test_boundary_grid_matches_protocol():
@@ -220,20 +219,20 @@ def _cv_dataset(spread, seed=3):
 
 def test_boundary_cv_single_candidate():
     kernel, s = _cv_dataset(0.8)
-    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=[-0.75], seed=1) == -0.75
+    assert estimate_boundary_cv(kernel, s, grid=[-0.75], seed=1) == -0.75
 
 
 def test_boundary_cv_ties_resolve_to_most_negative():
     # tight, far-apart blobs: every candidate relabels identically, so all tie
     kernel, s = _cv_dataset(0.2)
-    got = estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
+    got = estimate_boundary_cv(kernel, s, seed=1)
     assert got == -0.90
 
 
 def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeypatch):
     kernel, s = _cv_dataset(0.2)  # unlabelled gaps lie in [-0.97, -0.95], so -0.96 splits them
     grid = [-0.96, -0.90]
-    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1) == -0.96  # a tie
+    assert estimate_boundary_cv(kernel, s, grid=grid, seed=1) == -0.96  # a tie
     real = pgpu.core.fit_relabelled_classifier
 
     def degenerate_if_rows_discarded(kernel, s, gaps, boundary_l, *args):
@@ -243,14 +242,14 @@ def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeyp
         return real(kernel, s, gaps, boundary_l, *args)
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_if_rows_discarded)
-    assert estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1) == -0.90
+    assert estimate_boundary_cv(kernel, s, grid=grid, seed=1) == -0.90
 
     def capped(*args):
         raise RuntimeError("SMO reached its iteration cap max_iter=1")
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", capped)
     with pytest.raises(RuntimeError, match="max_iter=1"):
-        estimate_boundary_cv(kernel, s, PipelineConfig(), seed=1)
+        estimate_boundary_cv(kernel, s, seed=1)
 
 
 def _pu_triangles(n, seed):
@@ -270,17 +269,17 @@ _UNSORTED_GRID = [*BOUNDARY_GRID[::-1], -0.75, -0.905]
 def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_candidate(
         n, grid, monkeypatch):
     kernel, s = _pu_triangles(n, seed=n)
-    config = PipelineConfig()
-    expected_l, expected_scores = boundary_cv_reference(kernel, s, config, grid, seed=2)
+    svm, kmm = SvmConfig(), KmmConfig()
+    expected_l, expected_scores = boundary_cv_reference(kernel, s, svm, kmm, grid, seed=2)
 
     fits, fold_gaps = [], {}
     fit, cv_scores = pgpu.core.fit_relabelled_classifier, pgpu.core._cv_scores
     scores = []
 
-    def counted_fit(kernel, s, gaps, boundary_l, config, rows, *args):
+    def counted_fit(kernel, s, gaps, boundary_l, svm, kmm, rows, *args):
         fold_gaps[rows.tobytes()] = (s, gaps)
         fits.append((rows.tobytes(), relabel(gaps, s, boundary_l).negative_idx.size))
-        return fit(kernel, s, gaps, boundary_l, config, rows, *args)
+        return fit(kernel, s, gaps, boundary_l, svm, kmm, rows, *args)
 
     def recorded_scores(*args):
         scores.append(cv_scores(*args))
@@ -288,7 +287,7 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", counted_fit)
     monkeypatch.setattr(pgpu.core, "_cv_scores", recorded_scores)
-    assert estimate_boundary_cv(kernel, s, config, grid=grid, seed=2) == expected_l
+    assert estimate_boundary_cv(kernel, s, svm, kmm, grid=grid, seed=2) == expected_l
     assert np.array_equal(scores[0], expected_scores)
     # one fit per distinct (fold, negatives count) pair, and every such pair fitted
     distinct = {(fold, relabel(gaps, fold_s, cand).negative_idx.size)
@@ -306,15 +305,14 @@ def test_boundary_cv_rejects_candidates_outside_the_interval_before_fitting(grid
 
     monkeypatch.setattr(pgpu.core, "observed_gap", no_fit)
     with pytest.raises(ValueError, match=f"candidate {grid[-1]!r} lies outside"):
-        estimate_boundary_cv(kernel, s, PipelineConfig(), grid=grid, seed=1)
+        estimate_boundary_cv(kernel, s, grid=grid, seed=1)
 
 
 def test_boundary_cv_needs_enough_of_each_class():
     X = np.random.default_rng(0).normal(size=(12, 2))
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])
     with pytest.raises(ValueError, match="5-fold"):
-        estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, PipelineConfig(),
-                             seed=0)
+        estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, seed=0)
 
 
 def test_flip_rate_spec_validation_and_parse():
@@ -348,17 +346,20 @@ def test_flip_rate_zero_below_boundary():
     assert np.all((rho >= 0) & (rho <= 1))
 
 
-def test_pipeline_config_resolves_sharper_kmm_kernel():
-    cfg = PipelineConfig()
-    k = cfg.resolve_kmm_kernel(2)
-    assert k.kind == "rbf" and k.gamma == pytest.approx(10.0)
-    explicit = PipelineConfig(kmm_kernel=pgpu.KernelSpec("rbf", 3.0))
-    assert explicit.resolve_kmm_kernel(2).gamma == 3.0
+def test_matching_kernel_is_rbf_with_gamma_20_over_dim():
+    s = np.array([1, 1, -1, -1, -1, -1])
+    gaps = np.array([0.5, 0.4, 0.2, -0.3, -0.8, -0.6])
+    for dim, gamma in ((2, 10.0), (5, 4.0)):
+        X = np.random.default_rng(dim).normal(size=(6, dim))
+        matching, order = _matching_kernel(pgpu.SplitKernel(pgpu.default_kernel(dim), X), s,
+                                           gaps, np.arange(6))
+        assert matching.spec == pgpu.KernelSpec("rbf", gamma)
+        assert np.array_equal(order, [0, 1, 2, 4, 5, 3])
+        assert np.array_equal(matching.X, X[order])
 
 
 def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monkeypatch):
     kernel, s = _pu_triangles(200, seed=200)
-    config = PipelineConfig()
     leading_views = []
     real = pgpu.core.solve_kmm
 
@@ -369,14 +370,13 @@ def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monke
         return real(kmm_kernel, target, source, *args)
 
     monkeypatch.setattr(pgpu.core, "solve_kmm", checked)
-    boundary = estimate_boundary_cv(kernel, s, config, seed=2)
-    fit_relabelled_classifier(kernel, s, observed_gap(kernel, s, config.svm), boundary, config)
+    boundary = estimate_boundary_cv(kernel, s, seed=2)
+    fit_relabelled_classifier(kernel, s, observed_gap(kernel, s), boundary)
     assert len(leading_views) > 5 * 2 and all(leading_views)
 
 
 def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(monkeypatch):
     kernel, s = _pu_triangles(200, seed=201)
-    config = PipelineConfig()
     descent = pgpu.kmm._projected_descent
     same = []
 
@@ -389,28 +389,27 @@ def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(mo
         return beta, trace
 
     monkeypatch.setattr(pgpu.kmm, "_projected_descent", compared)
-    estimate_boundary_cv(kernel, s, config, seed=3)
+    estimate_boundary_cv(kernel, s, seed=3)
     assert len(same) > 5 * 2 and all(same)
 
 
 def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follows_the_relabelling():
     kernel, s = _pu_triangles(200, seed=200)
-    config = PipelineConfig()
     rows = np.arange(1, 200, 2)
-    gaps = observed_gap(kernel, s[rows], config.svm, rows)
+    gaps = observed_gap(kernel, s[rows], SvmConfig(), rows)
     for boundary in (estimate_boundary_min(gaps, s[rows]), -0.9):
-        built, result, beta = fit_relabelled_classifier(kernel, s[rows], gaps, boundary, config,
-                                                        rows)
+        built, result, beta = fit_relabelled_classifier(kernel, s[rows], gaps, boundary,
+                                                        rows=rows)
         shared, _, shared_beta = fit_relabelled_classifier(
-            kernel, s[rows], gaps, boundary, config, rows,
-            _matching_kernel(kernel, s[rows], gaps, config, rows))
+            kernel, s[rows], gaps, boundary, rows=rows,
+            matching=_matching_kernel(kernel, s[rows], gaps, rows))
         assert np.array_equal(built.support_idx, shared.support_idx)
         assert np.array_equal(built.dual_coefs, shared.dual_coefs) and built.bias == shared.bias
         assert np.array_equal(beta.beta, shared_beta.beta)
         # KMM on a matching kernel laid out as [positives, negatives, discarded], each in
         # sample order, weighs the same points alike, up to rounding
         laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
-        pool = pgpu.SplitKernel(config.resolve_kmm_kernel(2), kernel.X[rows[laid_out]])
-        direct = solve_kmm(pool, None, np.arange(beta.beta.size), config.kmm)
+        pool = pgpu.SplitKernel(pgpu.KernelSpec("rbf", 10.0), kernel.X[rows[laid_out]])
+        direct = solve_kmm(pool, None, np.arange(beta.beta.size), KmmConfig())
         assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
         assert np.allclose(direct.beta, beta.beta, rtol=0.0, atol=1e-9)

@@ -244,5 +244,9 @@ def test_non_finite_features_rejected(bad):
 def test_csv_with_non_finite_feature_rejected(tmp_path, cell):
     path = tmp_path / "nan.csv"
     path.write_text(f"x1,x2,s,y\n0.1,0.2,1,\n0.3,{cell},-1,\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="features must be finite: data row 1, x2"):
+    with pytest.raises(ValueError, match="^line 3: features must be finite: x2 is"):
+        load_csv(path)
+    # a blank line shifts the file line, not the data row
+    path.write_text(f"x1,x2,s,y\n0.1,0.2,1,\n\n0.3,{cell},-1,\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 4: features must be finite: x2 is"):
         load_csv(path)

@@ -14,7 +14,6 @@ from pgpu import (
     KernelSpec,
     KmmConfig,
     PUDataset,
-    PipelineConfig,
     SvmConfig,
     config_from_dict,
     gen_triangles,
@@ -85,10 +84,10 @@ def test_run_pgpu_cv_mode_smoke():
     gap = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, gap, FlipRateSpec("constant", 0.2), seed=4)
     train, test = split(pu, 0.75, seed=1)
-    acc = run_pgpu(train.without_latent(), test, PipelineConfig(), boundary_mode="cv", cv_seed=5)
+    acc = run_pgpu(train.without_latent(), test, boundary_mode="cv", cv_seed=5)
     assert 0.0 <= acc <= 1.0
     with pytest.raises(ValueError, match="boundary_mode"):
-        run_pgpu(train.without_latent(), test, PipelineConfig(), boundary_mode="nope")
+        run_pgpu(train.without_latent(), test, boundary_mode="nope")
 
 
 def test_suite_cardinality_and_record_invariants():
@@ -171,10 +170,8 @@ def test_config_json_round_trip():
         master_seed=9,
         svm=SvmConfig(C=2.0, kernel=KernelSpec("rbf", 0.7)),
         kmm=KmmConfig(upper_bound_B=50.0, epsilon=0.4, max_iters=200, tol=1e-5),
-        n_prime=5,
         dataset_n=400,
         train_fraction=0.8,
-        kmm_kernel=KernelSpec("rbf", 4.0),
     )
     assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     # JSON text survives the trip too
@@ -258,11 +255,10 @@ CONFIG_CASES = [
                   "kmm": {"upper_bound_B": 50, "epsilon": 0, "tol": 1},
                   "flip": {"kind": "inverse", "alpha": 1, "beta": 2}},
                  None, id="integers-for-floats"),
-    pytest.param({"svm": {"C": 1.5, "kernel": None}, "kmm": {"epsilon": None}, "kmm_kernel": None},
+    pytest.param({"svm": {"C": 1.5, "kernel": None}, "kmm": {"epsilon": None}},
                  ExperimentConfig(svm=SvmConfig(C=1.5)), id="null-epsilon-and-kernels"),
-    pytest.param({"svm": {"kernel": {"kind": "linear"}}, "kmm_kernel": {"kind": "linear"}},
-                 ExperimentConfig(svm=SvmConfig(kernel=KernelSpec("linear")),
-                                  kmm_kernel=KernelSpec("linear")), id="linear-kernels"),
+    pytest.param({"svm": {"kernel": {"kind": "linear"}}},
+                 ExperimentConfig(svm=SvmConfig(kernel=KernelSpec("linear"))), id="linear-kernels"),
     pytest.param({"flip": _INVERSE}, ExperimentConfig(flip=FlipRateSpec("inverse", 0.1, 0.5)),
                  id="single-flip"),
     pytest.param({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2}]},
@@ -270,9 +266,9 @@ CONFIG_CASES = [
                                         FlipRateSpec("constant", 0.2))), id="flip-list"),
     pytest.param({"flip": None}, ExperimentConfig(flip=None), id="no-flip"),
     pytest.param({"dataset_source": {"csv": "data/pu.csv"}, "methods": ["elkan"], "n_splits": 3,
-                  "master_seed": 4, "n_prime": 2, "dataset_n": 50},
+                  "master_seed": 4, "dataset_n": 50},
                  ExperimentConfig(dataset_source={"csv": "data/pu.csv"}, methods=("elkan",),
-                                  n_splits=3, master_seed=4, n_prime=2, dataset_n=50),
+                                  n_splits=3, master_seed=4, dataset_n=50),
                  id="csv-source"),
 ]
 
@@ -296,7 +292,7 @@ UNKNOWN_FIELD_CASES = [
     ({"svm": {"c": 1.0}}, "unknown svm fields: ['c']"),
     ({"kmm": {"B": 5.0, "eps": 0.1}}, "unknown kmm fields: ['B', 'eps']"),
     ({"svm": {"kernel": {"kind": "rbf", "width": 2.0}}}, "unknown kernel fields: ['width']"),
-    ({"kmm_kernel": {"sigma": 1.0}}, "unknown kernel fields: ['sigma']"),
+    ({"kmm_kernel": None, "n_prime": 3}, "unknown config fields: ['kmm_kernel', 'n_prime']"),
     ({"flip": {"kind": "linear", "alpha": 0.2, "rate": 0.1}}, "unknown flip fields: ['rate']"),
     ({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2, "gap": 1}]},
      "unknown flip fields: ['gap']"),

@@ -141,7 +141,7 @@ def test_overflowing_kernel_raises_non_finite():
     with np.errstate(over="ignore", invalid="ignore"):
         kernel = SplitKernel(KernelSpec("linear"), X)
         assert np.isinf(kernel.K).all()
-        with pytest.raises(RuntimeError, match="non-finite"):
+        with pytest.raises(RuntimeError, match="non-finite at the starting point"):
             solve_kmm(kernel, None, np.arange(2), KmmConfig())
 
 
