@@ -12,9 +12,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FlipRateSpec, observed_gap
+from .core import FlipRateSpec
 from .kernels import SplitKernel, check_finite
-from .svm import SvmConfig
+from .svm import SvmConfig, decision_values, train_weighted_svm
 
 
 @dataclass
@@ -119,43 +119,42 @@ def flip_labels(clean: PUDataset, gap, spec: FlipRateSpec, seed: int = 0) -> PUD
     return PUDataset(clean.X.copy(), s_new, clean.y.copy())
 
 
-def rank_normalized_gap(gap, y) -> np.ndarray:
-    """Within-class rank transform of estimated gaps onto [-1, 1].
+def rank_normalized_gap(score, y) -> np.ndarray:
+    """Within-class rank transform of difficulty scores onto [-1, 1].
 
-    Calibrated posteriors saturate on well-separated data, which collapses
-    every gap toward +-1 and erases the relative labelling difficulty the
-    mislabel-rate families are meant to respond to. Ranking within each latent
-    class spreads positives uniformly over (0, 1] (hardest instance near 0)
-    and negatives over [-1, 0), preserving the difficulty ordering while
-    staying invariant to calibration sharpness. The experiment suite feeds
-    this signal to flip_labels.
+    Only the order within each latent class matters, so any increasing transform
+    of the scores gives the same result. Positives spread uniformly over (0, 1]
+    (lowest score, the hardest, near 0) and negatives over [-1, 0) (highest score
+    near 0); exact ties are broken by index. The suite feeds this to flip_labels.
     """
-    gap = np.asarray(gap, dtype=float)
+    score = np.asarray(score, dtype=float)
     y = np.asarray(y, dtype=int)
-    if gap.shape != y.shape:
-        raise ValueError("gap and y must have equal length")
-    out = np.empty_like(gap)
-    for cls, sign in ((1, 1.0), (-1, -1.0)):
+    if score.shape != y.shape:
+        raise ValueError("score and y must have equal length")
+    if not np.isin(y, (-1, 1)).all():
+        raise ValueError("latent labels must be +1 or -1")
+    if not np.isfinite(score).all():
+        raise ValueError("scores must be finite")
+    out = np.empty_like(score)
+    for cls in (1, -1):
         mask = y == cls
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        values = gap[mask] if cls == 1 else -gap[mask]
-        order = np.argsort(np.argsort(values, kind="stable"), kind="stable")
-        out[mask] = sign * (order + 1.0) / count
+        order = np.argsort(np.argsort(cls * score[mask], kind="stable"), kind="stable")
+        out[mask] = cls * (order + 1.0) / mask.sum()
     return out
 
 
 def estimate_clean_gap(clean: PUDataset, svm_config: SvmConfig = SvmConfig()) -> np.ndarray:
-    """Gap values 2*P(y=+1|x) - 1 estimated by a calibrated SVM on the clean labels.
+    """Difficulty score of each instance: the decision value of one SVM fit on the clean labels.
 
-    Synthetic flipping is driven by these estimates rather than the analytic
-    posterior, so the noise process sees the same gap the learner would.
+    Synthetic flipping is driven by the learner's own view of the data rather
+    than the analytic posterior. The score is not a gap in [-1, 1]; pass it
+    through rank_normalized_gap, which needs only its order within each class.
     """
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
     kernel = SplitKernel(svm_config.resolve_kernel(clean.dim), clean.X)
-    return observed_gap(kernel, clean.y, svm_config)
+    model = train_weighted_svm(kernel, clean.y, np.ones(clean.n), svm_config.C)
+    return decision_values(model, kernel)
 
 
 def split(dataset: PUDataset, train_fraction: float = 0.75, seed: int = 0,

@@ -5,6 +5,7 @@ import pgpu
 from pgpu import (
     FlipRateSpec,
     PUDataset,
+    SplitKernel,
     SvmConfig,
     estimate_clean_gap,
     flip_labels,
@@ -13,9 +14,11 @@ from pgpu import (
     load_csv,
     rank_normalized_gap,
     save_csv,
+    observed_gap,
     split,
 )
 from pgpu.datagen import overlap_positive_prob
+from pgpu.svm import decision_values, train_weighted_svm
 
 
 def test_triangles_counts_and_bounds():
@@ -119,15 +122,47 @@ def test_rank_normalized_gap_spreads_each_class_uniformly():
     order_raw = np.argsort(gap[y == 1])
     order_ranked = np.argsort(ranked[y == 1])
     assert np.array_equal(order_raw, order_ranked)
+    # a class with no members is simply absent
+    assert np.array_equal(rank_normalized_gap([0.5, 0.1], [1, 1]), [1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rank_normalized_gap_rejects_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="finite"):
+        rank_normalized_gap([0.5, bad, -0.1], [1, 1, -1])
+
+
+def test_rank_normalized_gap_rejects_labels_other_than_plus_minus_one():
+    with pytest.raises(ValueError, match=r"\+1 or -1"):
+        rank_normalized_gap([0.5, 0.2, 0.1], [1, 0, -1])
 
 
 def test_estimate_clean_gap_on_triangles():
     clean = gen_triangles(300, 300, seed=11)
-    gap = estimate_clean_gap(clean, SvmConfig())
-    assert np.all(gap >= -1.0) and np.all(gap <= 1.0)
-    assert (gap[clean.y == 1] > 0).mean() >= 0.95
-    again = estimate_clean_gap(clean, SvmConfig())
-    assert np.array_equal(gap, again)
+    score = estimate_clean_gap(clean, SvmConfig())
+    kernel = SplitKernel(SvmConfig().resolve_kernel(clean.dim), clean.X)
+    model = train_weighted_svm(kernel, clean.y, np.ones(clean.n))
+    assert np.array_equal(score, decision_values(model, kernel))
+    assert (score[clean.y == 1] > 0).mean() >= 0.95
+    assert np.array_equal(score, estimate_clean_gap(clean, SvmConfig()))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_triangles(1000, 1000, seed=0),
+                                  lambda: gen_overlap_square(2000, seed=0)],
+                         ids=["triangles", "overlap_square"])
+def test_clean_scores_untie_and_keep_the_calibrated_order(make):
+    # at n=2000 the calibrated gaps saturate into hundreds of within-class ties
+    clean = make()
+    score = estimate_clean_gap(clean)
+    gap = observed_gap(SplitKernel(SvmConfig().resolve_kernel(clean.dim), clean.X), clean.y)
+    gap_ties = 0
+    for cls in (1, -1):
+        order = np.argsort(score[clean.y == cls])
+        assert np.all(np.diff(score[clean.y == cls][order]) > 0)
+        # sorted by score, the gaps never decrease: every untied pair of gaps is ordered alike
+        assert np.all(np.diff(gap[clean.y == cls][order]) >= 0)
+        gap_ties += int((np.diff(np.sort(gap[clean.y == cls])) == 0).sum())
+    assert gap_ties > 100
 
 
 def test_estimate_clean_gap_requires_latent_labels():
