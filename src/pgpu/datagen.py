@@ -119,18 +119,18 @@ def flip_labels(clean: PUDataset, gap, spec: FlipRateSpec, seed: int = 0) -> PUD
     return PUDataset(clean.X.copy(), s_new, clean.y.copy())
 
 
-def rank_normalized_gap(score, y) -> np.ndarray:
-    """Within-class rank transform of difficulty scores onto [-1, 1].
+def rank_normalized_gap(gap, y) -> np.ndarray:
+    """Within-class rank transform of difficulty scores ``gap`` onto [-1, 1].
 
     Only the order within each latent class matters, so any increasing transform
     of the scores gives the same result. Positives spread uniformly over (0, 1]
     (lowest score, the hardest, near 0) and negatives over [-1, 0) (highest score
     near 0); exact ties are broken by index. The suite feeds this to flip_labels.
     """
-    score = np.asarray(score, dtype=float)
+    score = np.asarray(gap, dtype=float)
     y = np.asarray(y, dtype=int)
     if score.shape != y.shape:
-        raise ValueError("score and y must have equal length")
+        raise ValueError("gap and y must have equal length")
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("latent labels must be +1 or -1")
     if not np.isfinite(score).all():

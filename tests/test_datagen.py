@@ -12,9 +12,9 @@ from pgpu import (
     gen_overlap_square,
     gen_triangles,
     load_csv,
+    observed_gap,
     rank_normalized_gap,
     save_csv,
-    observed_gap,
     split,
 )
 from pgpu.datagen import overlap_positive_prob
