@@ -267,7 +267,9 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, svm: SvmConfig, kmm: KmmConfi
         # nest as it grows, so candidates with equal negative counts relabel alike.
         unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])
         n_negatives = np.searchsorted(unlabelled_gaps, grid, side="right")
-        for count in np.unique(n_negatives):
+        # distinct counts in grid order; np.unique's first call would import numpy.ma
+        # inside a cell (4 ms, and 340 objects left for the garbage collector)
+        for count in dict.fromkeys(n_negatives.tolist()):
             alike = n_negatives == count
             try:
                 clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,

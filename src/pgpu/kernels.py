@@ -11,7 +11,11 @@ from functools import cached_property
 import numpy as np
 
 _VALID_KINDS = ("linear", "rbf")
-_BLOCK = 256  # rows and columns per block of a Gram matrix
+# Rows and columns per block of a Gram matrix. Block shapes are part of the
+# determinism guarantee: OpenBLAS rounds a product's last columns by the shape
+# of its operands, so another block size moves last bits (128 does at 1500 rows).
+_BLOCK = 256
+_PANEL = 16  # columns of the lower half written at a time when mirroring a block
 _MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
 
 
@@ -62,9 +66,10 @@ def _empty(rows: int, cols: int) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
 
-    Built block by block in the output array, so no temporary is larger than
-    one block. Passing the same array object for X and Z computes the upper
-    blocks only and mirrors them, so the result is exactly symmetric.
+    Each block is computed in one contiguous scratch tile, allocated once per
+    call, and then stored, so no temporary is larger than one block. Passing
+    the same array object for X and Z computes the upper blocks only and
+    mirrors them, so the result is exactly symmetric.
     """
     same = X is Z
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -75,29 +80,36 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
         raise ValueError(f"dimension mismatch: {X.shape[1]} vs {Z.shape[1]}")
     # the output comes before the row norms, so a small one on the heap takes the
     # exact space a freed matrix of its size left (see _empty)
-    out = _empty(X.shape[0], Z.shape[0])
+    n, m = X.shape[0], Z.shape[0]
+    out = _empty(n, m)
     sx = np.sum(X * X, axis=1)
     sz = sx if same else np.sum(Z * Z, axis=1)
-    for i in range(0, X.shape[0], _BLOCK):
-        for j in range(i if same else 0, Z.shape[0], _BLOCK):
-            blk = out[i:i + _BLOCK, j:j + _BLOCK]
+    size = min(_BLOCK, n) * min(_BLOCK, m)
+    tile, norms, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    lower = np.tri(min(_BLOCK, n), k=-1, dtype=bool) if same else None
+    for i in range(0, n, _BLOCK):
+        for j in range(i if same else 0, m, _BLOCK):
+            rows, cols = min(_BLOCK, n - i), min(_BLOCK, m - j)
+            blk, nrm, mask = (b[:rows * cols].reshape(rows, cols) for b in (tile, norms, below))
             np.matmul(X[i:i + _BLOCK], Z[j:j + _BLOCK].T, out=blk)
             if spec.kind == "rbf":
-                norms = sx[i:i + _BLOCK, None] + sz[None, j:j + _BLOCK]
+                np.add(sx[i:i + _BLOCK, None], sz[None, j:j + _BLOCK], out=nrm)
                 blk *= -2.0
-                blk += norms  # squared distances ||x||^2 + ||z||^2 - 2 x.z
+                blk += nrm  # squared distances ||x||^2 + ||z||^2 - 2 x.z
                 # values below the cancellation-error bound of the expansion are noise
-                norms *= 1e-13
-                blk[blk <= norms] = 0.0
+                nrm *= 1e-13
+                np.less_equal(blk, nrm, out=mask)
+                np.copyto(blk, 0.0, where=mask)
                 blk *= -spec.gamma
                 np.exp(blk, out=blk)
+            out[i:i + rows, j:j + cols] = blk
             if not same:
                 continue
-            if j > i:
-                out[j:j + _BLOCK, i:i + _BLOCK] = blk.T
+            if j > i:  # the transpose, _PANEL columns at a time: the tile rows read stay in cache
+                for k in range(0, rows, _PANEL):
+                    out[j:j + cols, i + k:i + k + _PANEL] = blk[k:k + _PANEL].T
             else:
-                lower = np.tril_indices(blk.shape[0], -1)
-                blk[lower] = blk.T[lower]
+                np.copyto(out[i:i + rows, i:i + rows], blk.T, where=lower[:rows, :rows])
     return out
 
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernel, _as_run, _empty, default_kernel, gram_matrix
+from .kernels import (KernelSpec, SplitKernel, _as_run, _empty, check_finite, default_kernel,
+                      gram_matrix)
 
 _TAU = 1e-12
 _P_EPS = 1e-12
@@ -261,7 +262,7 @@ def decision_values(model: SvmModel, X, rows=None) -> np.ndarray:
     (None: all) of the SplitKernel the model was trained on.
 
     The second form slices the split's kernel instead of evaluating kernels
-    from features.
+    from features. Feature rows must be finite, as for a SplitKernel.
     """
     if isinstance(X, SplitKernel):
         if model.support_idx is None or X.spec != model.kernel or not np.array_equal(
@@ -275,6 +276,7 @@ def decision_values(model: SvmModel, X, rows=None) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: model expects {model.support_vectors.shape[1]}, got {X.shape[1]}"
         )
+    check_finite(X)  # a NaN decision value would read as a -1 prediction
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
     return gram_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefs + model.bias

@@ -23,6 +23,41 @@ def gram_direct(gamma, A, B):
     return out
 
 
+def gram_reference(spec, X, Z):
+    """The Gram matrix built block by block in place in the output, as
+    kernels.gram_matrix did before it used a scratch tile. The library must
+    return byte-equal matrices: the same 256-row blocks, the same operand
+    slices for every product and the same elementwise operations in order."""
+    block = 256
+    same = X is Z
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Z = X if same else np.atleast_2d(np.asarray(Z, dtype=float))
+    out = np.empty((X.shape[0], Z.shape[0]))
+    sx = np.sum(X * X, axis=1)
+    sz = sx if same else np.sum(Z * Z, axis=1)
+    for i in range(0, X.shape[0], block):
+        for j in range(i if same else 0, Z.shape[0], block):
+            blk = out[i:i + block, j:j + block]
+            np.matmul(X[i:i + block], Z[j:j + block].T, out=blk)
+            if spec.kind == "rbf":
+                norms = sx[i:i + block, None] + sz[None, j:j + block]
+                blk *= -2.0
+                blk += norms  # squared distances ||x||^2 + ||z||^2 - 2 x.z
+                # values below the cancellation-error bound of the expansion are noise
+                norms *= 1e-13
+                blk[blk <= norms] = 0.0
+                blk *= -spec.gamma
+                np.exp(blk, out=blk)
+            if not same:
+                continue
+            if j > i:
+                out[j:j + block, i:i + block] = blk.T
+            else:
+                lower = np.tril_indices(blk.shape[0], -1)
+                blk[lower] = blk.T[lower]
+    return out
+
+
 def kmm_objective_direct(gamma, target, source, beta):
     """Squared MMD computed via explicit double loops over the Gram blocks."""
     target = np.asarray(target, dtype=float)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import gram_direct
+from _oracles import gram_direct, gram_reference
 from pgpu import KernelSpec, SplitKernel, default_kernel
 from pgpu import kernels
 from pgpu.kernels import gram_matrix
@@ -184,3 +184,37 @@ def test_split_kernel_rejects_non_finite_features(kind, bad):
     X[2, 1] = bad
     with pytest.raises(ValueError, match="features must be finite: data row 2, x2"):
         SplitKernel(KernelSpec(kind, 0.5), X)
+
+
+def _gram_cases(n, d):
+    """Features at three scales, with repeated rows; each kernel once with the
+    same array object (mirrored blocks) and once against other rows."""
+    rng = np.random.default_rng(1000 * n + d)
+    for scale in (1e-3, 1.0, 1e3):
+        X = rng.normal(size=(n, d)) * scale
+        X[n // 2] = X[0]  # repeated rows cancel in the norm expansion; the threshold zeroes them
+        X[-1] = X[n // 3]
+        Z = np.vstack([X[::3], rng.normal(size=(n // 2 + 5, d)) * scale])
+        for spec in KernelSpec("rbf", 1.0 / d), KernelSpec("rbf", 20.0 / d), KernelSpec("linear"):
+            yield spec, X, X
+            yield spec, X, Z
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 255, 256, 257, 600, 1500])
+def test_gram_bytes_equal_the_in_place_reference(n, d):
+    for spec, X, Z in _gram_cases(n, d):
+        got = gram_matrix(spec, X, Z)
+        assert got.tobytes() == gram_reference(spec, X, Z).tobytes()
+        if Z is X:
+            assert np.array_equal(got, got.T)
+            if spec.kind == "rbf" and n > 2:
+                assert got[0, n // 2] == got[n // 2, 0] == 1.0
+
+
+def test_mapped_gram_bytes_equal_the_reference(monkeypatch):
+    monkeypatch.setattr(kernels, "_MAPPED_BYTES", 1)
+    for spec, X, Z in _gram_cases(600, 2):
+        got = gram_matrix(spec, X, Z)
+        assert not got.flags.owndata
+        assert got.tobytes() == gram_reference(spec, X, Z).tobytes()

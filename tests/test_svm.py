@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import svm_kkt_residuals
-from pgpu import KernelSpec, SplitKernel, SvmConfig, default_kernel
+from pgpu import KernelSpec, SplitKernel, SvmConfig, default_kernel, gen_triangles
 from pgpu.kernels import gram_matrix
 from pgpu.svm import (
     PlattCalibration,
@@ -105,6 +105,19 @@ def test_decision_value_dimension_mismatch():
     model = SvmModel(np.ones((1, 2)), np.array([1.0]), 0.0, KernelSpec("linear"))
     with pytest.raises(ValueError, match="dimension"):
         decision_values(model, [[1.0, 2.0, 3.0]])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decision_values_reject_non_finite_features(bad):
+    # a NaN decision value would be counted as a -1 prediction
+    data = gen_triangles(20, 20, seed=3)
+    model = train_weighted_svm(_split(data.X), data.y, np.ones(40), C=1.0)
+    rows = [[0.1, 0.2], [0.3, -0.4], [bad, 0.0]]
+    with pytest.raises(ValueError, match="features must be finite: data row 2, x1 is"):
+        decision_values(model, rows)
+    empty = SvmModel(np.empty((0, 2)), np.empty(0), bias=0.5, kernel=KernelSpec("linear"))
+    with pytest.raises(ValueError, match="data row 2, x1"):
+        decision_values(empty, rows)
 
 
 def test_training_is_deterministic():
