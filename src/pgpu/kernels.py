@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,6 +19,7 @@ _VALID_KINDS = ("linear", "rbf")
 _BLOCK = 256
 _PANEL = 16  # columns of the lower half written at a time when mirroring a block
 _MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
+_SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
 
 
 @dataclass(frozen=True)
@@ -63,13 +66,50 @@ def _empty(rows: int, cols: int) -> np.ndarray:
     return np.frombuffer(buf).reshape(rows, cols)
 
 
+def _shares_work(nbytes: int) -> bool:
+    """Whether work on a matrix of ``nbytes`` is split with a helper thread: a large
+    matrix, in a process that may run on more than one CPU."""
+    if nbytes < _SPLIT_BYTES:
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1
+
+
+def _in_two(parts, work) -> None:
+    """Run ``work(*parts[0])`` here and ``work(*parts[1])`` on one helper thread.
+
+    The helper is joined before this returns or raises, and an exception in it
+    is raised here. ``work`` may call numpy only: numpy releases the interpreter
+    lock in its BLAS and element loops, so the two halves run at once.
+    """
+    errors = []
+
+    def helper():
+        try:
+            work(*parts[1])
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper)
+    thread.start()
+    try:
+        work(*parts[0])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
 def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
 
     Each block is computed in one contiguous scratch tile, allocated once per
     call, and then stored, so no temporary is larger than one block. Passing
     the same array object for X and Z computes the upper blocks only and
-    mirrors them, so the result is exactly symmetric.
+    mirrors them, so the result is exactly symmetric. A matrix of at least
+    ``_SPLIT_BYTES`` deals its blocks alternately to this thread and one helper
+    thread, each with its own tiles, when the process may use two CPUs; every
+    block goes through the same operations, so the bytes do not change.
     """
     same = X is Z
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -84,11 +124,15 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     out = _empty(n, m)
     sx = np.sum(X * X, axis=1)
     sz = sx if same else np.sum(Z * Z, axis=1)
+    pairs = [(i, j) for i in range(0, n, _BLOCK) for j in range(i if same else 0, m, _BLOCK)]
+    split = len(pairs) > 1 and _shares_work(8 * n * m)
     size = min(_BLOCK, n) * min(_BLOCK, m)
-    tile, norms, below = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    # a tile set per thread, made here: the helper thread allocates no array
+    tiles = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool)) for _ in range(1 + split)]
     lower = np.tri(min(_BLOCK, n), k=-1, dtype=bool) if same else None
-    for i in range(0, n, _BLOCK):
-        for j in range(i if same else 0, m, _BLOCK):
+
+    def blocks(todo, tile, norms, below):
+        for i, j in todo:
             rows, cols = min(_BLOCK, n - i), min(_BLOCK, m - j)
             blk, nrm, mask = (b[:rows * cols].reshape(rows, cols) for b in (tile, norms, below))
             np.matmul(X[i:i + _BLOCK], Z[j:j + _BLOCK].T, out=blk)
@@ -110,6 +154,11 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
                     out[j:j + cols, i + k:i + k + _PANEL] = blk[k:k + _PANEL].T
             else:
                 np.copyto(out[i:i + rows, i:i + rows], blk.T, where=lower[:rows, :rows])
+
+    if split:  # the two threads write disjoint parts of out
+        _in_two([(pairs[0::2], *tiles[0]), (pairs[1::2], *tiles[1])], blocks)
+    else:
+        blocks(pairs, *tiles[0])
     return out
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SplitKernel
+from .kernels import SplitKernel, _in_two, _shares_work
 
 _ROWS = 256  # rows per step of the Gershgorin bound, bounding its temporary
 
@@ -50,6 +50,13 @@ def default_epsilon(n_source: int) -> float:
     return (root - 1.0) / root
 
 
+def _sorted_distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) for floats without NaN, to the bit: the same sort keeps the same one
+    of ±0.0. Unlike np.unique, its first call imports no numpy.ma."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     """Project v onto {0 <= x <= cap, sum(x) = target}: x = clip(v + t, 0, cap) for one shift t.
 
@@ -59,7 +66,7 @@ def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     solution of one linear equation.
     """
     rise, full = -v, cap - v  # the shifts at which each entry leaves 0 and reaches cap
-    points = np.unique(np.concatenate([rise, full]))
+    points = _sorted_distinct(np.concatenate([rise, full]))
     lo, hi = 0, points.size - 1  # the sum is 0 at points[0] and n * cap at points[-1]
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -100,7 +107,17 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     hi_sum = ns * (1.0 + eps)
 
     beta = np.ones(ns)  # feasible, as KmmConfig keeps B >= 1 and 0 <= eps < 1
-    k_beta = k_ss @ beta
+    k_beta, k_d = np.empty(ns), np.empty(ns)
+    # A large source block's products run as two row ranges, the second on a helper
+    # thread, into the two halves of one output. OpenBLAS sums a row by its place in a
+    # group of 4 rows, so a split at a multiple of 4 rows, with at least 4 on each
+    # side, keeps every bit; h is 0 (no split) below 8 rows.
+    h = 4 * (ns // 8) if _shares_work(8 * ns * ns) else 0
+    if h:
+        top, bottom, d_top, d_bottom = k_ss[:h], k_ss[h:], k_d[:h], k_d[h:]
+        _in_two([(top, beta, k_beta[:h]), (bottom, beta, k_beta[h:])], np.matmul)
+    else:
+        np.matmul(k_ss, beta, out=k_beta)
 
     # The Gershgorin bound L is at least the largest Hessian eigenvalue, so the projected
     # step of size 1/L lowers the objective by at least (L/2)|d|^2 whatever the curvature.
@@ -112,9 +129,10 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
         raise RuntimeError("KMM objective is non-finite at the starting point beta = 1")
     trace = [obj]
     grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
-    # A step makes one matrix-vector product and a fixed set of length-ns calls
-    # into these buffers; at ns of about 100 the calls, not the product, dominate.
-    grad, moved, proj, k_d = np.empty(ns), np.empty(ns), np.empty(ns), np.empty(ns)
+    # A step makes one matrix-vector product (two halves of one, above) and a fixed set
+    # of length-ns calls into these buffers; at ns of about 100 the calls, not the
+    # product, dominate.
+    grad, moved, proj = np.empty(ns), np.empty(ns), np.empty(ns)
     for _ in range(max_iters):
         np.multiply(k_beta, grad_scale, out=grad)
         np.subtract(grad, lin2, out=grad)
@@ -125,7 +143,10 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
         # max |d| is max(max d, -min d) exactly, NaN included; k_d is free until the product
         if np.maximum.reduce(np.abs(d, out=k_d)) <= 1e-14 * max(1.0, np.maximum.reduce(beta)):
             break  # beta is never negative
-        np.matmul(k_ss, d, out=k_d)
+        if h:
+            _in_two([(top, d, d_top), (bottom, d, d_bottom)], np.matmul)
+        else:
+            np.matmul(k_ss, d, out=k_d)
         beta += d
         k_beta += k_d
         new_obj = float(beta.dot(k_beta)) * inv2 - 2.0 * float(lin.dot(beta))
@@ -153,7 +174,10 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     squared mean discrepancy) is monotonically non-increasing. Each step costs
     one product with the source block and a fixed set of vector passes into
     buffers allocated once per solve; a step whose sum constraint binds also
-    runs the closed-form projection ``_clip_to_sum``. Raises
+    runs the closed-form projection ``_clip_to_sum``. A source block of at least
+    ``kernels._SPLIT_BYTES`` computes each product as two row ranges, one on a
+    helper thread, when the process may use two CPUs; with a single-threaded
+    BLAS its bits are those of the whole product. Raises
     RuntimeError if the descent still makes progress above ``config.tol``
     after ``config.max_iters`` steps, or if its objective is or becomes non-finite.
     """

@@ -1,4 +1,8 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,3 +222,99 @@ def test_mapped_gram_bytes_equal_the_reference(monkeypatch):
         got = gram_matrix(spec, X, Z)
         assert not got.flags.owndata
         assert got.tobytes() == gram_reference(spec, X, Z).tobytes()
+
+
+def _count_threads(monkeypatch):
+    """A list that grows by one for every thread started from now on."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 255, 257, 600])
+def test_two_thread_gram_bytes_equal_the_reference(n, d, monkeypatch):
+    monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = _count_threads(monkeypatch)
+    for spec, X, Z in _gram_cases(n, d):
+        got = gram_matrix(spec, X, Z)
+        assert got.tobytes() == gram_reference(spec, X, Z).tobytes()
+        if Z is X:
+            assert np.array_equal(got, got.T)
+    assert (len(started) > 0) == (n > 256)  # a matrix of one block is not split
+    for thread in started:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_in_two_raises_the_helpers_exception_after_joining_it():
+    seen = []
+
+    def work(name):
+        seen.append(threading.current_thread())
+        if name == "helper":
+            time.sleep(0.05)
+            raise ValueError("from the helper")
+
+    with pytest.raises(ValueError, match="from the helper"):
+        kernels._in_two([("caller",), ("helper",)], work)
+    assert len(seen) == 2 and threading.current_thread() in seen
+    helper = next(t for t in seen if t is not threading.current_thread())
+    helper.join(timeout=10)
+    assert not helper.is_alive()
+
+
+def test_in_two_joins_the_helper_when_the_caller_raises():
+    finished = []
+
+    def work(name):
+        if name == "caller":
+            raise KeyError("caller")
+        time.sleep(0.05)  # still running when the caller's part raises
+        finished.append(threading.current_thread())
+
+    with pytest.raises(KeyError):
+        kernels._in_two([("caller",), ("helper",)], work)
+    assert len(finished) == 1  # the helper ran to its end before the exception left _in_two
+    finished[0].join(timeout=10)
+    assert not finished[0].is_alive()
+
+
+def test_two_thread_gram_is_stable_under_frequent_thread_switches(monkeypatch):
+    monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    X = np.random.default_rng(8).normal(size=(700, 3))
+    spec = KernelSpec("rbf", 0.4)
+    want = gram_reference(spec, X, X).tobytes()
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline, runs = time.monotonic() + 2.0, 0
+        while runs < 3 or (runs < 40 and time.monotonic() < deadline):
+            assert gram_matrix(spec, X, X).tobytes() == want
+            assert gram_matrix(spec, X, X[::-1]).tobytes() == gram_reference(spec, X, X[::-1]).tobytes()
+            runs += 1
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads  # no helper outlives its call
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
+    X = np.random.default_rng(9).normal(size=(600, 2))
+    spec = KernelSpec("rbf", 0.5)
+    want = gram_reference(spec, X, X).tobytes()
+    started = _count_threads(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert gram_matrix(spec, X, X).tobytes() == want
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # where only cpu_count exists
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert gram_matrix(spec, X, X).tobytes() == want
+    assert started == []
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert gram_matrix(spec, X, X).tobytes() == want
+    assert len(started) == 1
+    started[0].join(timeout=10)
+    assert not started[0].is_alive()

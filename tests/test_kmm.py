@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +17,10 @@ from _oracles import (
     kmm_objective_direct,
     kmm_qp_scipy,
 )
-from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles
+import pgpu
+from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles, kernels
 from pgpu import kmm as kmm_module
-from pgpu.kmm import _clip_to_sum, default_epsilon, solve_kmm
+from pgpu.kmm import _clip_to_sum, _sorted_distinct, default_epsilon, solve_kmm
 
 
 def kmm(spec, target, source, config):
@@ -329,3 +335,87 @@ def test_descent_is_byte_identical_to_the_plain_loop(kind, config, monkeypatch):
     # the case each problem is there for: every step leaves the sum constraint, the box binds
     assert (projected == steps) == (config.epsilon == 0.0)
     assert (beta.max() == 1.5) == (config.upper_bound_B == 1.5)
+
+
+@pytest.mark.parametrize("config", [pytest.param(KmmConfig(), id="default"),
+                                    pytest.param(KmmConfig(epsilon=0.0), id="sum-bound")])
+@pytest.mark.parametrize("ns", range(296, 304))  # every residue of ns % 8
+def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, config, monkeypatch):
+    # the pipeline's shape: one kernel over the sample, its leading rows the source, as a view
+    kernel = SplitKernel(KernelSpec("rbf", 10.0), gen_triangles(200, 200, seed=ns).X)
+    source = np.arange(ns)
+    monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    result = solve_kmm(kernel, None, source, config)
+    ref_beta, ref_trace = kmm_descent_reference(*_descent_args(kernel, source, config))
+    assert result.beta.tobytes() == ref_beta.tobytes()
+    assert result.trace.tobytes() == (ref_trace + kernel.row_sums.sum() / kernel.n**2).tobytes()
+    assert result.trace.size >= 10
+    assert len(started) == result.trace.size  # the first product and one per step, each split
+    for thread in started:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _python(code, **env):
+    """Run code in a fresh interpreter that imports this pgpu; return its stdout words."""
+    src = str(Path(pgpu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, **env, "PYTHONPATH": path}, timeout=120, check=True)
+    return out.stdout.split()
+
+
+def test_a_product_split_at_a_multiple_of_four_rows_keeps_every_bit():
+    # The property of BLAS the two-thread KMM steps rely on, for source blocks
+    # that are row-major, contiguous or the leading block of a kernel matrix. It
+    # is one of the single-threaded product: a threaded BLAS splits a large
+    # product at its own row counts, which moves bits with or without this split.
+    code = "\n".join([
+        "import numpy as np",
+        "from pgpu import kernels",
+        "for ns in [*range(720, 728), *range(1449, 1457)]:",
+        "    rng = np.random.default_rng(ns)",
+        "    matrix = rng.uniform(size=(ns + 5, ns + 5))",
+        "    v = rng.normal(size=ns)",
+        "    h = 4 * (ns // 8)",
+        "    for k_ss in (matrix[:ns, :ns], np.ascontiguousarray(matrix[:ns, :ns])):",
+        "        out = np.empty(ns)",
+        "        kernels._in_two([(k_ss[:h], v, out[:h]), (k_ss[h:], v, out[h:])], np.matmul)",
+        "        print(ns, out.tobytes() == (k_ss @ v).tobytes())",
+    ])
+    words = _python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert len(words) == 64
+    assert [ns for ns, same in zip(words[::2], words[1::2]) if same != "True"] == []
+
+
+def test_sorted_distinct_is_unique_to_the_bit():
+    rng = np.random.default_rng(12)
+    for size in (1, 2, 9, 200, 5000):
+        v = rng.integers(-6, 7, size=size) * 0.25  # many ties
+        v[rng.random(size) < 0.2] = -0.0
+        v[rng.random(size) < 0.2] = 0.0
+        cap = float(rng.choice([0.25, 1.0, 1.5]))
+        for a in (v, np.concatenate([-v, cap - v]), rng.normal(size=size)):
+            assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
+
+
+def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
+    code = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from pgpu import KernelSpec, KmmConfig, SplitKernel, kmm",
+        "calls, clip = [], kmm._clip_to_sum",
+        "kmm._clip_to_sum = lambda *a: calls.append(a) or clip(*a)",
+        "X = np.random.default_rng(7).normal(size=(120, 2))",
+        "before = 'numpy.ma' in sys.modules",
+        "kmm.solve_kmm(SplitKernel(KernelSpec('rbf', 2.0), X), None, np.arange(80),",
+        "              KmmConfig(epsilon=0.0))",
+        "print(len(calls), before, 'numpy.ma' in sys.modules)",
+    ])
+    projections, before, after = _python(code)
+    assert int(projections) > 0  # the sum constraint bound
+    assert after == before  # numpy 1.x imports numpy.ma with numpy itself
