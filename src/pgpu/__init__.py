@@ -31,8 +31,6 @@ from .harness import (
     write_results,
 )
 from .kernels import KernelSpec, SplitKernel, default_kernel
-from .kmm import KmmConfig
-from .svm import SvmConfig
 
 __all__ = [
     # data
@@ -42,7 +40,7 @@ __all__ = [
     "run_pgpu", "run_elkan", "run_svm_naive", "ExperimentConfig", "config_from_dict",
     "run_suite", "ResultRecord", "write_results",
     # configuration
-    "FlipRateSpec", "SvmConfig", "KmmConfig", "KernelSpec",
+    "FlipRateSpec", "KernelSpec",
     # lower level: the split's kernel matrix and its observed gaps
     "SplitKernel", "default_kernel", "observed_gap",
 ]

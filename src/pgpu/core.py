@@ -8,15 +8,15 @@ between is discarded.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .kernels import KernelSpec, SplitKernel
-from .kmm import BetaWeights, KmmConfig, solve_kmm
+from .kmm import BetaWeights, solve_kmm
 from .svm import (
-    SvmConfig,
     SvmModel,
     _stratified_folds,
     decision_values,
@@ -28,6 +28,7 @@ from .svm import (
 BOUNDARY_GRID: tuple[float, ...] = tuple(round(-0.90 + 0.01 * k, 2) for k in range(31))
 
 _BOUNDARY_MARGIN = 1e-6
+_N_PRIME = 3  # n': how many of the smallest observed-positive gaps estimate_boundary_min averages
 _BOUNDARY_FOLDS = 5  # cross-validation folds of estimate_boundary_cv
 
 
@@ -56,13 +57,16 @@ class FlipRateSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("inverse", "linear", "constant"):
             raise ValueError(f"unknown flip kind: {self.kind!r}")
-        if not self.alpha >= 0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0 <= self.alpha < math.inf:  # an infinite alpha makes NaN rates
+            raise ValueError("alpha must be finite and nonnegative")
         if self.kind == "inverse":
             if self.beta is None:
                 raise ValueError("inverse flip rate requires beta")
             if not self.alpha > 0:
                 raise ValueError("inverse flip rate requires alpha > 0")
+            # NaN rates would flip nothing; beta <= -1 lets the denominator reach 0
+            if not -1 < self.beta < math.inf:
+                raise ValueError("inverse flip rate requires a finite beta > -1")
         elif self.beta is not None:
             raise ValueError(f"{self.kind} flip rate takes no beta")
 
@@ -109,11 +113,10 @@ class FlipRateSpec:
 KMM_GAMMA_SCALE = 20.0
 
 
-def observed_gap(kernel: SplitKernel, labels, config: SvmConfig = SvmConfig(),
-                 rows=None) -> np.ndarray:
+def observed_gap(kernel: SplitKernel, labels, rows=None) -> np.ndarray:
     """Observed gaps 2P(s=+1|x) - 1 of the rows ``rows`` of the split (None: all), one per
     row, from a calibrated SVM trained on those rows with their ``labels``."""
-    model, calib = train_prob_svm(kernel, labels, config, rows=rows)
+    model, calib = train_prob_svm(kernel, labels, rows=rows)
     return 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0
 
 
@@ -127,19 +130,17 @@ def _checked_gaps(gaps, observed_labels) -> tuple[np.ndarray, np.ndarray]:
     return g, s
 
 
-def estimate_boundary_min(gaps, observed_labels, n_prime: int = 3) -> float:
-    """Mean of the n_prime smallest gaps among observed positives, clamped into (-1, 0).
+def estimate_boundary_min(gaps, observed_labels) -> float:
+    """Mean of the n' = 3 smallest gaps among observed positives, clamped into (-1, 0).
 
-    Averaging over n_prime > 1 points robustifies the plain minimum against
+    Averaging over n' > 1 points robustifies the plain minimum against
     calibration outliers.
     """
-    if n_prime < 1:
-        raise ValueError("n_prime must be positive")
     g, s = _checked_gaps(gaps, observed_labels)
     pos = g[s == 1]
-    if pos.size < n_prime:
-        raise ValueError(f"need at least {n_prime} observed positives, got {pos.size}")
-    smallest = np.partition(pos, n_prime - 1)[:n_prime]
+    if pos.size < _N_PRIME:
+        raise ValueError(f"need at least {_N_PRIME} observed positives, got {pos.size}")
+    smallest = np.partition(pos, _N_PRIME - 1)[:_N_PRIME]
     return float(np.clip(smallest.mean(), -1.0 + _BOUNDARY_MARGIN, -_BOUNDARY_MARGIN))
 
 
@@ -179,9 +180,8 @@ def _matching_kernel(kernel: SplitKernel, s, gaps, rows) -> tuple[SplitKernel, n
     return SplitKernel(spec, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
 
 
-def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
-                              svm: SvmConfig = SvmConfig(), kmm: KmmConfig = KmmConfig(),
-                              rows=None, matching: tuple[SplitKernel, np.ndarray] | None = None,
+def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, rows=None,
+                              matching: tuple[SplitKernel, np.ndarray] | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
@@ -202,18 +202,17 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float,
         raise ValueError("relabelling produced one class")
     matching_kernel, order = matching or _matching_kernel(kernel, s, gaps, idx)
     # source stays solve_kmm's third positional argument: perfbench/spans.py reads it there
-    beta = solve_kmm(matching_kernel, None, np.arange(n_pos + n_neg), kmm)
+    beta = solve_kmm(matching_kernel, None, np.arange(n_pos + n_neg))
     del matching_kernel  # free the matching kernel before the SVM gathers its kernel rows
     # the source lists negatives by gap; the SVM and the result take them in sample order
     back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
     beta.beta = beta.beta[back]
     model = train_weighted_svm(kernel, np.repeat([1, -1], [n_pos, n_neg]), beta.beta,
-                               svm.C, idx[order[back]])
+                               rows=idx[order[back]])
     return model, result, beta
 
 
-def estimate_boundary_cv(kernel: SplitKernel, s, svm: SvmConfig = SvmConfig(),
-                         kmm: KmmConfig = KmmConfig(), grid: Sequence[float] = BOUNDARY_GRID,
+def estimate_boundary_cv(kernel: SplitKernel, s, grid: Sequence[float] = BOUNDARY_GRID,
                          seed: int = 0) -> float:
     """Pick the boundary from ``grid`` that maximizes 5-fold cross-validated accuracy.
 
@@ -241,14 +240,13 @@ def estimate_boundary_cv(kernel: SplitKernel, s, svm: SvmConfig = SvmConfig(),
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
         raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
                          f"for {_BOUNDARY_FOLDS}-fold CV")
-    scores = _cv_scores(kernel, s, svm, kmm, grid, seed)
+    scores = _cv_scores(kernel, s, grid, seed)
     if not np.isfinite(scores).any():
         raise ValueError("every boundary candidate was degenerate in cross-validation")
     return float(grid[int(np.argmax(scores))])
 
 
-def _cv_scores(kernel: SplitKernel, s: np.ndarray, svm: SvmConfig, kmm: KmmConfig,
-               grid: list[float], seed: int) -> np.ndarray:
+def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: list[float], seed: int) -> np.ndarray:
     """Mean held-out accuracy of each grid candidate over the folds where it is not
     degenerate, -inf where it is degenerate in every fold."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
@@ -259,7 +257,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, svm: SvmConfig, kmm: KmmConfi
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
-            fold_gaps = observed_gap(kernel, s[fit_rows], svm, fit_rows)
+            fold_gaps = observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
         matching = _matching_kernel(kernel, s[fit_rows], fold_gaps, fit_rows)
@@ -273,8 +271,8 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, svm: SvmConfig, kmm: KmmConfi
             alike = n_negatives == count
             try:
                 clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,
-                                                      grid[int(np.argmax(alike))], svm, kmm,
-                                                      fit_rows, matching)
+                                                      grid[int(np.argmax(alike))], fit_rows,
+                                                      matching)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)

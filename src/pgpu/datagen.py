@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import FlipRateSpec
-from .kernels import SplitKernel, check_finite
-from .svm import SvmConfig, decision_values, train_weighted_svm
+from .kernels import SplitKernel, check_finite, check_labels, default_kernel
+from .svm import decision_values, train_weighted_svm
 
 
 @dataclass
@@ -27,19 +27,15 @@ class PUDataset:
 
     def __post_init__(self) -> None:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        self.s = np.asarray(self.s, dtype=int)
         n = self.X.shape[0]
         check_finite(self.X)
+        self.s = check_labels(self.s, "observed labels")
         if self.s.shape != (n,):
             raise ValueError("s must have one label per row of X")
-        if not np.isin(self.s, (-1, 1)).all():
-            raise ValueError("observed labels must be +1 or -1")
         if self.y is not None:
-            self.y = np.asarray(self.y, dtype=int)
+            self.y = check_labels(self.y, "latent labels")
             if self.y.shape != (n,):
                 raise ValueError("y must have one label per row of X")
-            if not np.isin(self.y, (-1, 1)).all():
-                raise ValueError("latent labels must be +1 or -1")
             if np.any((self.s == 1) & (self.y != 1)):
                 raise ValueError("observed positives must have latent label +1")
 
@@ -128,11 +124,9 @@ def rank_normalized_gap(gap, y) -> np.ndarray:
     near 0); exact ties are broken by index. The suite feeds this to flip_labels.
     """
     score = np.asarray(gap, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = check_labels(y, "latent labels")
     if score.shape != y.shape:
         raise ValueError("gap and y must have equal length")
-    if not np.isin(y, (-1, 1)).all():
-        raise ValueError("latent labels must be +1 or -1")
     if not np.isfinite(score).all():
         raise ValueError("scores must be finite")
     out = np.empty_like(score)
@@ -143,7 +137,7 @@ def rank_normalized_gap(gap, y) -> np.ndarray:
     return out
 
 
-def estimate_clean_gap(clean: PUDataset, svm_config: SvmConfig = SvmConfig()) -> np.ndarray:
+def estimate_clean_gap(clean: PUDataset) -> np.ndarray:
     """Difficulty score of each instance: the decision value of one SVM fit on the clean labels.
 
     Synthetic flipping is driven by the learner's own view of the data rather
@@ -152,8 +146,8 @@ def estimate_clean_gap(clean: PUDataset, svm_config: SvmConfig = SvmConfig()) ->
     """
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
-    kernel = SplitKernel(svm_config.resolve_kernel(clean.dim), clean.X)
-    model = train_weighted_svm(kernel, clean.y, np.ones(clean.n), svm_config.C)
+    kernel = SplitKernel(default_kernel(clean.dim), clean.X)
+    model = train_weighted_svm(kernel, clean.y, np.ones(clean.n))
     return decision_values(model, kernel)
 
 

@@ -33,10 +33,8 @@ from .datagen import (
     rank_normalized_gap,
     split,
 )
-from .kernels import KernelSpec, SplitKernel
-from .kmm import KmmConfig
+from .kernels import SplitKernel, default_kernel
 from .svm import (
-    SvmConfig,
     SvmModel,
     decision_values,
     predict_proba_batch,
@@ -65,8 +63,6 @@ class ExperimentConfig:
     methods: tuple[str, ...] = ("pgpu", "svm_naive")
     n_splits: int = 10
     master_seed: int = 0
-    svm: SvmConfig = SvmConfig()
-    kmm: KmmConfig = KmmConfig()
     dataset_n: int = 2000
     train_fraction: float = 0.75
 
@@ -124,8 +120,7 @@ def evaluate(model: SvmModel, test: PUDataset) -> float:
     return float(np.mean(pred == test.y))
 
 
-def run_pgpu(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
-             kmm: KmmConfig = KmmConfig(), boundary_mode: str = "min_nprime",
+def run_pgpu(train: PUDataset, test: PUDataset, boundary_mode: str = "min_nprime",
              cv_seed: int = 0) -> float:
     """Full pipeline: estimate observed gaps, pick the boundary, relabel,
     reweight with KMM, train the weighted SVM, and score on the test set.
@@ -134,20 +129,20 @@ def run_pgpu(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
     and decision value on the split slices it."""
     if boundary_mode not in ("min_nprime", "cv"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
-    gaps = observed_gap(kernel, train.s, svm)
+    kernel = SplitKernel(default_kernel(train.dim), train.X)
+    gaps = observed_gap(kernel, train.s)
     if boundary_mode == "cv":
-        boundary = estimate_boundary_cv(kernel, train.s, svm, kmm, seed=cv_seed)
+        boundary = estimate_boundary_cv(kernel, train.s, seed=cv_seed)
     else:
         boundary = estimate_boundary_min(gaps, train.s)
-    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary, svm, kmm)
+    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary)
     return evaluate(final, test)
 
 
-def run_svm_naive(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig()) -> float:
+def run_svm_naive(train: PUDataset, test: PUDataset) -> float:
     """Baseline: unweighted SVM that treats the observed PU labels as truth."""
-    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
-    model = train_weighted_svm(kernel, train.s, np.ones(train.n), svm.C)
+    kernel = SplitKernel(default_kernel(train.dim), train.X)
+    model = train_weighted_svm(kernel, train.s, np.ones(train.n))
     return evaluate(model, test)
 
 
@@ -160,14 +155,13 @@ def elkan_weights(c: float, p_pos_unlabelled) -> np.ndarray:
     return np.clip(w, 0.0, 1.0)
 
 
-def run_elkan(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
-              seed: int = 0) -> float:
+def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     """Reweighting baseline: estimate the label frequency c on a held-out
     20% of the training data, then duplicate each unlabelled example into a
     weighted positive and a weighted negative copy. Both fits slice one
     kernel of the training split; the copies are repeated rows of it."""
     # the kernel comes first, before any array of this run (see gram_matrix)
-    kernel = SplitKernel(svm.resolve_kernel(train.dim), train.X)
+    kernel = SplitKernel(default_kernel(train.dim), train.X)
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
     n_fit = int(round(0.8 * n))
@@ -177,7 +171,7 @@ def run_elkan(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
     cal_pos = cal_idx[train.s[cal_idx] == 1]
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
-    model, calib = train_prob_svm(kernel, train.s[fit_idx], svm, rows=fit_idx)
+    model, calib = train_prob_svm(kernel, train.s[fit_idx], rows=fit_idx)
     c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())  # > 0: clipped posteriors
 
     pos = np.flatnonzero(train.s == 1)
@@ -186,7 +180,7 @@ def run_elkan(train: PUDataset, test: PUDataset, svm: SvmConfig = SvmConfig(),
     rows = np.concatenate([pos, unl, unl])
     y_big = np.repeat([1, 1, -1], [pos.size, unl.size, unl.size])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
-    final = train_weighted_svm(kernel, y_big, w_big, svm.C, rows)
+    final = train_weighted_svm(kernel, y_big, w_big, rows=rows)
     return evaluate(final, test)
 
 
@@ -208,16 +202,15 @@ def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:
     return load_csv(src["csv"])
 
 
-def _run_method(name: str, train: PUDataset, test: PUDataset, config: ExperimentConfig,
-                seed: int) -> float:
+def _run_method(name: str, train: PUDataset, test: PUDataset, seed: int) -> float:
     if name == "pgpu":
-        return run_pgpu(train, test, config.svm, config.kmm, boundary_mode="min_nprime")
+        return run_pgpu(train, test, boundary_mode="min_nprime")
     if name == "pgpu_cv":
-        return run_pgpu(train, test, config.svm, config.kmm, boundary_mode="cv", cv_seed=seed)
+        return run_pgpu(train, test, boundary_mode="cv", cv_seed=seed)
     if name == "svm_naive":
-        return run_svm_naive(train, test, config.svm)
+        return run_svm_naive(train, test)
     if name == "elkan":
-        return run_elkan(train, test, config.svm, seed=seed)
+        return run_elkan(train, test, seed=seed)
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -257,7 +250,7 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
         if fspec is None:
             pu = clean
         else:
-            gap = rank_normalized_gap(estimate_clean_gap(clean, config.svm), clean.y)
+            gap = rank_normalized_gap(estimate_clean_gap(clean), clean.y)
             pu = flip_labels(clean, gap, fspec, seed=derive_seed(config.master_seed, "flip", si))
         cells: dict[str, list[tuple[int, float | None, str | None, float]]] = {
             m: [] for m in config.methods
@@ -275,10 +268,10 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
                 err: str | None
                 try:
                     if m == "clean":
-                        acc = run_svm_naive(clean_tr.without_latent(), clean_te, config.svm)
+                        acc = run_svm_naive(clean_tr.without_latent(), clean_te)
                     else:
                         mseed = derive_seed(config.master_seed, "method", si, split_id, m)
-                        acc = _run_method(m, tr_blind, te, config, mseed)
+                        acc = _run_method(m, tr_blind, te, mseed)
                     err = None
                 except (ValueError, RuntimeError) as exc:
                     acc, err = None, str(exc)
@@ -336,8 +329,7 @@ def write_results(records: list[ResultRecord], out_dir) -> dict[str, Path]:
     return paths
 
 
-_SECTIONS = {ExperimentConfig: "config", SvmConfig: "svm", KmmConfig: "kmm",
-             KernelSpec: "kernel", FlipRateSpec: "flip"}
+_SECTIONS = {ExperimentConfig: "config", FlipRateSpec: "flip"}
 
 
 def _from_json(cls, d: Mapping, path: str):
@@ -382,8 +374,8 @@ def _json_value(hint, value, path: str):
 def config_from_dict(d: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON object form, rejecting unknown keys.
 
-    Each section (svm, kmm, kernels, flips) takes exactly its dataclass's
-    fields; a value of the wrong JSON type raises a ValueError naming its field.
+    The config and each flip setting take exactly their dataclass's fields; a
+    value of the wrong JSON type raises a ValueError naming its field.
     """
     if not isinstance(d, Mapping):
         raise ValueError("config must be a JSON object")

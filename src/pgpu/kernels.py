@@ -50,6 +50,15 @@ def check_finite(X: np.ndarray) -> None:
         raise ValueError(f"features must be finite: data row {i}, x{j + 1} is {X[i, j]}")
 
 
+def check_labels(labels, name: str) -> np.ndarray:
+    """``labels`` as an int array. Raises ValueError("<name> must be +1 or -1") unless
+    every given value is +1 or -1: 1.7 or 0 fails instead of casting to a label."""
+    labels = np.asarray(labels)
+    if not ((labels == 1) | (labels == -1)).all():
+        raise ValueError(f"{name} must be +1 or -1")
+    return labels.astype(int, copy=False)
+
+
 def _empty(rows: int, cols: int) -> np.ndarray:
     """An uninitialised float matrix; a large one in a memory mapping of its own.
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (KernelSpec, SplitKernel, _as_run, _empty, check_finite, default_kernel,
+from .kernels import (KernelSpec, SplitKernel, _as_run, _empty, check_finite, check_labels,
                       gram_matrix)
 
 _TAU = 1e-12
@@ -23,21 +23,6 @@ _PLATT_GRAD_TOL = 1e-8
 _PLATT_SIGMA = 1e-12  # added to the Hessian diagonal
 _CV_MIN_SIZE = 30  # smallest sample whose Platt targets are cross-validated
 _CV_FOLDS = 3
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    """Hyperparameters shared by every SVM fit in a pipeline run."""
-
-    C: float = 1.0
-    kernel: KernelSpec | None = None  # None: rbf with gamma = 1/dim, resolved per dataset
-
-    def __post_init__(self) -> None:
-        if not self.C > 0:
-            raise ValueError("C must be positive")
-
-    def resolve_kernel(self, dim: int) -> KernelSpec:
-        return self.kernel if self.kernel is not None else default_kernel(dim)
 
 
 @dataclass
@@ -225,15 +210,13 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
     remain among the positively weighted ones.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
-    y = np.asarray(y, dtype=int)
+    y = check_labels(y, "labels")
     weights = np.asarray(weights, dtype=float)
     n = idx.size
     if idx.shape != (n,) or y.shape != (n,) or weights.shape != (n,):
         raise ValueError("rows, y, and weights must have matching lengths")
     if n < 2:
         raise ValueError("need at least 2 training examples")
-    if not ((y == 1) | (y == -1)).all():
-        raise ValueError("labels must be +1 or -1")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("weights must be finite and nonnegative")
     if not C > 0:
@@ -289,7 +272,7 @@ def fit_platt(decision_vals, y) -> PlattCalibration:
     until the gradient norm drops below 1e-8, for at most 100 rounds.
     """
     f = np.asarray(decision_vals, dtype=float)
-    y = np.asarray(y, dtype=int)
+    y = check_labels(y, "labels")
     if f.shape != y.shape or f.ndim != 1:
         raise ValueError("decision values and labels must be 1-d with equal length")
     n_pos = int((y > 0).sum())
@@ -358,8 +341,7 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = N
     return fold
 
 
-def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
-                   rows=None) -> tuple[SvmModel, PlattCalibration]:
+def train_prob_svm(kernel: SplitKernel, y, rows=None) -> tuple[SvmModel, PlattCalibration]:
     """Train an SVM on rows ``rows`` of the split (None: all) and calibrate its posteriors.
 
     Calibration targets come from 3-fold cross-validated decision values when
@@ -368,9 +350,9 @@ def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
     on three points. Every fit and decision value reads ``kernel.K``.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
-    y = np.asarray(y, dtype=int)
+    y = check_labels(y, "labels")
     weights = np.ones(idx.size)
-    model = train_weighted_svm(kernel, y, weights, config.C, rows)
+    model = train_weighted_svm(kernel, y, weights, rows=rows)
 
     n = y.size
     min_class = min(int((y > 0).sum()), int((y < 0).sum()))
@@ -380,7 +362,7 @@ def train_prob_svm(kernel: SplitKernel, y, config: SvmConfig = SvmConfig(),
         fold = _stratified_folds(y, _CV_FOLDS)
         for k in range(_CV_FOLDS):
             hold = fold == k
-            sub = train_weighted_svm(kernel, y[~hold], weights[~hold], config.C, idx[~hold])
+            sub = train_weighted_svm(kernel, y[~hold], weights[~hold], rows=idx[~hold])
             dv[hold] = decision_values(sub, kernel, idx[hold])
     else:
         dv = decision_values(model, kernel, rows)

@@ -394,7 +394,7 @@ def clip_to_sum_bisection(v, cap, target):
     return x
 
 
-def boundary_cv_reference(kernel, s, svm, kmm, grid, seed):
+def boundary_cv_reference(kernel, s, grid, seed):
     """estimate_boundary_cv as one relabel-KMM-SVM fit per (candidate, fold) pair,
     with no sharing between candidates. Returns (boundary, per-candidate scores),
     the scores being mean held-out accuracy, -inf where every fold degenerated.
@@ -411,14 +411,14 @@ def boundary_cv_reference(kernel, s, svm, kmm, grid, seed):
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
-            fold_gaps = core.observed_gap(kernel, s[fit_rows], svm, fit_rows)
+            fold_gaps = core.observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
         matching = core._matching_kernel(kernel, s[fit_rows], fold_gaps, fit_rows)
         for ci, cand in enumerate(grid):
             try:
                 clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,
-                                                           svm, kmm, fit_rows, matching)
+                                                           fit_rows, matching)
             except ValueError:
                 continue
             pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)

@@ -14,10 +14,8 @@ from pgpu import (
     ExperimentConfig,
     FlipRateSpec,
     KernelSpec,
-    KmmConfig,
     PUDataset,
     SplitKernel,
-    SvmConfig,
     default_kernel,
     observed_gap,
     run_suite,
@@ -25,7 +23,7 @@ from pgpu import (
 )
 from pgpu.core import estimate_boundary_min, relabel
 from pgpu.kernels import gram_matrix
-from pgpu.kmm import solve_kmm
+from pgpu.kmm import KmmConfig, solve_kmm
 from pgpu.svm import (
     fit_platt,
     predict_proba_batch,
@@ -111,8 +109,8 @@ def test_criterion_4_relabelling_consistency():
     drive = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, drive, FlipRateSpec("linear", 0.6), seed=12)
     kernel = SplitKernel(default_kernel(pu.dim), pu.X)
-    gaps = observed_gap(kernel, pu.s, SvmConfig())
-    boundary = estimate_boundary_min(gaps, pu.s, 3)
+    gaps = observed_gap(kernel, pu.s)
+    boundary = estimate_boundary_min(gaps, pu.s)
     result = relabel(gaps, pu.s, boundary)
     bayes = np.where(pu.X[:, 1] > pu.X[:, 0], 1, -1)
     assigned = np.concatenate([np.ones(result.positive_idx.size, dtype=int),

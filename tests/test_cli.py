@@ -32,6 +32,16 @@ def test_gen_rejects_bad_flip(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flip, field", [("inverse:0.1,nan", "beta"), ("inverse:0.1,-2", "beta"),
+                                         ("linear:inf", "alpha"), ("constant:nan", "alpha")])
+def test_gen_non_finite_or_out_of_range_flip_prints_one_error_line(tmp_path, capsys, flip, field):
+    out = tmp_path / "x.csv"
+    assert main(["gen", "--dataset", "triangles", "--flip", flip, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and field in err[0]
+    assert not out.exists()
+
+
 def _write_config(tmp_path, **overrides):
     cfg = {
         "dataset_source": "triangles",
@@ -121,12 +131,12 @@ def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, val
     assert field in err[0]
 
 
-def test_run_infinite_gamma_prints_one_error_line(tmp_path, capsys):
-    # JSON parses 1e400 to inf; an rbf kernel with it would train a NaN model
-    config = _write_config(tmp_path, svm={"C": 1.0, "kernel": {"kind": "rbf", "gamma": 0.5}})
+def test_run_infinite_flip_alpha_prints_one_error_line(tmp_path, capsys):
+    # JSON parses 1e400 to inf; a flip rate with it would make NaN rates
+    config = _write_config(tmp_path, flip={"kind": "linear", "alpha": 0.5})
     text = config.read_text(encoding="utf-8")
-    config.write_text(text.replace('"gamma": 0.5', '"gamma": 1e400'), encoding="utf-8")
+    config.write_text(text.replace('"alpha": 0.5', '"alpha": 1e400'), encoding="utf-8")
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert "gamma" in err[0]
+    assert "alpha" in err[0]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import pgpu
 from _oracles import boundary_cv_reference, forward_gap, kmm_descent_reference, monotone_rate
-from pgpu import FlipRateSpec, KmmConfig, SvmConfig, observed_gap
+from pgpu import FlipRateSpec, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
     _matching_kernel,
@@ -15,15 +17,15 @@ from pgpu.core import (
     fit_relabelled_classifier,
     relabel,
 )
-from pgpu.kmm import solve_kmm
+from pgpu.kmm import KmmConfig, solve_kmm
 from pgpu.svm import predict_proba_batch, train_prob_svm
 
 
 def test_observed_gap_is_the_calibrated_svm_gap_of_its_rows():
     kernel, s = _cv_dataset(1.5)
     rows = np.flatnonzero(np.arange(s.size) % 4 != 0)
-    model, calib = train_prob_svm(kernel, s[rows], SvmConfig(), rows=rows)
-    got = observed_gap(kernel, s[rows], SvmConfig(), rows)
+    model, calib = train_prob_svm(kernel, s[rows], rows=rows)
+    got = observed_gap(kernel, s[rows], rows)
     assert np.array_equal(got, 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0)
     assert got.shape == rows.shape and np.all(np.abs(got) < 1.0)
     # far-apart blobs: each labelled positive gets a positive gap, each other row a negative one
@@ -42,7 +44,7 @@ def test_gaps_are_checked_before_use(gaps, labels, match):
     with pytest.raises(ValueError, match=match):
         relabel(gaps, labels, -0.5)
     with pytest.raises(ValueError, match=match):
-        estimate_boundary_min(gaps, labels, 1)
+        estimate_boundary_min(gaps, labels)
 
 
 def test_forward_gap_examples():
@@ -92,25 +94,27 @@ def test_composite_map_monotone_for_decreasing_rates():
         assert np.all(np.diff(composite) >= 0.0)
 
 
-def test_boundary_min_examples():
+def test_boundary_min_examples(monkeypatch):
     gaps = np.array([-0.2, -0.1, 0.3, -0.9, 0.7])
     s = np.array([1, 1, 1, -1, -1])  # positives hold gaps -0.2, -0.1, 0.3
-    assert estimate_boundary_min(gaps, s, 1) == pytest.approx(-0.2)
-    assert estimate_boundary_min(gaps, s, 2) == pytest.approx(-0.15)
+    monkeypatch.setattr(pgpu.core, "_N_PRIME", 1)
+    assert estimate_boundary_min(gaps, s) == pytest.approx(-0.2)
+    monkeypatch.setattr(pgpu.core, "_N_PRIME", 2)
+    assert estimate_boundary_min(gaps, s) == pytest.approx(-0.15)
 
 
 def test_boundary_min_requires_enough_positives():
     gaps = np.array([-0.2, 0.3])
     with pytest.raises(ValueError, match="observed positives"):
-        estimate_boundary_min(gaps, np.array([1, -1]), 2)
+        estimate_boundary_min(gaps, np.array([1, -1]))
 
 
 def test_boundary_min_clamped_into_open_interval():
     gaps = np.array([0.4, 0.6, 0.8])
     s = np.ones(3, dtype=int)
-    assert estimate_boundary_min(gaps, s, 3) == pytest.approx(-1e-6)
+    assert estimate_boundary_min(gaps, s) == pytest.approx(-1e-6)
     gaps = np.array([-1.0, -1.0, -1.0])
-    got = estimate_boundary_min(gaps, s, 3)
+    got = estimate_boundary_min(gaps, s)
     assert -1.0 < got < 0.0
 
 
@@ -269,17 +273,16 @@ _UNSORTED_GRID = [*BOUNDARY_GRID[::-1], -0.75, -0.905]
 def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_candidate(
         n, grid, monkeypatch):
     kernel, s = _pu_triangles(n, seed=n)
-    svm, kmm = SvmConfig(), KmmConfig()
-    expected_l, expected_scores = boundary_cv_reference(kernel, s, svm, kmm, grid, seed=2)
+    expected_l, expected_scores = boundary_cv_reference(kernel, s, grid, seed=2)
 
     fits, fold_gaps = [], {}
     fit, cv_scores = pgpu.core.fit_relabelled_classifier, pgpu.core._cv_scores
     scores = []
 
-    def counted_fit(kernel, s, gaps, boundary_l, svm, kmm, rows, *args):
+    def counted_fit(kernel, s, gaps, boundary_l, rows, *args):
         fold_gaps[rows.tobytes()] = (s, gaps)
         fits.append((rows.tobytes(), relabel(gaps, s, boundary_l).negative_idx.size))
-        return fit(kernel, s, gaps, boundary_l, svm, kmm, rows, *args)
+        return fit(kernel, s, gaps, boundary_l, rows, *args)
 
     def recorded_scores(*args):
         scores.append(cv_scores(*args))
@@ -287,7 +290,7 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", counted_fit)
     monkeypatch.setattr(pgpu.core, "_cv_scores", recorded_scores)
-    assert estimate_boundary_cv(kernel, s, svm, kmm, grid=grid, seed=2) == expected_l
+    assert estimate_boundary_cv(kernel, s, grid=grid, seed=2) == expected_l
     assert np.array_equal(scores[0], expected_scores)
     # one fit per distinct (fold, negatives count) pair, and every such pair fitted
     distinct = {(fold, relabel(gaps, fold_s, cand).negative_idx.size)
@@ -324,6 +327,7 @@ def test_flip_rate_spec_validation_and_parse():
         FlipRateSpec("weird", 0.5)
     with pytest.raises(ValueError):
         FlipRateSpec("inverse", 0.0, 0.5)
+    assert FlipRateSpec("inverse", 0.1, -0.5).rate(np.array([1.0])) == pytest.approx(1 / 6)
 
     spec = FlipRateSpec.parse("inverse:0.1,0.5")
     assert spec == FlipRateSpec("inverse", 0.1, 0.5)
@@ -334,6 +338,18 @@ def test_flip_rate_spec_validation_and_parse():
         FlipRateSpec.parse("inverse:0.1")
     with pytest.raises(ValueError):
         FlipRateSpec.parse("nope:1")
+
+
+@pytest.mark.parametrize("args, field", [
+    (("inverse", 0.1, math.nan), "beta"), (("inverse", 0.1, math.inf), "beta"),
+    (("inverse", 0.1, -1.0), "beta"), (("inverse", 0.1, -2.0), "beta"),
+    (("inverse", math.inf, 0.5), "alpha"), (("inverse", math.nan, 0.5), "alpha"),
+    (("linear", math.inf), "alpha"), (("constant", math.nan), "alpha"),
+])
+def test_flip_rate_spec_rejects_non_finite_parameters_and_an_inverse_beta_of_at_most_minus_one(
+        args, field):
+    with pytest.raises(ValueError, match=field):
+        FlipRateSpec(*args)
 
 
 def test_flip_rate_zero_below_boundary():
@@ -396,7 +412,7 @@ def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(mo
 def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follows_the_relabelling():
     kernel, s = _pu_triangles(200, seed=200)
     rows = np.arange(1, 200, 2)
-    gaps = observed_gap(kernel, s[rows], SvmConfig(), rows)
+    gaps = observed_gap(kernel, s[rows], rows)
     for boundary in (estimate_boundary_min(gaps, s[rows]), -0.9):
         built, result, beta = fit_relabelled_classifier(kernel, s[rows], gaps, boundary,
                                                         rows=rows)

@@ -6,7 +6,7 @@ from pgpu import (
     FlipRateSpec,
     PUDataset,
     SplitKernel,
-    SvmConfig,
+    default_kernel,
     estimate_clean_gap,
     flip_labels,
     gen_overlap_square,
@@ -137,14 +137,32 @@ def test_rank_normalized_gap_rejects_labels_other_than_plus_minus_one():
         rank_normalized_gap([0.5, 0.2, 0.1], [1, 0, -1])
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.2, 0])
+def test_labels_are_checked_before_they_are_cast(bad):
+    labels = np.array([1.0, -1.0, bad])
+    with pytest.raises(ValueError, match=r"observed labels must be \+1 or -1"):
+        PUDataset(np.zeros((3, 2)), labels)
+    with pytest.raises(ValueError, match=r"latent labels must be \+1 or -1"):
+        PUDataset(np.zeros((3, 2)), -np.ones(3), labels)
+    with pytest.raises(ValueError, match=r"latent labels must be \+1 or -1"):
+        rank_normalized_gap([0.5, 0.2, 0.1], labels)
+
+
+def test_float_labels_of_plus_or_minus_one_are_accepted():
+    data = PUDataset(np.zeros((2, 2)), [1.0, -1.0], [1.0, -1.0])
+    assert data.s.dtype == data.y.dtype == int
+    assert data.s.tolist() == data.y.tolist() == [1, -1]
+    assert rank_normalized_gap([0.5, 0.2], [1.0, -1.0]).tolist() == [1.0, -1.0]
+
+
 def test_estimate_clean_gap_on_triangles():
     clean = gen_triangles(300, 300, seed=11)
-    score = estimate_clean_gap(clean, SvmConfig())
-    kernel = SplitKernel(SvmConfig().resolve_kernel(clean.dim), clean.X)
+    score = estimate_clean_gap(clean)
+    kernel = SplitKernel(default_kernel(clean.dim), clean.X)
     model = train_weighted_svm(kernel, clean.y, np.ones(clean.n))
     assert np.array_equal(score, decision_values(model, kernel))
     assert (score[clean.y == 1] > 0).mean() >= 0.95
-    assert np.array_equal(score, estimate_clean_gap(clean, SvmConfig()))
+    assert np.array_equal(score, estimate_clean_gap(clean))
 
 
 @pytest.mark.parametrize("make", [lambda: gen_triangles(1000, 1000, seed=0),
@@ -154,7 +172,7 @@ def test_clean_scores_untie_and_keep_the_calibrated_order(make):
     # at n=2000 the calibrated gaps saturate into hundreds of within-class ties
     clean = make()
     score = estimate_clean_gap(clean)
-    gap = observed_gap(SplitKernel(SvmConfig().resolve_kernel(clean.dim), clean.X), clean.y)
+    gap = observed_gap(SplitKernel(default_kernel(clean.dim), clean.X), clean.y)
     gap_ties = 0
     for cls in (1, -1):
         order = np.argsort(score[clean.y == cls])
@@ -168,7 +186,7 @@ def test_clean_scores_untie_and_keep_the_calibrated_order(make):
 def test_estimate_clean_gap_requires_latent_labels():
     clean = gen_triangles(20, 20, seed=12)
     with pytest.raises(ValueError, match="latent"):
-        estimate_clean_gap(clean.without_latent(), SvmConfig())
+        estimate_clean_gap(clean.without_latent())
 
 
 def test_csv_round_trip_with_latent_labels(tmp_path):

@@ -12,9 +12,7 @@ from pgpu import (
     ExperimentConfig,
     FlipRateSpec,
     KernelSpec,
-    KmmConfig,
     PUDataset,
-    SvmConfig,
     config_from_dict,
     gen_triangles,
     run_elkan,
@@ -168,8 +166,6 @@ def test_config_json_round_trip():
         methods=("pgpu", "elkan"),
         n_splits=4,
         master_seed=9,
-        svm=SvmConfig(C=2.0, kernel=KernelSpec("rbf", 0.7)),
-        kmm=KmmConfig(upper_bound_B=50.0, epsilon=0.4, max_iters=200, tol=1e-5),
         dataset_n=400,
         train_fraction=0.8,
     )
@@ -185,8 +181,6 @@ def test_config_rejects_unknown_fields_and_methods():
         ExperimentConfig(methods=("nearest_neighbour",))
     with pytest.raises(ValueError, match="dataset_source"):
         ExperimentConfig(dataset_source="spiral")
-    with pytest.raises(ValueError, match="unknown svm fields"):
-        config_from_dict({"svm": {"c": 1.0}})
 
 
 @pytest.mark.parametrize("field, value, json_value, repeated", [
@@ -251,14 +245,8 @@ CONFIG_CASES = [
         flip=FlipRateSpec("inverse", 0.1, 0.5),
         methods=("svm_naive", "elkan", "pgpu", "pgpu_cv", "clean")), id="readme-example"),
     pytest.param({}, ExperimentConfig(), id="empty"),
-    pytest.param({"svm": {"C": 2, "kernel": {"kind": "rbf", "gamma": 3}},
-                  "kmm": {"upper_bound_B": 50, "epsilon": 0, "tol": 1},
-                  "flip": {"kind": "inverse", "alpha": 1, "beta": 2}},
+    pytest.param({"flip": {"kind": "inverse", "alpha": 1, "beta": 2}},
                  None, id="integers-for-floats"),
-    pytest.param({"svm": {"C": 1.5, "kernel": None}, "kmm": {"epsilon": None}},
-                 ExperimentConfig(svm=SvmConfig(C=1.5)), id="null-epsilon-and-kernels"),
-    pytest.param({"svm": {"kernel": {"kind": "linear"}}},
-                 ExperimentConfig(svm=SvmConfig(kernel=KernelSpec("linear"))), id="linear-kernels"),
     pytest.param({"flip": _INVERSE}, ExperimentConfig(flip=FlipRateSpec("inverse", 0.1, 0.5)),
                  id="single-flip"),
     pytest.param({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2}]},
@@ -277,21 +265,23 @@ CONFIG_CASES = [
 def test_config_from_dict_table(raw, expected):
     cfg = config_from_dict(raw)
     if expected is None:  # integers-for-floats: every float field holds a float
-        expected = ExperimentConfig(
-            flip=FlipRateSpec("inverse", 1.0, 2.0),
-            svm=SvmConfig(C=2.0, kernel=KernelSpec("rbf", 3.0)),
-            kmm=KmmConfig(upper_bound_B=50.0, epsilon=0.0, tol=1.0))
-        for value in (cfg.svm.C, cfg.svm.kernel.gamma, cfg.kmm.upper_bound_B,
-                      cfg.kmm.epsilon, cfg.kmm.tol, cfg.flip.alpha, cfg.flip.beta):
+        expected = ExperimentConfig(flip=FlipRateSpec("inverse", 1.0, 2.0))
+        for value in (cfg.flip.alpha, cfg.flip.beta):
             assert type(value) is float
     assert cfg == expected
 
 
+def test_readme_example_config_lists_every_field_and_round_trips():
+    raw = _readme_config()
+    assert json.loads(json.dumps(dataclasses.asdict(config_from_dict(raw)))) == raw
+
+
 UNKNOWN_FIELD_CASES = [
     ({"dataset_source": "triangles", "bogus": 1, "alpha": 2}, "unknown config fields: ['alpha', 'bogus']"),
-    ({"svm": {"c": 1.0}}, "unknown svm fields: ['c']"),
-    ({"kmm": {"B": 5.0, "eps": 0.1}}, "unknown kmm fields: ['B', 'eps']"),
-    ({"svm": {"kernel": {"kind": "rbf", "width": 2.0}}}, "unknown kernel fields: ['width']"),
+    # the SVM and KMM settings are fixed in code, so a config that names them fails
+    ({"svm": {"C": 1.0, "kernel": None}}, "unknown config fields: ['svm']"),
+    ({"kmm": {"upper_bound_B": 1000.0, "epsilon": None}}, "unknown config fields: ['kmm']"),
+    ({"kernel": {"kind": "rbf", "gamma": 0.5}}, "unknown config fields: ['kernel']"),
     ({"kmm_kernel": None, "n_prime": 3}, "unknown config fields: ['kmm_kernel', 'n_prime']"),
     ({"flip": {"kind": "linear", "alpha": 0.2, "rate": 0.1}}, "unknown flip fields: ['rate']"),
     ({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2, "gap": 1}]},

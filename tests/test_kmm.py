@@ -18,9 +18,9 @@ from _oracles import (
     kmm_qp_scipy,
 )
 import pgpu
-from pgpu import KernelSpec, KmmConfig, SplitKernel, gen_triangles, kernels
+from pgpu import KernelSpec, SplitKernel, gen_triangles, kernels
 from pgpu import kmm as kmm_module
-from pgpu.kmm import _clip_to_sum, _sorted_distinct, default_epsilon, solve_kmm
+from pgpu.kmm import KmmConfig, _clip_to_sum, _sorted_distinct, default_epsilon, solve_kmm
 
 
 def kmm(spec, target, source, config):
@@ -407,13 +407,13 @@ def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
     code = "\n".join([
         "import sys",
         "import numpy as np",
-        "from pgpu import KernelSpec, KmmConfig, SplitKernel, kmm",
+        "from pgpu import KernelSpec, SplitKernel, kmm",
         "calls, clip = [], kmm._clip_to_sum",
         "kmm._clip_to_sum = lambda *a: calls.append(a) or clip(*a)",
         "X = np.random.default_rng(7).normal(size=(120, 2))",
         "before = 'numpy.ma' in sys.modules",
         "kmm.solve_kmm(SplitKernel(KernelSpec('rbf', 2.0), X), None, np.arange(80),",
-        "              KmmConfig(epsilon=0.0))",
+        "              kmm.KmmConfig(epsilon=0.0))",
         "print(len(calls), before, 'numpy.ma' in sys.modules)",
     ])
     projections, before, after = _python(code)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import svm_kkt_residuals
-from pgpu import KernelSpec, SplitKernel, SvmConfig, default_kernel, gen_triangles
+from pgpu import KernelSpec, SplitKernel, default_kernel, gen_triangles
 from pgpu.kernels import gram_matrix
 from pgpu.svm import (
     PlattCalibration,
@@ -160,6 +160,28 @@ def test_platt_single_class_rejected():
         fit_platt(np.linspace(-1, 1, 5), np.ones(5, dtype=int))
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.2, 0])
+def test_labels_are_checked_before_they_are_cast(bad):
+    y = np.array([-1.0, -1.0, 1.0, bad])
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        train_weighted_svm(_split(SEPARABLE_X), y, np.ones(4))
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        train_prob_svm(_split(SEPARABLE_X), y)
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        fit_platt(np.array([-2.0, -1.0, 1.0, 2.0]), y)
+
+
+def test_float_labels_of_plus_or_minus_one_fit_as_integer_labels():
+    y = SEPARABLE_Y.astype(float)
+    model = train_weighted_svm(_split(SEPARABLE_X), y, np.ones(4))
+    expected = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4))
+    assert np.array_equal(model.dual_coefs, expected.dual_coefs) and model.bias == expected.bias
+    assert train_prob_svm(_split(SEPARABLE_X), y)[1] == train_prob_svm(_split(SEPARABLE_X),
+                                                                        SEPARABLE_Y)[1]
+    dv = np.array([-2.0, -1.0, 1.0, 2.0])
+    assert fit_platt(dv, y) == fit_platt(dv, SEPARABLE_Y)
+
+
 def _toy_model_calib():
     model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4), C=1.0)
     dv = decision_values(model, SEPARABLE_X)
@@ -199,12 +221,12 @@ def test_train_prob_svm_runs_on_small_and_large_samples():
     y = np.where(X[:, 0] > 0, 1, -1)
     if np.abs(y.sum()) == 12:
         y[0] = -y[0]
-    model, calib = train_prob_svm(_split(X), y, SvmConfig())  # raw decision values branch
+    model, calib = train_prob_svm(_split(X), y)  # raw decision values branch
     assert calib.A < 0
 
     X = rng.normal(size=(90, 2))
     y = np.where(X[:, 0] + 0.1 * rng.normal(size=90) > 0, 1, -1)
-    model, calib = train_prob_svm(_split(X), y, SvmConfig())  # cross-validated branch
+    model, calib = train_prob_svm(_split(X), y)  # cross-validated branch
     p = predict_proba_batch(model, calib, X)
     assert ((y == 1) == (p > 0.5)).mean() > 0.9
 
