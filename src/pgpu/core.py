@@ -14,16 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernel
+from .kernels import KernelSpec, SplitKernel, check_labels
 from .kmm import BetaWeights, solve_kmm
-from .svm import (
-    SvmModel,
-    _stratified_folds,
-    decision_values,
-    predict_proba_batch,
-    train_prob_svm,
-    train_weighted_svm,
-)
+from .svm import SvmModel, _ascending_rows, _stratified_folds, train_prob_svm, train_weighted_svm
 
 BOUNDARY_GRID: tuple[float, ...] = tuple(round(-0.90 + 0.01 * k, 2) for k in range(31))
 
@@ -114,15 +107,15 @@ KMM_GAMMA_SCALE = 20.0
 
 
 def observed_gap(kernel: SplitKernel, labels, rows=None) -> np.ndarray:
-    """Observed gaps 2P(s=+1|x) - 1 of the rows ``rows`` of the split (None: all), one per
-    row, from a calibrated SVM trained on those rows with their ``labels``."""
+    """Observed gaps 2P(s=+1|x) - 1 of the rows ``rows`` of the split (None: all; ascending),
+    one per row, from the ``fitted`` of a calibrated SVM trained on them with their ``labels``."""
     model, calib = train_prob_svm(kernel, labels, rows=rows)
-    return 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0
+    return 2.0 * calib.posterior(model.fitted[_ascending_rows(rows, kernel.n)]) - 1.0
 
 
 def _checked_gaps(gaps, observed_labels) -> tuple[np.ndarray, np.ndarray]:
-    """Gaps and labels as arrays, after checking there is one gap in [-1, 1] per label."""
-    g, s = np.asarray(gaps, dtype=float), np.asarray(observed_labels, dtype=int)
+    """Gaps and labels as arrays, after checking there is one gap in [-1, 1] per +-1 label."""
+    g, s = np.asarray(gaps, dtype=float), check_labels(observed_labels, "observed labels")
     if g.ndim != 1 or s.shape != g.shape:
         raise ValueError("gaps must be a 1-d array with one gap per label")
     if not np.all((g >= -1.0) & (g <= 1.0)):
@@ -185,9 +178,10 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, r
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
-    The sample is the rows ``rows`` (None: all) of the classifier kernel, with
-    ``s`` and ``gaps`` given per sample row; the final SVM reads its kernel
-    rows from ``kernel.K``. The KMM target is the full sample and the source is the
+    The sample is the rows ``rows`` (None: all; strictly ascending) of the classifier
+    kernel, with ``s`` and ``gaps`` given per sample row. The final SVM runs over the
+    whole split with weight beta at the relabelled rows and 0 elsewhere, so its
+    ``fitted`` scores every row. The KMM target is the full sample and the source is the
     relabelled subset, so the weights undo the bias from dropping the
     ambiguous band. ``matching`` (None: built here) is ``_matching_kernel``'s
     pair of matching kernel and its row order, which puts every boundary's relabelled
@@ -195,7 +189,7 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, r
     boundaries on one sample pass it. Relabelled-positive and relabelled-negative
     indices are sample positions; ``beta`` lines up with them, positives first.
     """
-    idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
+    idx = _ascending_rows(rows, kernel.n)
     result = relabel(gaps, s, boundary_l)
     n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
     if n_pos == 0 or n_neg == 0:
@@ -203,13 +197,14 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, r
     matching_kernel, order = matching or _matching_kernel(kernel, s, gaps, idx)
     # source stays solve_kmm's third positional argument: perfbench/spans.py reads it there
     beta = solve_kmm(matching_kernel, None, np.arange(n_pos + n_neg))
-    del matching_kernel  # free the matching kernel before the SVM gathers its kernel rows
     # the source lists negatives by gap; the SVM and the result take them in sample order
     back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
     beta.beta = beta.beta[back]
-    model = train_weighted_svm(kernel, np.repeat([1, -1], [n_pos, n_neg]), beta.beta,
-                               rows=idx[order[back]])
-    return model, result, beta
+    fit_rows = idx[order[back]]  # split rows of the relabelled positives, then negatives
+    labels, weights = np.ones(kernel.n, dtype=int), np.zeros(kernel.n)
+    labels[fit_rows[n_pos:]] = -1
+    weights[fit_rows] = beta.beta
+    return train_weighted_svm(kernel, labels, weights), result, beta
 
 
 def estimate_boundary_cv(kernel: SplitKernel, s, grid: Sequence[float] = BOUNDARY_GRID,
@@ -234,7 +229,7 @@ def estimate_boundary_cv(kernel: SplitKernel, s, grid: Sequence[float] = BOUNDAR
     outside = [cand for cand in grid if not -1.0 < cand < 0.0]
     if outside:
         raise ValueError(f"boundary candidate {outside[0]!r} lies outside (-1, 0)")
-    s = np.asarray(s, dtype=int)
+    s = check_labels(s, "observed labels")
     if s.shape != (kernel.n,):
         raise ValueError("s must have one label per row of the kernel")
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
@@ -275,7 +270,7 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: list[float], seed: int)
                                                       matching)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
-            pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
+            pred = np.where(clf.fitted[hold_rows] >= 0.0, 1, -1)
             sums[alike] += float(np.mean(pred == s[hold_rows]))
             counts[alike] += 1
     return np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)

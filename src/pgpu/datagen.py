@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import FlipRateSpec
 from .kernels import SplitKernel, check_finite, check_labels, default_kernel
-from .svm import decision_values, train_weighted_svm
+from .svm import train_weighted_svm
 
 
 @dataclass
@@ -147,8 +147,7 @@ def estimate_clean_gap(clean: PUDataset) -> np.ndarray:
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
     kernel = SplitKernel(default_kernel(clean.dim), clean.X)
-    model = train_weighted_svm(kernel, clean.y, np.ones(clean.n))
-    return decision_values(model, kernel)
+    return train_weighted_svm(kernel, clean.y, np.ones(clean.n)).fitted
 
 
 def split(dataset: PUDataset, train_fraction: float = 0.75, seed: int = 0,

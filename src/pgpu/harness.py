@@ -34,13 +34,7 @@ from .datagen import (
     split,
 )
 from .kernels import SplitKernel, default_kernel
-from .svm import (
-    SvmModel,
-    decision_values,
-    predict_proba_batch,
-    train_prob_svm,
-    train_weighted_svm,
-)
+from .svm import SvmModel, decision_values, train_prob_svm, train_weighted_svm
 
 METHOD_NAMES = ("pgpu", "pgpu_cv", "svm_naive", "elkan", "clean")
 
@@ -158,8 +152,8 @@ def elkan_weights(c: float, p_pos_unlabelled) -> np.ndarray:
 def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     """Reweighting baseline: estimate the label frequency c on a held-out
     20% of the training data, then duplicate each unlabelled example into a
-    weighted positive and a weighted negative copy. Both fits slice one
-    kernel of the training split; the copies are repeated rows of it."""
+    weighted positive and a weighted negative copy. Both fits read one kernel
+    of the training split; the copies are repeated rows of it."""
     # the kernel comes first, before any array of this run (see gram_matrix)
     kernel = SplitKernel(default_kernel(train.dim), train.X)
     n = train.n
@@ -172,15 +166,16 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
     model, calib = train_prob_svm(kernel, train.s[fit_idx], rows=fit_idx)
-    c = float(predict_proba_batch(model, calib, kernel, cal_pos).mean())  # > 0: clipped posteriors
+    c = float(calib.posterior(model.fitted[cal_pos]).mean())  # > 0: clipped posteriors
 
     pos = np.flatnonzero(train.s == 1)
     unl = np.flatnonzero(train.s == -1)
-    w_unl = elkan_weights(c, predict_proba_batch(model, calib, kernel, unl))
+    w_unl = elkan_weights(c, calib.posterior(model.fitted[unl]))
     rows = np.concatenate([pos, unl, unl])
     y_big = np.repeat([1, 1, -1], [pos.size, unl.size, unl.size])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
-    final = train_weighted_svm(kernel, y_big, w_big, rows=rows)
+    keep = w_big > 0.0  # a zero-weight copy would only add a zero cap to the gathered fit
+    final = train_weighted_svm(kernel, y_big[keep], w_big[keep], rows=rows[keep])
     return evaluate(final, test)
 
 

@@ -187,8 +187,8 @@ class SplitKernel:
     """The rows of one sample (a training split) and their kernel matrix, computed once.
 
     Every fit, fold and decision value on the sample reads ``K`` (SMO the
-    kernel rows it uses, the others a block by index sets) instead of
-    recomputing kernels from features. ``K`` is exactly symmetric, so every
+    kernel rows it uses, KMM a block by index sets) instead of recomputing
+    kernels from features. ``K`` is exactly symmetric, so every
     block on the diagonal is too.
     """
 

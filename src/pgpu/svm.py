@@ -33,7 +33,7 @@ class SvmModel:
     dual_coefs: np.ndarray       # (m,), alpha_i * y_i, all nonzero
     bias: float
     kernel: KernelSpec
-    support_idx: np.ndarray | None = None  # rows of the SplitKernel trained on; None if hand-built
+    fitted: np.ndarray | None = None  # decision value at each training example; None if hand-built
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,13 @@ class PlattCalibration:
 
     A: float
     B: float
+
+    def posterior(self, decision_vals) -> np.ndarray:
+        """P(y=+1|x) at each decision value, clipped into the open interval (0, 1)."""
+        z = self.A * np.asarray(decision_vals, dtype=float) + self.B
+        ez = np.exp(-np.abs(z))
+        p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+        return np.clip(p, _P_EPS, 1.0 - _P_EPS)
 
 
 def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=None):
@@ -65,16 +72,21 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
     The pair is argmax(m + up_pen), argmin(m + low_pen); a step changes m by
     two kernel rows and the penalties at its pair only.
 
-    Returns (alpha, bias, iterations). Raises RuntimeError if the pair still
-    violates the optimality conditions by more than ``tol`` after
-    ``max_iter`` steps (default max(10000, 100 n)).
+    An example with cap 0 is never selected, so it leaves the solution as if
+    it were dropped (ties break alike, the others keeping their order), but its
+    m is kept up to date: every example's decision value is y_k - m_k + bias.
+
+    Returns (alpha, bias, iterations, fitted), ``fitted`` those decision values.
+    Raises RuntimeError if the pair still violates the optimality conditions by
+    more than ``tol`` after ``max_iter`` steps (default max(10000, 100 n), n
+    counting the examples with a positive cap).
     """
     K = np.asarray(K, dtype=float)
     y = np.asarray(y, dtype=float)
     c_box = np.asarray(c_box, dtype=float)
     n = y.size
     if max_iter is None:
-        max_iter = max(10_000, 100 * n)
+        max_iter = max(10_000, 100 * int(np.count_nonzero(c_box > 0.0)))
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be +1 or -1")
     src = None
@@ -192,11 +204,10 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
             low_pen[k] = 0.0 if low_ok else inf
 
     free = (alpha > 0.0) & (alpha < c_box)
-    if free.any():
-        return alpha, float(m[free].mean()), iters
-    # no free example: the midpoint of the bias interval m_low..m_up, or its one finite end
+    # the mean m of the free examples, else the midpoint of m_low..m_up or its one finite end
     ends = [v for v in (m_up, m_low) if math.isfinite(v)]
-    return alpha, (sum(ends) / len(ends) if ends else 0.0), iters
+    bias = float(m[free].mean()) if free.any() else sum(ends) / len(ends) if ends else 0.0
+    return alpha, bias, iters, y - m + bias
 
 
 def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None) -> SvmModel:
@@ -205,9 +216,9 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
     The examples are the rows ``rows`` of the split (None: all of them, in
     order; repeats allowed), with labels ``y`` and ``weights`` given per
     entry of ``rows``; SMO reads their kernel rows from ``kernel.K`` and
-    copies no block.
-    Zero-weight examples are dropped before training; both classes must
-    remain among the positively weighted ones.
+    copies no block. A zero-weight example is a zero cap: the fit solves as
+    if it were dropped, and the model's ``fitted`` still scores it. Both
+    classes must be among the positively weighted examples.
     """
     idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
     y = check_labels(y, "labels")
@@ -215,8 +226,6 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
     n = idx.size
     if idx.shape != (n,) or y.shape != (n,) or weights.shape != (n,):
         raise ValueError("rows, y, and weights must have matching lengths")
-    if n < 2:
-        raise ValueError("need at least 2 training examples")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("weights must be finite and nonnegative")
     if not C > 0:
@@ -228,32 +237,20 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
     if (ya > 0).all() or (ya < 0).all():
         raise ValueError("degenerate training set")
 
-    ia = idx[active]
-    alpha, bias, _ = smo_solve(kernel.K, ya.astype(float), C * weights[active], rows=ia)
+    alpha, bias, _, fitted = smo_solve(kernel.K, y.astype(float), C * weights, rows=rows)
     sv = alpha > 0.0
     return SvmModel(
-        support_vectors=kernel.X[ia[sv]],
-        dual_coefs=(alpha * ya)[sv],
+        support_vectors=kernel.X[idx[sv]],
+        dual_coefs=(alpha * y)[sv],
         bias=bias,
         kernel=kernel.spec,
-        support_idx=ia[sv],
+        fitted=fitted,
     )
 
 
-def decision_values(model: SvmModel, X, rows=None) -> np.ndarray:
-    """Decision function of the model on feature rows X, or on rows ``rows``
-    (None: all) of the SplitKernel the model was trained on.
-
-    The second form slices the split's kernel instead of evaluating kernels
-    from features. Feature rows must be finite, as for a SplitKernel.
-    """
-    if isinstance(X, SplitKernel):
-        if model.support_idx is None or X.spec != model.kernel or not np.array_equal(
-                X.X[model.support_idx], model.support_vectors):
-            raise ValueError("the model was not trained on this split kernel")
-        return X.block(rows, model.support_idx) @ model.dual_coefs + model.bias
-    if rows is not None:
-        raise ValueError("rows selects rows of a split kernel, not of features")
+def decision_values(model: SvmModel, X) -> np.ndarray:
+    """Decision function of the model on feature rows X, which must be finite.
+    A fit's decision values at its own examples are its ``fitted``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != model.support_vectors.shape[1]:
         raise ValueError(
@@ -322,13 +319,19 @@ def fit_platt(decision_vals, y) -> PlattCalibration:
     return PlattCalibration(A=a_par, B=b_par)
 
 
-def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X, rows=None) -> np.ndarray:
-    """Calibrated P(y=+1|x) for each row of X (features, or rows of the model's
-    SplitKernel as in decision_values), clipped into the open interval (0, 1)."""
-    z = calib.A * decision_values(model, X, rows) + calib.B
-    ez = np.exp(-np.abs(z))
-    p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
-    return np.clip(p, _P_EPS, 1.0 - _P_EPS)
+def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X) -> np.ndarray:
+    """Calibrated P(y=+1|x) for each feature row of X, clipped into the open interval (0, 1)."""
+    return calib.posterior(decision_values(model, X))
+
+
+def _ascending_rows(rows, n: int) -> np.ndarray:
+    """Rows ``rows`` of an n-row split (None: all) as an index array, strictly ascending:
+    a whole-split fit has one example per row, so a repeat cannot be a second example."""
+    idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
+    if idx.ndim != 1 or (np.diff(idx) <= 0).any():
+        raise ValueError("rows must be strictly ascending")
+    _as_run(idx, n)  # raises IndexError for a row out of range
+    return idx
 
 
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -342,17 +345,24 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = N
 
 
 def train_prob_svm(kernel: SplitKernel, y, rows=None) -> tuple[SvmModel, PlattCalibration]:
-    """Train an SVM on rows ``rows`` of the split (None: all) and calibrate its posteriors.
+    """Train an SVM on rows ``rows`` of the split (None: all; strictly ascending) and
+    calibrate its posteriors.
 
     Calibration targets come from 3-fold cross-validated decision values when
     the sample is large enough (at least 30 examples and 3 per class); smaller
     samples use raw training decision values, which avoids fitting a sigmoid
-    on three points. Every fit and decision value reads ``kernel.K``.
+    on three points. Every fit runs over the whole split with weight 0 outside
+    its rows, so the model's ``fitted`` scores every row of the split and each
+    fold's fit scores its held-out rows, with no kernel product.
     """
-    idx = np.arange(kernel.n) if rows is None else np.asarray(rows, dtype=np.intp)
+    idx = _ascending_rows(rows, kernel.n)
     y = check_labels(y, "labels")
-    weights = np.ones(idx.size)
-    model = train_weighted_svm(kernel, y, weights, rows=rows)
+    if y.shape != idx.shape:
+        raise ValueError("rows and y must have matching lengths")
+    labels, weights = np.ones(kernel.n, dtype=int), np.zeros(kernel.n)
+    labels[idx] = y  # a zero-weight row's label moves its decision value by last bits only
+    weights[idx] = 1.0
+    model = train_weighted_svm(kernel, labels, weights)
 
     n = y.size
     min_class = min(int((y > 0).sum()), int((y < 0).sum()))
@@ -362,9 +372,9 @@ def train_prob_svm(kernel: SplitKernel, y, rows=None) -> tuple[SvmModel, PlattCa
         fold = _stratified_folds(y, _CV_FOLDS)
         for k in range(_CV_FOLDS):
             hold = fold == k
-            sub = train_weighted_svm(kernel, y[~hold], weights[~hold], rows=idx[~hold])
-            dv[hold] = decision_values(sub, kernel, idx[hold])
+            fold_weights = weights.copy()
+            fold_weights[idx[hold]] = 0.0
+            dv[hold] = train_weighted_svm(kernel, labels, fold_weights).fitted[idx[hold]]
     else:
-        dv = decision_values(model, kernel, rows)
-    calib = fit_platt(dv, y)
-    return model, calib
+        dv = model.fitted[idx]
+    return model, fit_platt(dv, y)

@@ -400,7 +400,7 @@ def boundary_cv_reference(kernel, s, grid, seed):
     the scores being mean held-out accuracy, -inf where every fold degenerated.
     Calls the pipeline steps through ``pgpu.core``, so patches of them apply."""
     from pgpu import core
-    from pgpu.svm import _stratified_folds, decision_values
+    from pgpu.svm import _stratified_folds
 
     grid = list(grid)
     s = np.asarray(s, dtype=int)
@@ -421,7 +421,7 @@ def boundary_cv_reference(kernel, s, grid, seed):
                                                            fit_rows, matching)
             except ValueError:
                 continue
-            pred = np.where(decision_values(clf, kernel, hold_rows) >= 0.0, 1, -1)
+            pred = np.where(clf.fitted[hold_rows] >= 0.0, 1, -1)
             sums[ci] += float(np.mean(pred == s[hold_rows]))
             counts[ci] += 1
     scores = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)

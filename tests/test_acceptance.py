@@ -175,7 +175,7 @@ def test_criterion_6_svm_and_calibration_suite():
         C = float(rng.choice([0.5, 1.0, 10.0]))
         kernel = KernelSpec("rbf", 0.7) if trial % 2 else KernelSpec("linear")
         K = gram_matrix(kernel, X, X)
-        alpha, bias, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
+        alpha, bias, _, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
         worst_kkt = max(worst_kkt, float(svm_kkt_residuals(K, y, alpha, C * weights, bias).max()))
     kkt_ok = worst_kkt <= 1e-3 + 1e-12
 
@@ -188,15 +188,16 @@ def test_criterion_6_svm_and_calibration_suite():
     for pts, labels, c_box in ((X, y, w), (np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
                                            np.ones(8))):
         K = gram_matrix(default_kernel(2), pts, pts)
-        alpha, bias, _ = smo_solve(K, labels.astype(float), c_box, tol=1e-10)
+        alpha, bias, _, _ = smo_solve(K, labels.astype(float), c_box, tol=1e-10)
         values.append(gram_matrix(default_kernel(2), grid, pts) @ (alpha * labels) + bias)
     dup_gap = float(np.abs(values[0] - values[1]).max())
     dup_ok = dup_gap <= 1e-6
     # the library gives example i the box C * weights[i]: the same SMO solution, bit for bit
     w_box = np.array([1.0, 1.0, 3.0, 1.0, 0.25, 1.0])
     model = train_weighted_svm(SplitKernel(default_kernel(2), X), y, w_box, C=2.0)
-    alpha, bias, _ = smo_solve(gram_matrix(default_kernel(2), X, X), y.astype(float), 2.0 * w_box)
-    box_ok = (np.array_equal(model.support_idx, np.flatnonzero(alpha > 0.0))
+    alpha, bias, _, _ = smo_solve(gram_matrix(default_kernel(2), X, X), y.astype(float),
+                                  2.0 * w_box)
+    box_ok = (np.array_equal(model.support_vectors, X[alpha > 0.0])
               and np.array_equal(model.dual_coefs, (alpha * y)[alpha > 0.0]) and model.bias == bias)
 
     f = np.concatenate([rng.uniform(0.5, 2.0, 30), rng.uniform(-2.0, -0.5, 30)])

@@ -18,7 +18,7 @@ from pgpu.core import (
     relabel,
 )
 from pgpu.kmm import KmmConfig, solve_kmm
-from pgpu.svm import predict_proba_batch, train_prob_svm
+from pgpu.svm import decision_values, predict_proba_batch, train_prob_svm
 
 
 def test_observed_gap_is_the_calibrated_svm_gap_of_its_rows():
@@ -26,7 +26,11 @@ def test_observed_gap_is_the_calibrated_svm_gap_of_its_rows():
     rows = np.flatnonzero(np.arange(s.size) % 4 != 0)
     model, calib = train_prob_svm(kernel, s[rows], rows=rows)
     got = observed_gap(kernel, s[rows], rows)
-    assert np.array_equal(got, 2.0 * predict_proba_batch(model, calib, kernel, rows) - 1.0)
+    assert np.array_equal(got, 2.0 * calib.posterior(model.fitted[rows]) - 1.0)
+    # the fit's own decision values, read from SMO's gradient, are the features-based ones
+    assert np.abs(model.fitted - decision_values(model, kernel.X)).max() <= 1e-12
+    by_features = 2.0 * predict_proba_batch(model, calib, kernel.X[rows]) - 1.0
+    assert np.abs(got - by_features).max() <= 1e-12
     assert got.shape == rows.shape and np.all(np.abs(got) < 1.0)
     # far-apart blobs: each labelled positive gets a positive gap, each other row a negative one
     kernel, s = _cv_dataset(0.2)
@@ -318,6 +322,33 @@ def test_boundary_cv_needs_enough_of_each_class():
         estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, seed=0)
 
 
+@pytest.mark.parametrize("bad", [1.5, -1.2, 0])
+def test_observed_labels_are_checked_before_they_are_cast(bad):
+    # cast to int, 1.5 would read as a labelled positive and -1.2 as an unlabelled row
+    labels = np.array([bad, 1, 1, 1, -1, -1])
+    gaps = np.array([-0.5, -0.4, -0.3, -0.2, 0.2, -0.8])
+    with pytest.raises(ValueError, match=r"observed labels must be \+1 or -1"):
+        relabel(gaps, labels, -0.3)
+    with pytest.raises(ValueError, match=r"observed labels must be \+1 or -1"):
+        estimate_boundary_min(gaps, labels)
+    kernel, s = _cv_dataset(0.8)
+    s = s.astype(float)
+    s[7] = bad
+    with pytest.raises(ValueError, match=r"observed labels must be \+1 or -1"):
+        estimate_boundary_cv(kernel, s, seed=1)
+
+
+@pytest.mark.parametrize("rows", [[0, 3, 3, 9], [9, 3, 0]])
+def test_sample_rows_must_be_strictly_ascending(rows):
+    # a whole-split fit has one example per row: a repeated row cannot be a second example
+    kernel, s = _cv_dataset(0.8)
+    labels = s[rows]
+    with pytest.raises(ValueError, match="rows must be strictly ascending"):
+        observed_gap(kernel, labels, rows)
+    with pytest.raises(ValueError, match="rows must be strictly ascending"):
+        fit_relabelled_classifier(kernel, labels, np.array([0.5, -0.9, 0.5, -0.9]), -0.5, rows)
+
+
 def test_flip_rate_spec_validation_and_parse():
     with pytest.raises(ValueError):
         FlipRateSpec("inverse", 0.1)  # missing beta
@@ -419,7 +450,7 @@ def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follow
         shared, _, shared_beta = fit_relabelled_classifier(
             kernel, s[rows], gaps, boundary, rows=rows,
             matching=_matching_kernel(kernel, s[rows], gaps, rows))
-        assert np.array_equal(built.support_idx, shared.support_idx)
+        assert np.array_equal(built.support_vectors, shared.support_vectors)
         assert np.array_equal(built.dual_coefs, shared.dual_coefs) and built.bias == shared.bias
         assert np.array_equal(beta.beta, shared_beta.beta)
         # KMM on a matching kernel laid out as [positives, negatives, discarded], each in

@@ -294,3 +294,29 @@ def test_config_from_dict_unknown_field_messages(raw, message):
     with pytest.raises(ValueError) as info:
         config_from_dict(raw)
     assert str(info.value) == message
+
+
+def test_pipelines_read_decision_values_from_smo_and_copy_no_kernel_block(monkeypatch):
+    # every decision value on a training split comes from SMO's gradient, so the only
+    # block read is KMM's leading source block, a view; only elkan's duplicated rows gather
+    clean = gen_triangles(60, 60, seed=12)
+    train, test = split(clean, 0.75, seed=13)
+    block, empty = pgpu.SplitKernel.block, pgpu.svm._empty
+    views, gathers = [], []
+
+    def viewed(self, rows=None, cols=None):
+        out = block(self, rows, cols)
+        views.append(np.shares_memory(out, self.K))
+        return out
+
+    def counted(rows, cols):
+        gathers.append(rows)
+        return empty(rows, cols)
+
+    monkeypatch.setattr(pgpu.SplitKernel, "block", viewed)
+    monkeypatch.setattr(pgpu.svm, "_empty", counted)
+    pgpu.estimate_clean_gap(clean)
+    run_pgpu(train.without_latent(), test)
+    assert views and all(views) and not gathers
+    run_elkan(train.without_latent(), test, seed=1)
+    assert all(views) and len(gathers) == 1

@@ -27,10 +27,14 @@ def _assert_same_solve(K, y, c_box, tol, max_iter=None):
         with pytest.raises(RuntimeError, match=f"max_iter={max_iter}"):
             smo_solve(K, y, c_box, tol=tol, max_iter=max_iter)
         return
-    alpha, bias, iters = smo_solve(K, y, c_box, tol=tol, max_iter=max_iter)
+    alpha, bias, iters, fitted = smo_solve(K, y, c_box, tol=tol, max_iter=max_iter)
     assert np.array_equal(alpha, ref_alpha)
     assert bias == ref_bias
     assert iters == ref_iters
+    # the decision values read from the kept gradient, against the product they stand for
+    exact = K @ (alpha * y) + bias
+    scale = (1.0 + iters) * (1.0 + alpha.sum() * np.abs(K).max())
+    assert np.abs(fitted - exact).max() <= 1e-12 * scale
 
 
 @given(
@@ -87,15 +91,16 @@ def test_smo_on_rows_matches_the_copied_block(n, size, layout, kind, gamma, C, e
     c_box = np.full(idx.size, C) if equal_boxes else C * rng.uniform(0.1, 3.0, size=idx.size)
     block = K[np.ix_(idx, idx)]
     try:
-        ref_alpha, ref_bias, ref_iters = smo_solve(block, y, c_box, max_iter=2000)
+        ref_alpha, ref_bias, ref_iters, ref_fitted = smo_solve(block, y, c_box, max_iter=2000)
     except RuntimeError:
         with pytest.raises(RuntimeError, match="max_iter=2000"):
             smo_solve(K, y, c_box, max_iter=2000, rows=idx)
         return
-    alpha, bias, iters = smo_solve(K, y, c_box, max_iter=2000, rows=idx)
+    alpha, bias, iters, fitted = smo_solve(K, y, c_box, max_iter=2000, rows=idx)
     assert np.array_equal(alpha, ref_alpha)
     assert bias == ref_bias
     assert iters == ref_iters
+    assert np.array_equal(fitted, ref_fitted)
 
 
 def test_smo_rejects_rows_outside_the_matrix():
@@ -126,7 +131,7 @@ def test_smo_raises_at_its_iteration_cap():
     K = gram_matrix(KernelSpec("rbf", 0.5), X, X)
     with pytest.raises(RuntimeError, match="max_iter=1"):
         smo_solve(K, y, np.ones(20), max_iter=1)
-    _, _, iters = smo_solve(K, y, np.ones(20))
+    _, _, iters, _ = smo_solve(K, y, np.ones(20))
     assert iters > 1
     # a problem solved within the cap does not raise
     assert smo_solve(K, y, np.ones(20), max_iter=iters)[2] == iters
@@ -146,7 +151,7 @@ def test_smo_dual_objective_matches_scipy(n, seed):
     c_box = rng.uniform(0.1, 2.0) * rng.uniform(0.2, 3.0, size=n)  # random C and weights
     K = gram_matrix(KernelSpec("rbf", 0.5), X, X)
 
-    alpha, _, _ = smo_solve(K, y, c_box, tol=1e-6)
+    alpha, _, _, _ = smo_solve(K, y, c_box, tol=1e-6)
     assert np.all((alpha >= 0.0) & (alpha <= c_box))
     assert abs(alpha @ y) <= 1e-9
     _, ref_obj = svm_dual_scipy(K, y, c_box)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import svm_kkt_residuals
 from pgpu import KernelSpec, SplitKernel, default_kernel, gen_triangles
@@ -41,8 +43,8 @@ def test_integer_weight_equals_duplication():
     values = []  # at C = 1, the box of each example is its weight
     for pts, labels, c_box in ((X, y, w), (np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
                                            np.ones(8))):
-        alpha, bias, _ = smo_solve(gram_matrix(spec, pts, pts), labels.astype(float), c_box,
-                                   tol=1e-10)
+        alpha, bias, _, _ = smo_solve(gram_matrix(spec, pts, pts), labels.astype(float), c_box,
+                                      tol=1e-10)
         values.append(gram_matrix(spec, grid, pts) @ (alpha * labels) + bias)
     assert np.abs(values[0] - values[1]).max() <= 1e-6
 
@@ -72,7 +74,7 @@ def test_kkt_residuals_within_tolerance():
         C = float(rng.choice([0.5, 1.0, 10.0]))
         kernel = KernelSpec("rbf", 0.7) if trial % 2 else KernelSpec("linear")
         K = gram_matrix(kernel, X, X)
-        alpha, bias, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
+        alpha, bias, _, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
         resid = svm_kkt_residuals(K, y, alpha, C * weights, bias)
         assert resid.max() <= 1e-3 + 1e-12
 
@@ -231,18 +233,49 @@ def test_train_prob_svm_runs_on_small_and_large_samples():
     assert ((y == 1) == (p > 0.5)).mean() > 0.9
 
 
-def test_split_decision_values_match_features():
+def test_fitted_matches_features_at_fit_and_held_out_rows():
     rng = np.random.default_rng(8)
     X = rng.normal(size=(50, 2))
     y = np.where(X[:, 0] + 0.5 * rng.normal(size=50) > 0, 1, -1)
     kernel = _split(X)
-    rows = np.arange(0, 50, 2)
-    model = train_weighted_svm(kernel, y[rows], np.ones(rows.size), C=1.0, rows=rows)
-    held = np.arange(1, 50, 2)
-    assert np.abs(decision_values(model, kernel, held) - decision_values(model, X[held])).max() <= 1e-12
-    assert np.abs(decision_values(model, kernel) - decision_values(model, X)).max() <= 1e-12
-    with pytest.raises(ValueError, match="not trained on this split kernel"):
-        decision_values(model, _split(X + 1.0), held)
+    weights = np.where(np.arange(50) % 2 == 0, 1.0, 0.0)  # odd rows held out as zero caps
+    model = train_weighted_svm(kernel, y, weights, C=1.0)
+    assert model.fitted.shape == (50,)
+    assert np.abs(model.fitted - decision_values(model, X)).max() <= 1e-12
+    # with rows, one decision value per entry of rows, repeats included
+    rows = np.array([7, 3, 3, 40, 12, 41, 18, 25])
+    labels = np.array([1, 1, -1, 1, -1, -1, 1, -1])
+    model = train_weighted_svm(kernel, labels, np.array([1.0, 0.5, 0.5, 0, 1, 1, 0, 2]), rows=rows)
+    assert np.abs(model.fitted - decision_values(model, X[rows])).max() <= 1e-12
+
+
+@given(n=st.integers(2, 30), size=st.integers(2, 40), gather=st.booleans(),
+       C=st.sampled_from([1e-3, 0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_zero_caps_solve_bit_identically_to_dropped_examples(n, size, gather, C, seed):
+    # zeros interleaved among the examples, which are the whole matrix in order (a view)
+    # or scattered, repeated rows of it (gathered row by row)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 2))
+    K = gram_matrix(KernelSpec("rbf", 1.0), X, X)
+    rows = rng.integers(0, n, size=size) if gather else None
+    m = size if gather else n
+    y = rng.choice([-1.0, 1.0], size=m)
+    c_box = C * rng.uniform(0.1, 3.0, size=m) * (rng.random(m) < 0.7)
+    keep = c_box > 0.0
+    if not keep.any():
+        return
+    kept_rows = np.flatnonzero(keep) if rows is None else rows[keep]
+    try:
+        ref = smo_solve(K, y[keep], c_box[keep], max_iter=2000, rows=kept_rows)
+    except RuntimeError:
+        with pytest.raises(RuntimeError, match="max_iter=2000"):
+            smo_solve(K, y, c_box, max_iter=2000, rows=rows)
+        return
+    alpha, bias, iters, fitted = smo_solve(K, y, c_box, max_iter=2000, rows=rows)
+    assert np.array_equal(alpha[keep], ref[0]) and not alpha[~keep].any()
+    assert bias == ref[1] and iters == ref[2]
+    assert np.array_equal(fitted[keep], ref[3])
 
 
 def test_repeated_rows_equal_duplicated_features():
@@ -266,7 +299,7 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     rows = np.concatenate([rng.permutation(60)[:40], [3, 3, 17]])
     y = np.where(X[rows, 0] + 0.5 * rng.normal(size=rows.size) > 0, 1, -1)
     weights = rng.uniform(0.2, 2.0, size=rows.size)
-    weights[5] = 0.0  # dropped before training
+    weights[5] = 0.0  # a zero cap: the fit solves as if it were dropped
 
     # the positively weighted examples with their kernel block as a matrix of its own
     keep = rows[weights > 0]
@@ -281,5 +314,13 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     model = train_weighted_svm(kernel, y, weights, C=1.0, rows=rows)
     assert np.array_equal(model.dual_coefs, expected.dual_coefs)
     assert model.bias == expected.bias
-    assert np.array_equal(model.support_idx, keep[expected.support_idx])
     assert np.array_equal(model.support_vectors, expected.support_vectors)
+
+
+@pytest.mark.parametrize("rows", [[0, 2, 2, 5], [5, 2, 0], [[0, 1], [2, 3]]])
+def test_prob_svm_rows_must_be_strictly_ascending(rows):
+    kernel = _split(np.random.default_rng(4).normal(size=(8, 2)))
+    with pytest.raises(ValueError, match="rows must be strictly ascending"):
+        train_prob_svm(kernel, np.resize([1, -1], np.size(rows)), rows=rows)
+    with pytest.raises(IndexError, match="out of range"):
+        train_prob_svm(kernel, [1, -1, 1], rows=[-1, 2, 5])
