@@ -30,7 +30,7 @@ from .harness import (
     run_svm_naive,
     write_results,
 )
-from .kernels import KernelSpec, SplitKernel, default_kernel
+from .kernels import SplitKernel
 
 __all__ = [
     # data
@@ -40,9 +40,9 @@ __all__ = [
     "run_pgpu", "run_elkan", "run_svm_naive", "ExperimentConfig", "config_from_dict",
     "run_suite", "ResultRecord", "write_results",
     # configuration
-    "FlipRateSpec", "KernelSpec",
+    "FlipRateSpec",
     # lower level: the split's kernel matrix and its observed gaps
-    "SplitKernel", "default_kernel", "observed_gap",
+    "SplitKernel", "observed_gap",
 ]
 
 __version__ = "0.1.0"

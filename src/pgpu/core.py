@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import KernelSpec, SplitKernel, check_labels
+from .kernels import SplitKernel, check_labels
 from .kmm import BetaWeights, solve_kmm
 from .svm import SvmModel, _ascending_rows, _stratified_folds, train_prob_svm, train_weighted_svm
 
@@ -169,8 +169,8 @@ def _matching_order(s, gaps) -> np.ndarray:
 def _matching_kernel(kernel: SplitKernel, s, gaps, rows) -> tuple[SplitKernel, np.ndarray]:
     """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``_matching_order``, and that order."""
     order = _matching_order(s, gaps)
-    spec = KernelSpec("rbf", KMM_GAMMA_SCALE / kernel.X.shape[1])
-    return SplitKernel(spec, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
+    gamma = KMM_GAMMA_SCALE / kernel.X.shape[1]
+    return SplitKernel(gamma, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
 
 
 def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, rows=None,

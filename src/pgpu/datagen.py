@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FlipRateSpec
-from .kernels import SplitKernel, check_finite, check_labels, default_kernel
+from .kernels import SplitKernel, check_finite, check_labels
 from .svm import train_weighted_svm
 
 
@@ -28,6 +28,8 @@ class PUDataset:
     def __post_init__(self) -> None:
         self.X = np.atleast_2d(np.asarray(self.X, dtype=float))
         n = self.X.shape[0]
+        if self.X.ndim != 2 or self.X.shape[1] == 0:  # the classifier kernel's gamma is 1/dim
+            raise ValueError("X must be a matrix with at least one feature column")
         check_finite(self.X)
         self.s = check_labels(self.s, "observed labels")
         if self.s.shape != (n,):
@@ -105,7 +107,7 @@ def flip_labels(clean: PUDataset, gap, spec: FlipRateSpec, seed: int = 0) -> PUD
         raise ValueError("flip_labels requires a clean dataset with s == y")
     if gap.shape != (clean.n,):
         raise ValueError("gap must have one value per instance")
-    if np.any(gap < -1.0) or np.any(gap > 1.0):
+    if not np.all((gap >= -1.0) & (gap <= 1.0)):  # NaN included: its rate would flip nothing
         raise ValueError("gap values must lie in [-1, 1]")
     rho = spec.rate(gap)
     rng = np.random.default_rng(seed)
@@ -146,7 +148,7 @@ def estimate_clean_gap(clean: PUDataset) -> np.ndarray:
     """
     if clean.y is None:
         raise ValueError("latent labels are required to estimate the clean gap")
-    kernel = SplitKernel(default_kernel(clean.dim), clean.X)
+    kernel = SplitKernel(1.0 / clean.dim, clean.X)
     return train_weighted_svm(kernel, clean.y, np.ones(clean.n)).fitted
 
 

@@ -33,7 +33,7 @@ from .datagen import (
     rank_normalized_gap,
     split,
 )
-from .kernels import SplitKernel, default_kernel
+from .kernels import SplitKernel
 from .svm import SvmModel, decision_values, train_prob_svm, train_weighted_svm
 
 METHOD_NAMES = ("pgpu", "pgpu_cv", "svm_naive", "elkan", "clean")
@@ -123,7 +123,7 @@ def run_pgpu(train: PUDataset, test: PUDataset, boundary_mode: str = "min_nprime
     and decision value on the split slices it."""
     if boundary_mode not in ("min_nprime", "cv"):
         raise ValueError(f"unknown boundary_mode {boundary_mode!r}")
-    kernel = SplitKernel(default_kernel(train.dim), train.X)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
     gaps = observed_gap(kernel, train.s)
     if boundary_mode == "cv":
         boundary = estimate_boundary_cv(kernel, train.s, seed=cv_seed)
@@ -135,7 +135,7 @@ def run_pgpu(train: PUDataset, test: PUDataset, boundary_mode: str = "min_nprime
 
 def run_svm_naive(train: PUDataset, test: PUDataset) -> float:
     """Baseline: unweighted SVM that treats the observed PU labels as truth."""
-    kernel = SplitKernel(default_kernel(train.dim), train.X)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
     model = train_weighted_svm(kernel, train.s, np.ones(train.n))
     return evaluate(model, test)
 
@@ -155,7 +155,7 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     weighted positive and a weighted negative copy. Both fits read one kernel
     of the training split; the copies are repeated rows of it."""
     # the kernel comes first, before any array of this run (see gram_matrix)
-    kernel = SplitKernel(default_kernel(train.dim), train.X)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
     n_fit = int(round(0.8 * n))

@@ -1,4 +1,4 @@
-"""Kernel functions, dense Gram matrices, and the one kernel matrix each training split shares."""
+"""The rbf kernel: dense Gram matrices, and the one kernel matrix each training split shares."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import mmap
 import os
 import threading
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-_VALID_KINDS = ("linear", "rbf")
 # Rows and columns per block of a Gram matrix. Block shapes are part of the
 # determinism guarantee: OpenBLAS rounds a product's last columns by the shape
 # of its operands, so another block size moves last bits (128 does at 1500 rows).
@@ -20,27 +18,6 @@ _BLOCK = 256
 _PANEL = 16  # columns of the lower half written at a time when mirroring a block
 _MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
 _SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel family and rbf bandwidth; ``gamma`` is ignored for linear kernels."""
-
-    kind: str = "rbf"
-    gamma: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown kernel kind: {self.kind!r}")
-        if self.kind == "rbf" and not 0 < self.gamma < math.inf:
-            raise ValueError(f"rbf kernel requires a finite gamma > 0, got {self.gamma!r}")
-
-
-def default_kernel(dim: int) -> KernelSpec:
-    """rbf kernel with gamma = 1/dim, the usual SVM-library default."""
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    return KernelSpec(kind="rbf", gamma=1.0 / dim)
 
 
 def check_finite(X: np.ndarray) -> None:
@@ -109,8 +86,8 @@ def _in_two(parts, work) -> None:
         raise errors[0]
 
 
-def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
-    """Pairwise kernel matrix with entry (i, j) = k(X[i], Z[j]).
+def gram_matrix(gamma: float, X, Z) -> np.ndarray:
+    """Pairwise rbf kernel matrix with entry (i, j) = exp(-gamma ||X[i] - Z[j]||^2).
 
     Each block is computed in one contiguous scratch tile, allocated once per
     call, and then stored, so no temporary is larger than one block. Passing
@@ -120,6 +97,8 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
     thread, each with its own tiles, when the process may use two CPUs; every
     block goes through the same operations, so the bytes do not change.
     """
+    if not 0 < gamma < math.inf:  # an infinite gamma makes the diagonal 0 * -inf = NaN
+        raise ValueError(f"rbf kernel requires a finite gamma > 0, got {gamma!r}")
     same = X is Z
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = X if same else np.atleast_2d(np.asarray(Z, dtype=float))
@@ -145,16 +124,15 @@ def gram_matrix(spec: KernelSpec, X, Z) -> np.ndarray:
             rows, cols = min(_BLOCK, n - i), min(_BLOCK, m - j)
             blk, nrm, mask = (b[:rows * cols].reshape(rows, cols) for b in (tile, norms, below))
             np.matmul(X[i:i + _BLOCK], Z[j:j + _BLOCK].T, out=blk)
-            if spec.kind == "rbf":
-                np.add(sx[i:i + _BLOCK, None], sz[None, j:j + _BLOCK], out=nrm)
-                blk *= -2.0
-                blk += nrm  # squared distances ||x||^2 + ||z||^2 - 2 x.z
-                # values below the cancellation-error bound of the expansion are noise
-                nrm *= 1e-13
-                np.less_equal(blk, nrm, out=mask)
-                np.copyto(blk, 0.0, where=mask)
-                blk *= -spec.gamma
-                np.exp(blk, out=blk)
+            np.add(sx[i:i + _BLOCK, None], sz[None, j:j + _BLOCK], out=nrm)
+            blk *= -2.0
+            blk += nrm  # squared distances ||x||^2 + ||z||^2 - 2 x.z
+            # values below the cancellation-error bound of the expansion are noise
+            nrm *= 1e-13
+            np.less_equal(blk, nrm, out=mask)
+            np.copyto(blk, 0.0, where=mask)
+            blk *= -gamma
+            np.exp(blk, out=blk)
             out[i:i + rows, j:j + cols] = blk
             if not same:
                 continue
@@ -184,19 +162,20 @@ def _as_run(idx, n: int):
 
 
 class SplitKernel:
-    """The rows of one sample (a training split) and their kernel matrix, computed once.
+    """The rows of one sample (a training split) and their rbf kernel matrix at
+    bandwidth ``gamma``, computed once.
 
     Every fit, fold and decision value on the sample reads ``K`` (SMO the
-    kernel rows it uses, KMM a block by index sets) instead of recomputing
+    kernel rows it uses, KMM its source block) instead of recomputing
     kernels from features. ``K`` is exactly symmetric, so every
     block on the diagonal is too.
     """
 
-    def __init__(self, spec: KernelSpec, X) -> None:
-        self.spec = spec
+    def __init__(self, gamma: float, X) -> None:
+        self.gamma = gamma
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         check_finite(self.X)
-        self.K = gram_matrix(spec, self.X, self.X)
+        self.K = gram_matrix(gamma, self.X, self.X)
 
     @property
     def n(self) -> int:
@@ -206,22 +185,3 @@ class SplitKernel:
     def row_sums(self) -> np.ndarray:
         """``K.sum(axis=1)``, summed on first use and kept for every later caller."""
         return self.K.sum(axis=1)
-
-    def block(self, rows=None, cols=None) -> np.ndarray:
-        """K[rows][:, cols] for index sets (None: all). Consecutive ascending
-        indices give a view, anything else a copy; indices may repeat."""
-        r, c = _as_run(rows, self.n), _as_run(cols, self.n)
-        if isinstance(r, slice) and isinstance(c, slice):
-            return self.K[r, c]
-        # Copies are laid out as numpy lays out the same indexing, since matrix products
-        # sum in an order set by the layout; a large one is a mapping (see _empty). _as_run
-        # checked the indices, and with mode="clip" take fills out without a temporary.
-        if isinstance(r, slice):  # column-major: rows c of K are its columns, K being symmetric
-            return self.block(cols, rows).T
-        if isinstance(c, slice):
-            n_c = len(range(self.n)[c])
-            return np.take(self.K[:, c], r, axis=0, out=_empty(r.size, n_c), mode="clip")
-        out = _empty(r.size, c.size)
-        for row, i in zip(out, r.tolist()):
-            self.K[i].take(c, out=row, mode="clip")
-        return out

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SplitKernel, _in_two, _shares_work
+from .kernels import SplitKernel, _as_run, _in_two, _shares_work
 
 _ROWS = 256  # rows per step of the Gershgorin bound, bounding its temporary
 
@@ -168,8 +168,9 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     ``target`` and ``source`` index the rows of ``kernel`` (target None: all
     rows; repeats allowed). Every kernel value is a block of ``kernel.K``: the
     source block, the row sums kappa over the target, and their total (with
-    target None, the kernel's cached ``row_sums``). A leading run ``arange(ns)``
-    as the source, as every pipeline fit passes, makes its block a view, not a copy.
+    target None, the kernel's cached ``row_sums``). A source of consecutive
+    ascending rows, such as the leading run ``arange(ns)`` every pipeline fit
+    passes, reads its block as a view of ``K``; any other index set reads a copy.
     The returned trace (objective per iteration, offset so it equals the true
     squared mean discrepancy) is monotonically non-increasing. Each step costs
     one product with the source block and a fixed set of vector passes into
@@ -188,13 +189,16 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
         raise ValueError("target and source must be nonempty")
     eps = config.epsilon if config.epsilon is not None else default_epsilon(ns)
 
-    k_ss = kernel.block(source, source)
+    run = _as_run(source, kernel.n)  # raises IndexError for an index out of range, not wrapping it
+    k_ss = kernel.K[run, run] if isinstance(run, slice) else kernel.K[np.ix_(source, source)]
     if target is None:
         row_sums = kernel.row_sums
         kappa = row_sums[source]
     else:
-        kappa = kernel.block(source, target).sum(axis=1)
-        row_sums = kernel.block(target, target).sum(axis=1)
+        target = np.asarray(target, dtype=np.intp)
+        _as_run(target, kernel.n)
+        kappa = kernel.K[np.ix_(source, target)].sum(axis=1)
+        row_sums = kernel.K[np.ix_(target, target)].sum(axis=1)
     const = row_sums.sum() / (n * n)
     beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
                                      config.max_iters, config.tol)

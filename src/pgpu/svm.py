@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (KernelSpec, SplitKernel, _as_run, _empty, check_finite, check_labels,
-                      gram_matrix)
+from .kernels import SplitKernel, _as_run, _empty, check_finite, check_labels, gram_matrix
 
 _TAU = 1e-12
 _P_EPS = 1e-12
@@ -27,12 +26,13 @@ _CV_FOLDS = 3
 
 @dataclass
 class SvmModel:
-    """Dual-form classifier: f(x) = sum_i dual_coefs[i] * k(sv_i, x) + bias."""
+    """Dual-form classifier: f(x) = sum_i dual_coefs[i] * k(sv_i, x) + bias, k the rbf
+    kernel at bandwidth ``gamma``."""
 
     support_vectors: np.ndarray  # (m, d)
     dual_coefs: np.ndarray       # (m,), alpha_i * y_i, all nonzero
     bias: float
-    kernel: KernelSpec
+    gamma: float
     fitted: np.ndarray | None = None  # decision value at each training example; None if hand-built
 
 
@@ -45,10 +45,14 @@ class PlattCalibration:
 
     def posterior(self, decision_vals) -> np.ndarray:
         """P(y=+1|x) at each decision value, clipped into the open interval (0, 1)."""
-        z = self.A * np.asarray(decision_vals, dtype=float) + self.B
-        ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+        p = _logistic(self.A * np.asarray(decision_vals, dtype=float) + self.B)
         return np.clip(p, _P_EPS, 1.0 - _P_EPS)
+
+
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(z)), P(y=+1) at sigmoid argument z, computed without overflow."""
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
 
 
 def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=None):
@@ -243,7 +247,7 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
         support_vectors=kernel.X[idx[sv]],
         dual_coefs=(alpha * y)[sv],
         bias=bias,
-        kernel=kernel.spec,
+        gamma=kernel.gamma,
         fitted=fitted,
     )
 
@@ -259,7 +263,7 @@ def decision_values(model: SvmModel, X) -> np.ndarray:
     check_finite(X)  # a NaN decision value would read as a -1 prediction
     if model.support_vectors.shape[0] == 0:
         return np.full(X.shape[0], model.bias)
-    return gram_matrix(model.kernel, X, model.support_vectors) @ model.dual_coefs + model.bias
+    return gram_matrix(model.gamma, X, model.support_vectors) @ model.dual_coefs + model.bias
 
 
 def fit_platt(decision_vals, y) -> PlattCalibration:
@@ -289,9 +293,7 @@ def fit_platt(decision_vals, y) -> PlattCalibration:
     b_par = math.log((n_neg + 1.0) / (n_pos + 1.0))
     fval = objective(a_par, b_par)
     for _ in range(_PLATT_MAX_ITER):
-        z = a_par * f + b_par
-        ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0.0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+        p = _logistic(a_par * f + b_par)
         d1 = t - p
         g1 = float(np.dot(f, d1))
         g2 = float(d1.sum())

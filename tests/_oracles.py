@@ -23,7 +23,7 @@ def gram_direct(gamma, A, B):
     return out
 
 
-def gram_reference(spec, X, Z):
+def gram_reference(gamma, X, Z):
     """The Gram matrix built block by block in place in the output, as
     kernels.gram_matrix did before it used a scratch tile. The library must
     return byte-equal matrices: the same 256-row blocks, the same operand
@@ -39,15 +39,14 @@ def gram_reference(spec, X, Z):
         for j in range(i if same else 0, Z.shape[0], block):
             blk = out[i:i + block, j:j + block]
             np.matmul(X[i:i + block], Z[j:j + block].T, out=blk)
-            if spec.kind == "rbf":
-                norms = sx[i:i + block, None] + sz[None, j:j + block]
-                blk *= -2.0
-                blk += norms  # squared distances ||x||^2 + ||z||^2 - 2 x.z
-                # values below the cancellation-error bound of the expansion are noise
-                norms *= 1e-13
-                blk[blk <= norms] = 0.0
-                blk *= -spec.gamma
-                np.exp(blk, out=blk)
+            norms = sx[i:i + block, None] + sz[None, j:j + block]
+            blk *= -2.0
+            blk += norms  # squared distances ||x||^2 + ||z||^2 - 2 x.z
+            # values below the cancellation-error bound of the expansion are noise
+            norms *= 1e-13
+            blk[blk <= norms] = 0.0
+            blk *= -gamma
+            np.exp(blk, out=blk)
             if not same:
                 continue
             if j > i:

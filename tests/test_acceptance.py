@@ -13,10 +13,8 @@ import pgpu
 from pgpu import (
     ExperimentConfig,
     FlipRateSpec,
-    KernelSpec,
     PUDataset,
     SplitKernel,
-    default_kernel,
     observed_gap,
     run_suite,
     write_results,
@@ -34,9 +32,9 @@ from pgpu.svm import (
 MASTER_SEED = 2
 
 
-def _kmm(spec, target, source, config):
+def _kmm(gamma, target, source, config):
     """solve_kmm on separate target and source samples: one kernel over both, stacked."""
-    pool = SplitKernel(spec, np.vstack([target, source]))
+    pool = SplitKernel(gamma, np.vstack([target, source]))
     return solve_kmm(pool, np.arange(len(target)), np.arange(len(target), pool.n), config)
 
 
@@ -108,7 +106,7 @@ def test_criterion_4_relabelling_consistency():
     clean = pgpu.gen_overlap_square(2000, seed=11)
     drive = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, drive, FlipRateSpec("linear", 0.6), seed=12)
-    kernel = SplitKernel(default_kernel(pu.dim), pu.X)
+    kernel = SplitKernel(1.0 / pu.dim, pu.X)
     gaps = observed_gap(kernel, pu.s)
     boundary = estimate_boundary_min(gaps, pu.s)
     result = relabel(gaps, pu.s, boundary)
@@ -126,7 +124,7 @@ def test_criterion_4_relabelling_consistency():
 def test_criterion_5_kmm_against_oracles():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    ident = _kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
+    ident = _kmm(0.5, pts, pts, KmmConfig())
     identity_ok = ident.trace[-1] <= 1e-6 and np.abs(ident.beta - 1.0).mean() <= 0.05
 
     oracle_ok = True
@@ -136,7 +134,7 @@ def test_criterion_5_kmm_against_oracles():
         target = gen.uniform(-1, 1, size=(5, 2))
         source = gen.uniform(-1, 1, size=(4, 2))
         config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-        got = _kmm(KernelSpec("rbf", 1.0), target, source, config)
+        got = _kmm(1.0, target, source, config)
         oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
         worst_gap = max(worst_gap, abs(got.trace[-1] - oracle))
         oracle_ok = oracle_ok and abs(got.trace[-1] - oracle) <= 1e-4
@@ -149,7 +147,7 @@ def test_criterion_5_kmm_against_oracles():
         d = int(gen.integers(1, 4))
         cap = float(gen.choice([1.0, 2.0, 5.0, 1000.0]))
         eps = float(gen.uniform(0.05, 0.9))
-        out = _kmm(KernelSpec("rbf", 1.0 / d), gen.normal(size=(n_t, d)),
+        out = _kmm(1.0 / d, gen.normal(size=(n_t, d)),
                    gen.normal(size=(n_s, d)), KmmConfig(upper_bound_B=cap, epsilon=eps))
         feasibility_ok = feasibility_ok and bool(
             np.all(out.beta >= -1e-12)
@@ -173,8 +171,7 @@ def test_criterion_6_svm_and_calibration_suite():
             y[0] = -y[0]
         weights = rng.uniform(0.2, 2.0, size=n)
         C = float(rng.choice([0.5, 1.0, 10.0]))
-        kernel = KernelSpec("rbf", 0.7) if trial % 2 else KernelSpec("linear")
-        K = gram_matrix(kernel, X, X)
+        K = gram_matrix(0.7, X, X) if trial % 2 else X @ X.T  # rbf and linear Gram blocks
         alpha, bias, _, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
         worst_kkt = max(worst_kkt, float(svm_kkt_residuals(K, y, alpha, C * weights, bias).max()))
     kkt_ok = worst_kkt <= 1e-3 + 1e-12
@@ -187,15 +184,15 @@ def test_criterion_6_svm_and_calibration_suite():
     values = []  # SMO at C = 1 with weight 3 on one example, then with that example thrice
     for pts, labels, c_box in ((X, y, w), (np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
                                            np.ones(8))):
-        K = gram_matrix(default_kernel(2), pts, pts)
+        K = gram_matrix(0.5, pts, pts)
         alpha, bias, _, _ = smo_solve(K, labels.astype(float), c_box, tol=1e-10)
-        values.append(gram_matrix(default_kernel(2), grid, pts) @ (alpha * labels) + bias)
+        values.append(gram_matrix(0.5, grid, pts) @ (alpha * labels) + bias)
     dup_gap = float(np.abs(values[0] - values[1]).max())
     dup_ok = dup_gap <= 1e-6
     # the library gives example i the box C * weights[i]: the same SMO solution, bit for bit
     w_box = np.array([1.0, 1.0, 3.0, 1.0, 0.25, 1.0])
-    model = train_weighted_svm(SplitKernel(default_kernel(2), X), y, w_box, C=2.0)
-    alpha, bias, _, _ = smo_solve(gram_matrix(default_kernel(2), X, X), y.astype(float),
+    model = train_weighted_svm(SplitKernel(0.5, X), y, w_box, C=2.0)
+    alpha, bias, _, _ = smo_solve(gram_matrix(0.5, X, X), y.astype(float),
                                   2.0 * w_box)
     box_ok = (np.array_equal(model.support_vectors, X[alpha > 0.0])
               and np.array_equal(model.dual_coefs, (alpha * y)[alpha > 0.0]) and model.bias == bias)
@@ -207,7 +204,7 @@ def test_criterion_6_svm_and_calibration_suite():
     p = 1.0 / (1.0 + np.exp(calib.A * probe + calib.B))
     monotone_ok = calib.A < 0 and bool(np.all(np.diff(p) > 0))
 
-    model = train_weighted_svm(SplitKernel(default_kernel(2), X), y, np.ones(6), C=1.0)
+    model = train_weighted_svm(SplitKernel(0.5, X), y, np.ones(6), C=1.0)
     p_pos = predict_proba_batch(model, calib, rng.uniform(-2, 2, size=(50, 2)))
     sums_ok = bool(np.all(p_pos + (1.0 - p_pos) == 1.0))
 

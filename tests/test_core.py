@@ -206,7 +206,7 @@ def test_single_class_relabelling_is_surfaced():
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
     with pytest.raises(ValueError, match="relabelling produced one class"):
         X = np.random.default_rng(0).normal(size=(4, 2))
-        fit_relabelled_classifier(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, gaps, -0.5)
+        fit_relabelled_classifier(pgpu.SplitKernel(0.5, X), s, gaps, -0.5)
 
 
 def test_boundary_grid_matches_protocol():
@@ -222,7 +222,7 @@ def _cv_dataset(spread, seed=3):
     neg = rng.normal(loc=(-2.0, -2.0), scale=spread, size=(60, 2))
     X = np.vstack([pos, neg])
     s = np.concatenate([np.ones(40, dtype=int), -np.ones(60, dtype=int)])
-    return pgpu.SplitKernel(pgpu.default_kernel(2), X), s
+    return pgpu.SplitKernel(0.5, X), s
 
 
 def test_boundary_cv_single_candidate():
@@ -265,7 +265,7 @@ def _pu_triangles(n, seed):
     clean = pgpu.gen_triangles(n // 2, n - n // 2, seed=seed)
     gap = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
     pu = pgpu.flip_labels(clean, gap, FlipRateSpec("inverse", 0.1, 0.5), seed=seed + 1)
-    return pgpu.SplitKernel(pgpu.default_kernel(2), pu.X), pu.s
+    return pgpu.SplitKernel(0.5, pu.X), pu.s
 
 
 # descending, then a repeat of one candidate and a candidate out of order
@@ -319,7 +319,7 @@ def test_boundary_cv_needs_enough_of_each_class():
     X = np.random.default_rng(0).normal(size=(12, 2))
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])
     with pytest.raises(ValueError, match="5-fold"):
-        estimate_boundary_cv(pgpu.SplitKernel(pgpu.default_kernel(2), X), s, seed=0)
+        estimate_boundary_cv(pgpu.SplitKernel(0.5, X), s, seed=0)
 
 
 @pytest.mark.parametrize("bad", [1.5, -1.2, 0])
@@ -398,28 +398,31 @@ def test_matching_kernel_is_rbf_with_gamma_20_over_dim():
     gaps = np.array([0.5, 0.4, 0.2, -0.3, -0.8, -0.6])
     for dim, gamma in ((2, 10.0), (5, 4.0)):
         X = np.random.default_rng(dim).normal(size=(6, dim))
-        matching, order = _matching_kernel(pgpu.SplitKernel(pgpu.default_kernel(dim), X), s,
-                                           gaps, np.arange(6))
-        assert matching.spec == pgpu.KernelSpec("rbf", gamma)
+        matching, order = _matching_kernel(pgpu.SplitKernel(1.0 / dim, X), s, gaps, np.arange(6))
+        assert matching.gamma == gamma
         assert np.array_equal(order, [0, 1, 2, 4, 5, 3])
         assert np.array_equal(matching.X, X[order])
 
 
 def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monkeypatch):
     kernel, s = _pu_triangles(200, seed=200)
-    leading_views = []
-    real = pgpu.core.solve_kmm
+    leading_views, matching = [], []
+    solve, descent = pgpu.core.solve_kmm, pgpu.kmm._projected_descent
 
-    def checked(kmm_kernel, target, source, *args):
-        block = kmm_kernel.block(source, source)
-        leading_views.append(np.array_equal(source, np.arange(len(source)))
-                             and np.shares_memory(block, kmm_kernel.K))
-        return real(kmm_kernel, target, source, *args)
+    def solved(kmm_kernel, *args):
+        matching.append(kmm_kernel.K)
+        return solve(kmm_kernel, *args)
 
-    monkeypatch.setattr(pgpu.core, "solve_kmm", checked)
+    def checked(k_ss, *args):  # the source block starts at the matching kernel's first entry
+        leading_views.append(np.shares_memory(k_ss, matching[-1])
+                             and k_ss.ctypes.data == matching[-1].ctypes.data)
+        return descent(k_ss, *args)
+
+    monkeypatch.setattr(pgpu.core, "solve_kmm", solved)
+    monkeypatch.setattr(pgpu.kmm, "_projected_descent", checked)
     boundary = estimate_boundary_cv(kernel, s, seed=2)
     fit_relabelled_classifier(kernel, s, observed_gap(kernel, s), boundary)
-    assert len(leading_views) > 5 * 2 and all(leading_views)
+    assert len(leading_views) == len(matching) > 5 * 2 and all(leading_views)
 
 
 def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(monkeypatch):
@@ -456,7 +459,7 @@ def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follow
         # KMM on a matching kernel laid out as [positives, negatives, discarded], each in
         # sample order, weighs the same points alike, up to rounding
         laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
-        pool = pgpu.SplitKernel(pgpu.KernelSpec("rbf", 10.0), kernel.X[rows[laid_out]])
+        pool = pgpu.SplitKernel(10.0, kernel.X[rows[laid_out]])
         direct = solve_kmm(pool, None, np.arange(beta.beta.size), KmmConfig())
         assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
         assert np.allclose(direct.beta, beta.beta, rtol=0.0, atol=1e-9)

@@ -6,7 +6,6 @@ from pgpu import (
     FlipRateSpec,
     PUDataset,
     SplitKernel,
-    default_kernel,
     estimate_clean_gap,
     flip_labels,
     gen_overlap_square,
@@ -109,6 +108,16 @@ def test_flip_requires_clean_dataset():
         flip_labels(clean, np.full(50, 2.0), FlipRateSpec("constant", 0.5), seed=9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_flip_rejects_non_finite_gaps(bad):
+    # a NaN gap has a NaN rate, which no uniform draw falls below: its row would never flip
+    clean, gap = _clean_with_gap(n=50)
+    gap = gap.copy()
+    gap[clean.y == 1] = bad
+    with pytest.raises(ValueError, match=r"gap values must lie in \[-1, 1\]"):
+        flip_labels(clean, gap, FlipRateSpec("linear", 1.0), seed=9)
+
+
 def test_rank_normalized_gap_spreads_each_class_uniformly():
     rng = np.random.default_rng(10)
     gap = np.concatenate([rng.uniform(0.8, 1.0, 50), rng.uniform(-1.0, -0.8, 70)])
@@ -158,7 +167,7 @@ def test_float_labels_of_plus_or_minus_one_are_accepted():
 def test_estimate_clean_gap_on_triangles():
     clean = gen_triangles(300, 300, seed=11)
     score = estimate_clean_gap(clean)
-    kernel = SplitKernel(default_kernel(clean.dim), clean.X)
+    kernel = SplitKernel(1.0 / clean.dim, clean.X)
     model = train_weighted_svm(kernel, clean.y, np.ones(clean.n))
     assert np.array_equal(score, model.fitted)
     assert np.abs(score - decision_values(model, clean.X)).max() <= 1e-12
@@ -173,7 +182,7 @@ def test_clean_scores_untie_and_keep_the_calibrated_order(make):
     # at n=2000 the calibrated gaps saturate into hundreds of within-class ties
     clean = make()
     score = estimate_clean_gap(clean)
-    gap = observed_gap(SplitKernel(default_kernel(clean.dim), clean.X), clean.y)
+    gap = observed_gap(SplitKernel(1.0 / clean.dim, clean.X), clean.y)
     gap_ties = 0
     for cls in (1, -1):
         order = np.argsort(score[clean.y == cls])
@@ -284,6 +293,13 @@ def test_dataset_invariants_enforced():
     assert sub.n == 1 and sub.y[0] == 1 and sub.s[0] == -1 and sub.X[0, 0] == 3.0
     blind = data.without_latent()
     assert blind.y is None and np.array_equal(blind.s, data.s)
+
+
+def test_features_need_a_column():
+    # the classifier kernel's bandwidth is 1/dim
+    for X in (np.empty((4, 0)), np.zeros((4, 2, 1))):
+        with pytest.raises(ValueError, match="X must be a matrix with at least one feature column"):
+            PUDataset(X, np.array([1, -1, -1, 1]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

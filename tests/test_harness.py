@@ -11,7 +11,6 @@ import pgpu
 from pgpu import (
     ExperimentConfig,
     FlipRateSpec,
-    KernelSpec,
     PUDataset,
     config_from_dict,
     gen_triangles,
@@ -27,7 +26,7 @@ from pgpu.svm import SvmModel
 
 
 def _constant_model(bias):
-    return SvmModel(np.empty((0, 2)), np.empty(0), bias, KernelSpec("linear"))
+    return SvmModel(np.empty((0, 2)), np.empty(0), bias, 0.5)
 
 
 def test_evaluate_counts_matching_signs():
@@ -298,25 +297,32 @@ def test_config_from_dict_unknown_field_messages(raw, message):
 
 def test_pipelines_read_decision_values_from_smo_and_copy_no_kernel_block(monkeypatch):
     # every decision value on a training split comes from SMO's gradient, so the only
-    # block read is KMM's leading source block, a view; only elkan's duplicated rows gather
+    # kernel block read is KMM's source block, a view of the matching kernel; only
+    # elkan's duplicated rows gather
     clean = gen_triangles(60, 60, seed=12)
     train, test = split(clean, 0.75, seed=13)
-    block, empty = pgpu.SplitKernel.block, pgpu.svm._empty
-    views, gathers = [], []
+    solve, descent, empty = pgpu.core.solve_kmm, pgpu.kmm._projected_descent, pgpu.svm._empty
+    matching, views, gathers = [], [], []
 
-    def viewed(self, rows=None, cols=None):
-        out = block(self, rows, cols)
-        views.append(np.shares_memory(out, self.K))
-        return out
+    def solved(kmm_kernel, *args):
+        matching.append(kmm_kernel.K)
+        return solve(kmm_kernel, *args)
+
+    def viewed(k_ss, *args):
+        views.append(np.shares_memory(k_ss, matching[-1]))
+        return descent(k_ss, *args)
 
     def counted(rows, cols):
         gathers.append(rows)
         return empty(rows, cols)
 
-    monkeypatch.setattr(pgpu.SplitKernel, "block", viewed)
+    monkeypatch.setattr(pgpu.core, "solve_kmm", solved)
+    monkeypatch.setattr(pgpu.kmm, "_projected_descent", viewed)
     monkeypatch.setattr(pgpu.svm, "_empty", counted)
     pgpu.estimate_clean_gap(clean)
     run_pgpu(train.without_latent(), test)
-    assert views and all(views) and not gathers
+    assert len(views) == 1 and all(views) and not gathers
+    run_pgpu(train.without_latent(), test, boundary_mode="cv")
+    assert len(views) == len(matching) > 5 and all(views) and not gathers
     run_elkan(train.without_latent(), test, seed=1)
-    assert all(views) and len(gathers) == 1
+    assert len(views) == len(matching) and all(views) and len(gathers) == 1

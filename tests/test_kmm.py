@@ -18,16 +18,17 @@ from _oracles import (
     kmm_qp_scipy,
 )
 import pgpu
-from pgpu import KernelSpec, SplitKernel, gen_triangles, kernels
+from pgpu import SplitKernel, gen_triangles, kernels
 from pgpu import kmm as kmm_module
+from pgpu.kernels import gram_matrix
 from pgpu.kmm import KmmConfig, _clip_to_sum, _sorted_distinct, default_epsilon, solve_kmm
 
 
-def kmm(spec, target, source, config):
+def kmm(gamma, target, source, config):
     """solve_kmm on separate target and source samples: one kernel over both, stacked."""
     target = np.atleast_2d(target)
     n_t = target.shape[0]
-    pool = SplitKernel(spec, np.vstack([target, source]))
+    pool = SplitKernel(gamma, np.vstack([target, source]))
     return solve_kmm(pool, np.arange(n_t), np.arange(n_t, pool.n), config)
 
 
@@ -52,7 +53,7 @@ def test_default_epsilon_formula():
 def test_identical_source_and_target_keeps_unit_weights():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    result = kmm(KernelSpec("rbf", 0.5), pts, pts, KmmConfig())
+    result = kmm(0.5, pts, pts, KmmConfig())
     assert result.trace[-1] <= 1e-6
     assert np.abs(result.beta - 1.0).mean() <= 0.05
 
@@ -61,7 +62,7 @@ def test_reported_objective_matches_direct_recomputation():
     rng = np.random.default_rng(2)
     target = rng.normal(size=(9, 2))
     source = rng.normal(size=(5, 2))
-    result = kmm(KernelSpec("rbf", 0.7), target, source, KmmConfig())
+    result = kmm(0.7, target, source, KmmConfig())
     direct = kmm_objective_direct(0.7, target, source, result.beta)
     assert result.trace[-1] == pytest.approx(direct, abs=1e-10)
 
@@ -71,7 +72,7 @@ def test_four_point_instance_matches_brute_force_oracle():
     target = rng.uniform(-1, 1, size=(5, 2))
     source = rng.uniform(-1, 1, size=(4, 2))
     config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-    result = kmm(KernelSpec("rbf", 1.0), target, source, config)
+    result = kmm(1.0, target, source, config)
     oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
     assert abs(result.trace[-1] - oracle) <= 1e-4
 
@@ -87,10 +88,26 @@ def test_feasibility_on_random_instances():
         config = KmmConfig(upper_bound_B=cap, epsilon=eps)
         target = rng.normal(size=(n_t, d))
         source = rng.normal(size=(n_s, d))
-        result = kmm(KernelSpec("rbf", 1.0 / d), target, source, config)
+        result = kmm(1.0 / d, target, source, config)
         assert np.all(result.beta >= -1e-12)
         assert np.all(result.beta <= cap + 1e-12)
         assert abs(result.beta.mean() - 1.0) <= eps + 1e-9
+
+
+def _descent_args(K, source, config):
+    """The arguments solve_kmm passes _projected_descent for a kernel matrix K (a raw
+    matrix, such as a linear Gram block, or a SplitKernel's K) with every row as the target."""
+    run = kernels._as_run(source, K.shape[0])
+    k_ss = K[run, run] if isinstance(run, slice) else K[np.ix_(source, source)]
+    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
+    return (k_ss, K.sum(axis=1)[source], K.shape[0], config.upper_bound_B, eps,
+            config.max_iters, config.tol)
+
+
+def _solve_raw(K, source, config):
+    """solve_kmm's weights and trace on a raw kernel matrix K, every row the target."""
+    beta, trace = kmm_module._projected_descent(*_descent_args(K, source, config))
+    return beta, trace + K.sum(axis=1).sum() / K.shape[0] ** 2
 
 
 def _indefinite(rng, ns, low, high):
@@ -125,10 +142,13 @@ def test_objective_trace_never_increases(seed, kind, ns, cap, eps):
             X = X[rng.permutation(X.shape[0])]
         else:
             X = rng.normal(size=(2 * ns, 2))
-        spec = KernelSpec("rbf" if kind == "rbf" else "linear", float(rng.choice([0.5, 2.0, 10.0])))
+        gamma = float(rng.choice([0.5, 2.0, 10.0]))
         source = np.sort(rng.choice(X.shape[0], ns, replace=False))
-        result = solve_kmm(SplitKernel(spec, X), None, source, config)
-        beta, trace = result.beta, result.trace
+        if kind == "rbf":
+            result = solve_kmm(SplitKernel(gamma, X), None, source, config)
+            beta, trace = result.beta, result.trace
+        else:  # a linear Gram block, passed to the descent as a raw matrix
+            beta, trace = _solve_raw(X @ X.T, source, config)
     _assert_descends_feasibly(beta, trace, cap, eps)
 
 
@@ -145,19 +165,17 @@ def test_descent_on_an_indefinite_block_falls_strictly_and_stays_feasible(cap):
 def test_overflowing_kernel_raises_non_finite():
     X = np.array([[1e160, 2e160], [3e160, 1e160], [2e160, 2e160]])  # finite features
     with np.errstate(over="ignore", invalid="ignore"):
-        kernel = SplitKernel(KernelSpec("linear"), X)
-        assert np.isinf(kernel.K).all()
+        K = X @ X.T  # their linear Gram block
+        assert np.isinf(K).all()
         with pytest.raises(RuntimeError, match="non-finite at the starting point"):
-            solve_kmm(kernel, None, np.arange(2), KmmConfig())
+            _solve_raw(K, np.arange(2), KmmConfig())
 
 
 def test_oversampled_region_gets_downweighted():
     target = np.linspace(0.0, 1.0, 60)[:, None]
     extra = target[target[:, 0] < 0.3]
     source = np.vstack([target, extra])  # doubles the density below 0.3
-    result = kmm(
-        KernelSpec("rbf", 10.0), target, source, KmmConfig(upper_bound_B=10.0, epsilon=0.5)
-    )
+    result = kmm(10.0, target, source, KmmConfig(upper_bound_B=10.0, epsilon=0.5))
     inside = source[:, 0] < 0.3
     assert result.beta[inside].mean() < result.beta[~inside].mean()
 
@@ -166,24 +184,33 @@ def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
     rng = np.random.default_rng(6)
     target = rng.normal(size=(60, 2))
     source = target[target[:, 0] > -0.2]  # a biased subsample, so the weights must move
-    spec = KernelSpec("rbf", 1.0)
-    assert kmm(spec, target, source, KmmConfig()).trace.size > 2  # needs more than one step
+    assert kmm(1.0, target, source, KmmConfig()).trace.size > 2  # needs more than one step
 
     calls = []
     descent = kmm_module._projected_descent
     monkeypatch.setattr(kmm_module, "_projected_descent",
                         lambda *args: calls.append(args) or descent(*args))
     with pytest.raises(RuntimeError, match="max_iters=1"):
-        kmm(spec, target, source, KmmConfig(max_iters=1))
+        kmm(1.0, target, source, KmmConfig(max_iters=1))
     assert len(calls) == 1  # no second solve
 
 
 def test_input_validation():
-    pool = SplitKernel(KernelSpec("linear"), np.ones((3, 2)))
+    pool = SplitKernel(1.0, np.ones((3, 2)))
     with pytest.raises(ValueError, match="nonempty"):
         solve_kmm(pool, np.arange(0), np.arange(3), KmmConfig())
     with pytest.raises(ValueError, match="nonempty"):
         solve_kmm(pool, None, np.arange(0), KmmConfig())
+
+
+def test_solve_kmm_rejects_out_of_range_indices():
+    # numpy would wrap a negative index to a row from the end
+    pool = SplitKernel(1.0, np.random.default_rng(0).normal(size=(5, 2)))
+    for bad in ([0, 5], [-1, 2], [3, 4, 5]):  # past the end, negative, a run past the end
+        with pytest.raises(IndexError, match="out of range"):
+            solve_kmm(pool, None, bad, KmmConfig())
+        with pytest.raises(IndexError, match="out of range"):
+            solve_kmm(pool, bad, [0, 1], KmmConfig())
 
 
 @pytest.mark.parametrize("source_first", [False, True])
@@ -197,10 +224,10 @@ def test_sliced_target_kernel_on_triangles_matches_direct_objective(source_first
     config = KmmConfig()
     if source_first:  # the source block is then a view of the kernel
         rest = np.setdiff1d(np.arange(X.shape[0]), source)
-        result = solve_kmm(SplitKernel(KernelSpec("rbf", gamma), X[np.concatenate([source, rest])]),
+        result = solve_kmm(SplitKernel(gamma, X[np.concatenate([source, rest])]),
                            None, np.arange(source.size), config)
     else:
-        result = solve_kmm(SplitKernel(KernelSpec("rbf", gamma), X), None, source, config)
+        result = solve_kmm(SplitKernel(gamma, X), None, source, config)
     direct = kmm_objective_direct(gamma, X, X[source], result.beta)
     assert abs(result.trace[-1] - direct) <= 1e-8
     eps = default_epsilon(source.size)
@@ -212,38 +239,46 @@ def test_sliced_target_kernel_on_triangles_matches_direct_objective(source_first
 def _qp_problem(i):
     """Problem i of a fixed set in the pipeline's shape: the source is a biased
     subsample of a sample of 40-200 points, and the target is the whole sample.
-    The nine problems cover every box B and slack epsilon, alternating kernels."""
+    The nine problems cover every box B and slack epsilon, alternating rbf kernels, which
+    solve_kmm solves, and linear Gram blocks, whose descent runs on the raw matrix."""
     rng = np.random.default_rng(i)
-    spec = KernelSpec(("rbf", "linear")[i % 2], float(rng.choice([0.5, 2.0, 10.0])))
+    gamma = float(rng.choice([0.5, 2.0, 10.0]))
     X = rng.normal(size=(int(rng.integers(40, 201)), 2))
     source = np.flatnonzero(X[:, 0] + 0.5 * rng.normal(size=X.shape[0]) > -0.3)
     config = KmmConfig(upper_bound_B=(1.5, 5.0, 1000.0)[i % 3], epsilon=(0.05, 0.3, None)[i // 3])
-    if spec.kind == "linear":
+    if i % 2:
         K = X @ X.T
+
+        def solve(cfg):
+            return _solve_raw(K, source, cfg)
     else:
-        K = np.exp(-spec.gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        K = np.exp(-gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+
+        def solve(cfg):
+            result = solve_kmm(SplitKernel(gamma, X), None, source, cfg)
+            return result.beta, result.trace
     eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
     _, optimum = kmm_qp_scipy(K, source, config.upper_bound_B, eps)
-    return SplitKernel(spec, X), source, config, optimum
+    return solve, source, config, optimum
 
 
 @pytest.mark.parametrize("i", range(9))
 def test_kmm_is_feasible_and_approaches_the_qp_optimum(i):
     pytest.importorskip("scipy")
-    kernel, source, config, optimum = _qp_problem(i)
+    solve, source, config, optimum = _qp_problem(i)
     eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
     tight = dataclasses.replace(config, tol=1e-12, max_iters=200_000)
     for cfg in (config, tight):
         try:
-            result = solve_kmm(kernel, None, source, cfg)
+            beta, trace = solve(cfg)
         except RuntimeError as exc:
             assert cfg is tight and "max_iters=200000" in str(exc)
             continue
-        assert result.beta.min() >= 0.0 and result.beta.max() <= cfg.upper_bound_B
-        assert abs(result.beta.mean() - 1.0) <= eps + 1e-12
-        assert result.trace[-1] >= optimum - 1e-10
+        assert beta.min() >= 0.0 and beta.max() <= cfg.upper_bound_B
+        assert abs(beta.mean() - 1.0) <= eps + 1e-12
+        assert trace[-1] >= optimum - 1e-10
         if cfg is tight:  # the linear kernels' optimum is 0 up to rounding
-            assert result.trace[-1] - optimum <= 1e-3 * optimum + 1e-10
+            assert trace[-1] - optimum <= 1e-3 * optimum + 1e-10
 
 
 @pytest.mark.xfail(strict=True, reason="KMM stops once a step lowers its objective by "
@@ -256,7 +291,7 @@ def test_default_kmm_reaches_the_qp_optimum():
     source = np.sort(np.random.default_rng(0).choice(100, 80, replace=False))
     K = np.exp(-10.0 * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     _, optimum = kmm_qp_scipy(K, source, 1000.0, default_epsilon(80))
-    result = solve_kmm(SplitKernel(KernelSpec("rbf", 10.0), X), None, source, KmmConfig())
+    result = solve_kmm(SplitKernel(10.0, X), None, source, KmmConfig())
     assert result.trace[-1] - optimum <= 0.01 * optimum
 
 
@@ -274,18 +309,11 @@ def test_clip_to_sum_is_a_feasible_idempotent_projection(seed, n, cap, frac, sca
     assert np.abs(x - clip_to_sum_bisection(v, cap, target)).max() <= 1e-12 * cap
 
 
-def _descent_args(kernel, source, config):
-    """The arguments solve_kmm passes _projected_descent with every row as the target."""
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
-    return (kernel.block(source, source), kernel.row_sums[source], kernel.n,
-            config.upper_bound_B, eps, config.max_iters, config.tol)
-
-
 def _biased_problem(kind):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(120, 2))
     source = np.flatnonzero(X[:, 0] + 0.5 * rng.normal(size=120) > -0.3)
-    return SplitKernel(KernelSpec(kind, 2.0), X), source
+    return (gram_matrix(2.0, X, X) if kind == "rbf" else X @ X.T), source
 
 
 def _repeated_point_problem():
@@ -294,7 +322,7 @@ def _repeated_point_problem():
     of the largest curvature, and an exact line search lands on the full step
     up to rounding, here an ulp short of it."""
     X = np.array([[1.0, 1.0]] * 5 + [[2.0, 0.5]])
-    return SplitKernel(KernelSpec("linear"), X), np.arange(5)
+    return X @ X.T, np.arange(5)
 
 
 def _first_theta(k_ss, kappa, n_target, cap, eps, *_):
@@ -342,7 +370,7 @@ def test_descent_is_byte_identical_to_the_plain_loop(kind, config, monkeypatch):
 @pytest.mark.parametrize("ns", range(296, 304))  # every residue of ns % 8
 def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, config, monkeypatch):
     # the pipeline's shape: one kernel over the sample, its leading rows the source, as a view
-    kernel = SplitKernel(KernelSpec("rbf", 10.0), gen_triangles(200, 200, seed=ns).X)
+    kernel = SplitKernel(10.0, gen_triangles(200, 200, seed=ns).X)
     source = np.arange(ns)
     monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -350,7 +378,7 @@ def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, config, monkeypa
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
     result = solve_kmm(kernel, None, source, config)
-    ref_beta, ref_trace = kmm_descent_reference(*_descent_args(kernel, source, config))
+    ref_beta, ref_trace = kmm_descent_reference(*_descent_args(kernel.K, source, config))
     assert result.beta.tobytes() == ref_beta.tobytes()
     assert result.trace.tobytes() == (ref_trace + kernel.row_sums.sum() / kernel.n**2).tobytes()
     assert result.trace.size >= 10
@@ -407,12 +435,12 @@ def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
     code = "\n".join([
         "import sys",
         "import numpy as np",
-        "from pgpu import KernelSpec, SplitKernel, kmm",
+        "from pgpu import SplitKernel, kmm",
         "calls, clip = [], kmm._clip_to_sum",
         "kmm._clip_to_sum = lambda *a: calls.append(a) or clip(*a)",
         "X = np.random.default_rng(7).normal(size=(120, 2))",
         "before = 'numpy.ma' in sys.modules",
-        "kmm.solve_kmm(SplitKernel(KernelSpec('rbf', 2.0), X), None, np.arange(80),",
+        "kmm.solve_kmm(SplitKernel(2.0, X), None, np.arange(80),",
         "              kmm.KmmConfig(epsilon=0.0))",
         "print(len(calls), before, 'numpy.ma' in sys.modules)",
     ])

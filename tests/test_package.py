@@ -45,3 +45,34 @@ def test_readme_quickstart_runs():
     gaps, train = namespace["gaps"], namespace["train"]
     assert gaps.shape == (train.n,) and ((gaps > -1.0) & (gaps < 1.0)).all()
     assert 0.5 < namespace["accuracy"] <= 1.0
+
+
+def _references(path: Path, dotted_strings: bool) -> set[str]:
+    """Names a file loads or reads as attributes; with ``dotted_strings``, also every part of
+    a string constant such as "svm.smo_solve", as perfbench names the functions it traces."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_the_library_carries_no_helper_that_only_tests_use():
+    library = sorted((ROOT / "src" / "pgpu").glob("*.py"))
+    used = set(pgpu.__all__)
+    for path in library:
+        used |= _references(path, dotted_strings=False)
+    for path in sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        used |= _references(path, dotted_strings=True)
+    unused = []
+    for path in library:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not re.fullmatch(r"__\w+__", node.name) and node.name not in used):
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []

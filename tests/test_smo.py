@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from _oracles import smo_reference, svm_dual_scipy
 from pgpu import (
     FlipRateSpec,
-    KernelSpec,
     SplitKernel,
-    default_kernel,
     estimate_clean_gap,
     flip_labels,
     gen_triangles,
@@ -19,6 +17,11 @@ from pgpu import (
 )
 from pgpu.kernels import gram_matrix
 from pgpu.svm import smo_solve
+
+
+def _gram(kind, gamma, X):
+    """An rbf Gram matrix, or the linear one ``X @ X.T`` as a raw matrix."""
+    return gram_matrix(gamma, X, X) if kind == "rbf" else X @ X.T
 
 
 def _assert_same_solve(K, y, c_box, tol, max_iter=None):
@@ -59,7 +62,7 @@ def test_smo_matches_reference_bit_for_bit(n, dim, duplicates, kind, gamma, C, e
     X[rng.choice(n, copies.size, replace=False)] = X[copies]
     y = rng.choice([-1.0, 1.0], size=n)
     c_box = np.full(n, C) if equal_boxes else C * rng.uniform(0.1, 3.0, size=n)
-    K = gram_matrix(KernelSpec(kind, gamma), X, X)
+    K = _gram(kind, gamma, X)
     # a low cap: rank-deficient problems at tol=1e-6 can take tens of thousands of steps
     _assert_same_solve(K, y, c_box, tol, max_iter=2000)
 
@@ -79,7 +82,7 @@ def test_smo_on_rows_matches_the_copied_block(n, size, layout, kind, gamma, C, e
     # rows index the full matrix: gathered row by row, or a view when they are consecutive
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
-    K = gram_matrix(KernelSpec(kind, gamma), X, X)
+    K = _gram(kind, gamma, X)
     if layout == "repeats":
         idx = rng.integers(0, n, size=size)
     elif layout == "run":
@@ -104,7 +107,7 @@ def test_smo_on_rows_matches_the_copied_block(n, size, layout, kind, gamma, C, e
 
 
 def test_smo_rejects_rows_outside_the_matrix():
-    K = gram_matrix(KernelSpec("rbf", 1.0), np.arange(8.0)[:, None], np.arange(8.0)[:, None])
+    K = gram_matrix(1.0, np.arange(8.0)[:, None], np.arange(8.0)[:, None])
     y = np.array([1.0, -1.0, 1.0])
     for rows in ([0, 3, 8], [-1, 2, 5], [5, 6, 8]):  # scattered, negative, a run past the end
         with pytest.raises(IndexError, match="out of range"):
@@ -120,15 +123,15 @@ def test_smo_matches_reference_on_a_triangles_split():
     pu = flip_labels(clean, gap, FlipRateSpec("inverse", 0.1, 0.5), seed=5)
     train, _ = split(pu, 0.75, seed=6)
     assert train.n == 1500
-    kernel = SplitKernel(default_kernel(train.dim), train.X)
-    _assert_same_solve(kernel.block(), train.s.astype(float), np.ones(train.n), 1e-3)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
+    _assert_same_solve(kernel.K, train.s.astype(float), np.ones(train.n), 1e-3)
 
 
 def test_smo_raises_at_its_iteration_cap():
     rng = np.random.default_rng(2)
     X = rng.normal(size=(20, 2))
     y = np.where(X[:, 0] > 0, 1.0, -1.0)
-    K = gram_matrix(KernelSpec("rbf", 0.5), X, X)
+    K = gram_matrix(0.5, X, X)
     with pytest.raises(RuntimeError, match="max_iter=1"):
         smo_solve(K, y, np.ones(20), max_iter=1)
     _, _, iters, _ = smo_solve(K, y, np.ones(20))
@@ -149,7 +152,7 @@ def test_smo_dual_objective_matches_scipy(n, seed):
     X = rng.normal(size=(n, 2))
     y = np.where(X[:, 0] + 0.7 * rng.normal(size=n) > 0, 1.0, -1.0)
     c_box = rng.uniform(0.1, 2.0) * rng.uniform(0.2, 3.0, size=n)  # random C and weights
-    K = gram_matrix(KernelSpec("rbf", 0.5), X, X)
+    K = gram_matrix(0.5, X, X)
 
     alpha, _, _, _ = smo_solve(K, y, c_box, tol=1e-6)
     assert np.all((alpha >= 0.0) & (alpha <= c_box))

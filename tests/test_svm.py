@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import svm_kkt_residuals
-from pgpu import KernelSpec, SplitKernel, default_kernel, gen_triangles
+import pgpu
+from pgpu import SplitKernel, gen_triangles
 from pgpu.kernels import gram_matrix
 from pgpu.svm import (
     PlattCalibration,
@@ -21,9 +22,9 @@ SEPARABLE_X = np.array([[0.0, 0.0], [0.0, 1.0], [3.0, 0.0], [3.0, 1.0]])
 SEPARABLE_Y = np.array([-1, -1, 1, 1])
 
 
-def _split(X, spec=None):
+def _split(X):
     X = np.asarray(X, dtype=float)
-    return SplitKernel(spec if spec is not None else default_kernel(X.shape[1]), X)
+    return SplitKernel(1.0 / X.shape[1], X)
 
 
 def test_separable_points_classified_perfectly():
@@ -38,14 +39,13 @@ def test_integer_weight_equals_duplication():
     y = np.array([1, 1, 1, -1, -1, -1])
     w = np.ones(6)
     w[2] = 3.0
-    spec = default_kernel(2)
     grid = rng.uniform(-2.0, 2.0, size=(40, 2))
     values = []  # at C = 1, the box of each example is its weight
     for pts, labels, c_box in ((X, y, w), (np.vstack([X, X[2], X[2]]), np.concatenate([y, [1, 1]]),
                                            np.ones(8))):
-        alpha, bias, _, _ = smo_solve(gram_matrix(spec, pts, pts), labels.astype(float), c_box,
+        alpha, bias, _, _ = smo_solve(gram_matrix(0.5, pts, pts), labels.astype(float), c_box,
                                       tol=1e-10)
-        values.append(gram_matrix(spec, grid, pts) @ (alpha * labels) + bias)
+        values.append(gram_matrix(0.5, grid, pts) @ (alpha * labels) + bias)
     assert np.abs(values[0] - values[1]).max() <= 1e-6
 
 
@@ -72,8 +72,7 @@ def test_kkt_residuals_within_tolerance():
             y[0] = -y[0]
         weights = rng.uniform(0.2, 2.0, size=n)
         C = float(rng.choice([0.5, 1.0, 10.0]))
-        kernel = KernelSpec("rbf", 0.7) if trial % 2 else KernelSpec("linear")
-        K = gram_matrix(kernel, X, X)
+        K = gram_matrix(0.7, X, X) if trial % 2 else X @ X.T  # rbf and linear Gram blocks
         alpha, bias, _, _ = smo_solve(K, y.astype(float), C * weights, tol=1e-3)
         resid = svm_kkt_residuals(K, y, alpha, C * weights, bias)
         assert resid.max() <= 1e-3 + 1e-12
@@ -93,18 +92,20 @@ def test_box_constraint_respected():
 
 
 def test_decision_value_empty_support_returns_bias():
-    model = SvmModel(np.empty((0, 2)), np.empty(0), bias=1.25, kernel=KernelSpec("linear"))
+    model = SvmModel(np.empty((0, 2)), np.empty(0), bias=1.25, gamma=0.5)
     assert decision_values(model, [[5.0, -3.0]])[0] == 1.25
 
 
 def test_decision_value_hand_built():
-    sv = np.array([[1.0, 1.0]])  # ||sv||^2 = 2
-    model = SvmModel(sv, np.array([1.0]), bias=0.0, kernel=KernelSpec("linear"))
-    assert decision_values(model, [[1.0, 1.0]])[0] == pytest.approx(2.0)
+    sv = np.array([[1.0, 1.0]])
+    model = SvmModel(sv, np.array([2.0]), bias=0.25, gamma=0.5)
+    assert decision_values(model, [[1.0, 1.0]])[0] == 2.25
+    # 2 exp(-0.5 * ||(1,1)-(3,1)||^2) + 0.25 = 2 exp(-2) + 0.25
+    assert decision_values(model, [[3.0, 1.0]])[0] == pytest.approx(2.0 * np.exp(-2.0) + 0.25)
 
 
 def test_decision_value_dimension_mismatch():
-    model = SvmModel(np.ones((1, 2)), np.array([1.0]), 0.0, KernelSpec("linear"))
+    model = SvmModel(np.ones((1, 2)), np.array([1.0]), 0.0, 0.5)
     with pytest.raises(ValueError, match="dimension"):
         decision_values(model, [[1.0, 2.0, 3.0]])
 
@@ -117,7 +118,7 @@ def test_decision_values_reject_non_finite_features(bad):
     rows = [[0.1, 0.2], [0.3, -0.4], [bad, 0.0]]
     with pytest.raises(ValueError, match="features must be finite: data row 2, x1 is"):
         decision_values(model, rows)
-    empty = SvmModel(np.empty((0, 2)), np.empty(0), bias=0.5, kernel=KernelSpec("linear"))
+    empty = SvmModel(np.empty((0, 2)), np.empty(0), bias=0.5, gamma=0.5)
     with pytest.raises(ValueError, match="data row 2, x1"):
         decision_values(empty, rows)
 
@@ -257,7 +258,7 @@ def test_zero_caps_solve_bit_identically_to_dropped_examples(n, size, gather, C,
     # or scattered, repeated rows of it (gathered row by row)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
-    K = gram_matrix(KernelSpec("rbf", 1.0), X, X)
+    K = gram_matrix(1.0, X, X)
     rows = rng.integers(0, n, size=size) if gather else None
     m = size if gather else n
     y = rng.choice([-1.0, 1.0], size=m)
@@ -304,14 +305,14 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     # the positively weighted examples with their kernel block as a matrix of its own
     keep = rows[weights > 0]
     dense = SplitKernel.__new__(SplitKernel)
-    dense.spec, dense.X, dense.K = kernel.spec, X[keep], kernel.K[np.ix_(keep, keep)]
+    dense.gamma, dense.X, dense.K = kernel.gamma, X[keep], kernel.K[np.ix_(keep, keep)]
     expected = train_weighted_svm(dense, y[weights > 0], weights[weights > 0], C=1.0)
 
-    def no_copy(self, rows=None, cols=None):
-        raise AssertionError("SplitKernel.block called")
-
-    monkeypatch.setattr(SplitKernel, "block", no_copy)
+    solve, matrices = pgpu.svm.smo_solve, []
+    monkeypatch.setattr(pgpu.svm, "smo_solve",
+                        lambda K, *args, **kw: matrices.append(K) or solve(K, *args, **kw))
     model = train_weighted_svm(kernel, y, weights, C=1.0, rows=rows)
+    assert len(matrices) == 1 and matrices[0] is kernel.K  # SMO gathers the rows it uses
     assert np.array_equal(model.dual_coefs, expected.dual_coefs)
     assert model.bias == expected.bias
     assert np.array_equal(model.support_vectors, expected.support_vectors)
