@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import numbers
 import time
 import types
 import typing
@@ -61,6 +62,10 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self) -> None:
+        for field in ("n_splits", "dataset_n", "master_seed"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.n_splits < 1:
             raise ValueError("n_splits must be at least 1")
         if not self.methods:

@@ -15,26 +15,11 @@ import numpy as np
 from .kernels import SplitKernel, _as_run, _in_two, _shares_work
 
 _ROWS = 256  # rows per step of the Gershgorin bound, bounding its temporary
-
-
-@dataclass(frozen=True)
-class KmmConfig:
-    """Box cap B, mean-constraint slack epsilon (None: (sqrt(n')-1)/sqrt(n')), and solver limits."""
-
-    upper_bound_B: float = 1000.0
-    epsilon: float | None = None
-    max_iters: int = 5000
-    tol: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if not self.upper_bound_B >= 1.0:
-            raise ValueError("upper_bound_B must be at least 1")
-        if self.epsilon is not None and not 0.0 <= self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in [0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+# The method's fixed settings; the mean slack is epsilon = (sqrt(n')-1)/sqrt(n') for n'
+# source rows (Huang et al., NeurIPS 2006)
+_B = 1000.0  # box cap on each weight
+_MAX_ITERS = 5000  # descent steps
+_TOL = 1e-6  # relative decrease of the objective below which the descent stops
 
 
 @dataclass
@@ -43,11 +28,6 @@ class BetaWeights:
 
     beta: np.ndarray
     trace: np.ndarray  # objective value after each solver iteration; the last is the final one
-
-
-def default_epsilon(n_source: int) -> float:
-    root = math.sqrt(n_source)
-    return (root - 1.0) / root
 
 
 def _sorted_distinct(a: np.ndarray) -> np.ndarray:
@@ -106,7 +86,7 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     lo_sum = ns * (1.0 - eps)
     hi_sum = ns * (1.0 + eps)
 
-    beta = np.ones(ns)  # feasible, as KmmConfig keeps B >= 1 and 0 <= eps < 1
+    beta = np.ones(ns)  # feasible for cap >= 1 and 0 <= eps < 1
     k_beta, k_d = np.empty(ns), np.empty(ns)
     # A large source block's products run as two row ranges, the second on a helper
     # thread, into the two halves of one output. OpenBLAS sums a row by its place in a
@@ -162,7 +142,7 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
     return beta, np.asarray(trace)
 
 
-def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig()) -> BetaWeights:
+def solve_kmm(kernel: SplitKernel, target, source) -> BetaWeights:
     """Importance weights beta for the source rows relative to the target rows.
 
     ``target`` and ``source`` index the rows of ``kernel`` (target None: all
@@ -178,16 +158,19 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
     runs the closed-form projection ``_clip_to_sum``. A source block of at least
     ``kernels._SPLIT_BYTES`` computes each product as two row ranges, one on a
     helper thread, when the process may use two CPUs; with a single-threaded
-    BLAS its bits are those of the whole product. Raises
-    RuntimeError if the descent still makes progress above ``config.tol``
-    after ``config.max_iters`` steps, or if its objective is or becomes non-finite.
+    BLAS its bits are those of the whole product. The box cap, step cap and
+    tolerance are the module's ``_B``, ``_MAX_ITERS`` and ``_TOL``, and the
+    slack is epsilon = (sqrt(ns) - 1)/sqrt(ns) for ns source rows. Raises
+    RuntimeError if the descent still makes progress above ``_TOL`` after
+    ``_MAX_ITERS`` steps, or if its objective is or becomes non-finite.
     """
     source = np.asarray(source, dtype=np.intp)
     n = kernel.n if target is None else np.asarray(target).size
     ns = source.size
     if n < 1 or ns < 1:
         raise ValueError("target and source must be nonempty")
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(ns)
+    root = math.sqrt(ns)
+    eps = (root - 1.0) / root
 
     run = _as_run(source, kernel.n)  # raises IndexError for an index out of range, not wrapping it
     k_ss = kernel.K[run, run] if isinstance(run, slice) else kernel.K[np.ix_(source, source)]
@@ -200,7 +183,6 @@ def solve_kmm(kernel: SplitKernel, target, source, config: KmmConfig = KmmConfig
         kappa = kernel.K[np.ix_(source, target)].sum(axis=1)
         row_sums = kernel.K[np.ix_(target, target)].sum(axis=1)
     const = row_sums.sum() / (n * n)
-    beta, trace = _projected_descent(k_ss, kappa, n, config.upper_bound_B, eps,
-                                     config.max_iters, config.tol)
+    beta, trace = _projected_descent(k_ss, kappa, n, _B, eps, _MAX_ITERS, _TOL)
     trace = trace + const
     return BetaWeights(beta=beta, trace=trace)

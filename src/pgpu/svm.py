@@ -1,7 +1,8 @@
 """Weighted soft-margin kernel SVM trained by SMO, plus sigmoid probability calibration.
 
 The trainer solves the dual with a per-example box constraint
-0 <= alpha_i <= C * weight_i, selecting the maximal violating pair each step.
+0 <= alpha_i <= weight_i (cost C = 1, scaled per example by its weight),
+selecting the maximal violating pair each step.
 The calibrator fits a two-parameter sigmoid to (cross-validated) decision
 values so that models can emit class posteriors.
 """
@@ -60,9 +61,8 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
 
     The examples are the rows and columns ``rows`` of ``K`` (None: all of
     them; repeats allowed), with ``y`` and ``c_box`` given per entry of
-    ``rows``. Consecutive ascending rows are read through a view of ``K``;
-    otherwise each kernel row is gathered from ``K`` the first time a step
-    uses it, so no block is copied whole. Either way the solver sees the
+    ``rows``. Given ``rows``, each kernel row is gathered from ``K`` the first
+    time a step uses it, so no block is copied whole; the solver sees the
     values of the block ``K[rows][:, rows]``, and its results are those of
     that block.
 
@@ -93,16 +93,13 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
         max_iter = max(10_000, 100 * int(np.count_nonzero(c_box > 0.0)))
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be +1 or -1")
-    src = None
-    if rows is not None:
-        if np.shape(rows) != (n,):
-            raise ValueError("rows and y must have matching lengths")
-        src = _as_run(rows, K.shape[0])
-        if isinstance(src, slice):
-            K, src = K[src, src], None
-    if src is None:
+    if rows is None:
         fetch = K.__getitem__
     else:
+        if np.shape(rows) != (n,):
+            raise ValueError("rows and y must have matching lengths")
+        src = np.asarray(rows, dtype=np.intp)
+        _as_run(src, K.shape[0])  # raises IndexError for a row out of range
         gathered = _empty(n, n)  # filled in first-use order; only the pages of used rows are touched
         by_row = {}
 
@@ -214,8 +211,8 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
     return alpha, bias, iters, y - m + bias
 
 
-def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=None) -> SvmModel:
-    """Train a soft-margin SVM where example i gets box constraint C * weights[i].
+def train_weighted_svm(kernel: SplitKernel, y, weights, rows=None) -> SvmModel:
+    """Train a soft-margin SVM where example i gets box constraint weights[i].
 
     The examples are the rows ``rows`` of the split (None: all of them, in
     order; repeats allowed), with labels ``y`` and ``weights`` given per
@@ -232,8 +229,6 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
         raise ValueError("rows, y, and weights must have matching lengths")
     if not np.isfinite(weights).all() or (weights < 0).any():
         raise ValueError("weights must be finite and nonnegative")
-    if not C > 0:
-        raise ValueError("C must be positive")
     active = weights > 0
     if not active.any():
         raise ValueError("all weights are zero")
@@ -241,7 +236,7 @@ def train_weighted_svm(kernel: SplitKernel, y, weights, C: float = 1.0, rows=Non
     if (ya > 0).all() or (ya < 0).all():
         raise ValueError("degenerate training set")
 
-    alpha, bias, _, fitted = smo_solve(kernel.K, y.astype(float), C * weights, rows=rows)
+    alpha, bias, _, fitted = smo_solve(kernel.K, y.astype(float), weights, rows=rows)
     sv = alpha > 0.0
     return SvmModel(
         support_vectors=kernel.X[idx[sv]],
@@ -276,6 +271,8 @@ def fit_platt(decision_vals, y) -> PlattCalibration:
     y = check_labels(y, "labels")
     if f.shape != y.shape or f.ndim != 1:
         raise ValueError("decision values and labels must be 1-d with equal length")
+    if not np.isfinite(f).all():  # a NaN would end the fit at its constant starting sigmoid
+        raise ValueError("decision values must be finite")
     n_pos = int((y > 0).sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:

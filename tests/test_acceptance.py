@@ -6,7 +6,6 @@ suites run under pinned master seeds and fixed RNG streams.
 """
 
 import numpy as np
-import pytest
 
 from _oracles import forward_gap, kmm_brute_force_min, monotone_rate, svm_kkt_residuals
 import pgpu
@@ -21,7 +20,7 @@ from pgpu import (
 )
 from pgpu.core import estimate_boundary_min, relabel
 from pgpu.kernels import gram_matrix
-from pgpu.kmm import KmmConfig, solve_kmm
+from pgpu.kmm import BetaWeights, _projected_descent, solve_kmm
 from pgpu.svm import (
     fit_platt,
     predict_proba_batch,
@@ -32,10 +31,17 @@ from pgpu.svm import (
 MASTER_SEED = 2
 
 
-def _kmm(gamma, target, source, config):
-    """solve_kmm on separate target and source samples: one kernel over both, stacked."""
+def _kmm(gamma, target, source, settings=None):
+    """solve_kmm on separate target and source samples: one kernel over both, stacked.
+    With ``settings`` (cap, eps, max_iters, tol) in place of the method's fixed ones, its
+    descent on the same source block, row sums over the target and trace offset."""
     pool = SplitKernel(gamma, np.vstack([target, source]))
-    return solve_kmm(pool, np.arange(len(target)), np.arange(len(target), pool.n), config)
+    t, s = np.arange(len(target)), np.arange(len(target), pool.n)
+    if settings is None:
+        return solve_kmm(pool, t, s)
+    kappa = pool.K[np.ix_(s, t)].sum(axis=1)
+    beta, trace = _projected_descent(pool.K[len(t):, len(t):], kappa, len(t), *settings)
+    return BetaWeights(beta, trace + pool.K[np.ix_(t, t)].sum(axis=1).sum() / len(t) ** 2)
 
 
 def _report(num: int, description: str, ok: bool, detail: str = "") -> None:
@@ -124,7 +130,7 @@ def test_criterion_4_relabelling_consistency():
 def test_criterion_5_kmm_against_oracles():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    ident = _kmm(0.5, pts, pts, KmmConfig())
+    ident = _kmm(0.5, pts, pts)
     identity_ok = ident.trace[-1] <= 1e-6 and np.abs(ident.beta - 1.0).mean() <= 0.05
 
     oracle_ok = True
@@ -133,8 +139,7 @@ def test_criterion_5_kmm_against_oracles():
         gen = np.random.default_rng(seed)
         target = gen.uniform(-1, 1, size=(5, 2))
         source = gen.uniform(-1, 1, size=(4, 2))
-        config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-        got = _kmm(1.0, target, source, config)
+        got = _kmm(1.0, target, source, (1.0, 0.3, 20000, 1e-10))
         oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
         worst_gap = max(worst_gap, abs(got.trace[-1] - oracle))
         oracle_ok = oracle_ok and abs(got.trace[-1] - oracle) <= 1e-4
@@ -148,7 +153,7 @@ def test_criterion_5_kmm_against_oracles():
         cap = float(gen.choice([1.0, 2.0, 5.0, 1000.0]))
         eps = float(gen.uniform(0.05, 0.9))
         out = _kmm(1.0 / d, gen.normal(size=(n_t, d)),
-                   gen.normal(size=(n_s, d)), KmmConfig(upper_bound_B=cap, epsilon=eps))
+                   gen.normal(size=(n_s, d)), (cap, eps, 5000, 1e-6))
         feasibility_ok = feasibility_ok and bool(
             np.all(out.beta >= -1e-12)
             and np.all(out.beta <= cap + 1e-12)
@@ -189,9 +194,9 @@ def test_criterion_6_svm_and_calibration_suite():
         values.append(gram_matrix(0.5, grid, pts) @ (alpha * labels) + bias)
     dup_gap = float(np.abs(values[0] - values[1]).max())
     dup_ok = dup_gap <= 1e-6
-    # the library gives example i the box C * weights[i]: the same SMO solution, bit for bit
+    # the library gives example i the box weights[i]: the same SMO solution, bit for bit
     w_box = np.array([1.0, 1.0, 3.0, 1.0, 0.25, 1.0])
-    model = train_weighted_svm(SplitKernel(0.5, X), y, w_box, C=2.0)
+    model = train_weighted_svm(SplitKernel(0.5, X), y, 2.0 * w_box)
     alpha, bias, _, _ = smo_solve(gram_matrix(0.5, X, X), y.astype(float),
                                   2.0 * w_box)
     box_ok = (np.array_equal(model.support_vectors, X[alpha > 0.0])
@@ -204,7 +209,7 @@ def test_criterion_6_svm_and_calibration_suite():
     p = 1.0 / (1.0 + np.exp(calib.A * probe + calib.B))
     monotone_ok = calib.A < 0 and bool(np.all(np.diff(p) > 0))
 
-    model = train_weighted_svm(SplitKernel(0.5, X), y, np.ones(6), C=1.0)
+    model = train_weighted_svm(SplitKernel(0.5, X), y, np.ones(6))
     p_pos = predict_proba_batch(model, calib, rng.uniform(-2, 2, size=(50, 2)))
     sums_ok = bool(np.all(p_pos + (1.0 - p_pos) == 1.0))
 

@@ -17,7 +17,7 @@ from pgpu.core import (
     fit_relabelled_classifier,
     relabel,
 )
-from pgpu.kmm import KmmConfig, solve_kmm
+from pgpu.kmm import solve_kmm
 from pgpu.svm import decision_values, predict_proba_batch, train_prob_svm
 
 
@@ -460,6 +460,6 @@ def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follow
         # sample order, weighs the same points alike, up to rounding
         laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
         pool = pgpu.SplitKernel(10.0, kernel.X[rows[laid_out]])
-        direct = solve_kmm(pool, None, np.arange(beta.beta.size), KmmConfig())
+        direct = solve_kmm(pool, None, np.arange(beta.beta.size))
         assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
         assert np.allclose(direct.beta, beta.beta, rtol=0.0, atol=1e-9)

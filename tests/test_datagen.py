@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import pgpu
 from pgpu import (
     FlipRateSpec,
     PUDataset,

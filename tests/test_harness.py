@@ -180,6 +180,15 @@ def test_config_rejects_unknown_fields_and_methods():
         ExperimentConfig(methods=("nearest_neighbour",))
     with pytest.raises(ValueError, match="dataset_source"):
         ExperimentConfig(dataset_source="spiral")
+    # unchecked, a float count would stop run_suite outside every cell's error handler,
+    # a float seed would run as its integer part, and True as one split
+    for field, value in (("n_splits", 1.5), ("dataset_n", 41.5), ("master_seed", 0.5),
+                         ("n_splits", True), ("master_seed", False),
+                         ("dataset_n", np.float64(400.0))):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ExperimentConfig(**{field: value})
+    cfg = ExperimentConfig(n_splits=np.int64(2), dataset_n=np.int32(40), master_seed=np.uint8(7))
+    assert (cfg.n_splits, cfg.dataset_n, cfg.master_seed) == (2, 40, 7)
 
 
 @pytest.mark.parametrize("field, value, json_value, repeated", [

@@ -1,4 +1,4 @@
-import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -18,42 +18,114 @@ from _oracles import (
     kmm_qp_scipy,
 )
 import pgpu
-from pgpu import SplitKernel, gen_triangles, kernels
+from pgpu import FlipRateSpec, SplitKernel, gen_triangles, kernels
 from pgpu import kmm as kmm_module
 from pgpu.kernels import gram_matrix
-from pgpu.kmm import KmmConfig, _clip_to_sum, _sorted_distinct, default_epsilon, solve_kmm
+from pgpu.core import _matching_kernel, estimate_boundary_min, relabel
+from pgpu.kmm import BetaWeights, _clip_to_sum, _sorted_distinct, solve_kmm
 
 
-def kmm(gamma, target, source, config):
-    """solve_kmm on separate target and source samples: one kernel over both, stacked."""
+def _slack(ns):
+    """The method's mean slack epsilon for ns source rows (Huang et al., NeurIPS 2006)."""
+    root = math.sqrt(ns)
+    return (root - 1.0) / root
+
+
+def _descent_args(K, source, target=None, cap=1000.0, eps=None, max_iters=5000, tol=1e-6):
+    """The arguments solve_kmm passes _projected_descent for a kernel matrix K (a raw
+    matrix, such as a linear Gram block, or a SplitKernel's K; target None: every row),
+    at the given settings. The defaults are the method's fixed ones."""
+    source = np.asarray(source)
+    run = kernels._as_run(source, K.shape[0])
+    k_ss = K[run, run] if isinstance(run, slice) else K[np.ix_(source, source)]
+    if target is None:
+        kappa, n = K.sum(axis=1)[source], K.shape[0]
+    else:
+        kappa, n = K[np.ix_(source, target)].sum(axis=1), len(target)
+    return k_ss, kappa, n, cap, _slack(source.size) if eps is None else eps, max_iters, tol
+
+
+def _solve_raw(K, source, target=None, **settings):
+    """solve_kmm's weights and trace on a raw kernel matrix K, at the given settings:
+    its descent, with the trace offset it adds."""
+    beta, trace = kmm_module._projected_descent(*_descent_args(K, source, target, **settings))
+    row_sums = K.sum(axis=1) if target is None else K[np.ix_(target, target)].sum(axis=1)
+    return BetaWeights(beta, trace + row_sums.sum() / row_sums.size ** 2)
+
+
+def kmm(gamma, target, source, **settings):
+    """solve_kmm on separate target and source samples: one kernel over both, stacked.
+    Given settings other than the method's, its descent on the same problem instead."""
     target = np.atleast_2d(target)
     n_t = target.shape[0]
     pool = SplitKernel(gamma, np.vstack([target, source]))
-    return solve_kmm(pool, np.arange(n_t), np.arange(n_t, pool.n), config)
+    if settings:
+        return _solve_raw(pool.K, np.arange(n_t, pool.n), np.arange(n_t), **settings)
+    return solve_kmm(pool, np.arange(n_t), np.arange(n_t, pool.n))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        KmmConfig(upper_bound_B=0.5)
-    with pytest.raises(ValueError):
-        KmmConfig(epsilon=1.0)
-    with pytest.raises(ValueError):
-        KmmConfig(epsilon=-0.1)
-    with pytest.raises(ValueError):
-        KmmConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        KmmConfig(tol=0.0)
+def _assert_fixed_settings(kernel, ns):
+    """Assert that solve_kmm on the leading ns rows of kernel is, bit for bit, the descent
+    at the method's settings written out: B = 1000, epsilon = (sqrt(ns) - 1)/sqrt(ns),
+    5000 steps and tol = 1e-6, its trace offset by the constant term. Return the solve."""
+    result = solve_kmm(kernel, None, np.arange(ns))
+    root = math.sqrt(ns)
+    beta, trace = kmm_module._projected_descent(kernel.K[:ns, :ns], kernel.row_sums[:ns],
+                                                kernel.n, 1000.0, (root - 1.0) / root,
+                                                5000, 1e-6)
+    assert result.beta.tobytes() == beta.tobytes()
+    assert result.trace.tobytes() == (trace + kernel.row_sums.sum() / kernel.n ** 2).tobytes()
+    return result
 
 
-def test_default_epsilon_formula():
-    assert default_epsilon(4) == pytest.approx(0.5)
-    assert default_epsilon(100) == pytest.approx(0.9)
+def test_fixed_settings_on_a_pipeline_matching_kernel():
+    # pgpu's KMM solve on a triangles split, which the tolerance ends
+    clean = gen_triangles(150, 150, seed=3)
+    gap = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
+    pu = pgpu.flip_labels(clean, gap, FlipRateSpec("inverse", 0.1, 0.5), seed=4)
+    train, _ = pgpu.split(pu, 0.75, seed=5)
+    kernel = SplitKernel(1.0 / train.X.shape[1], train.X)
+    gaps = pgpu.observed_gap(kernel, train.s)
+    result = relabel(gaps, train.s, estimate_boundary_min(gaps, train.s))
+    matching, _ = _matching_kernel(kernel, train.s, gaps, np.arange(kernel.n))
+    weights = _assert_fixed_settings(matching, result.positive_idx.size + result.negative_idx.size)
+    assert 10 <= weights.trace.size - 1 < 5000
+
+
+def test_fixed_settings_where_the_sum_constraint_binds():
+    # 16 source rows in a tight cluster and 80 target-only rows far from them: the
+    # weights fall until the sum constraint holds their mean at 1 - epsilon = 1/4
+    rng = np.random.default_rng(11)
+    X = np.vstack([rng.normal(scale=0.3, size=(16, 2)), rng.normal(size=(80, 2)) + 8.0])
+    weights = _assert_fixed_settings(SplitKernel(0.5, X), 16)
+    assert weights.beta.mean() == pytest.approx(0.25, abs=1e-12)
+
+
+def test_fixed_box_cap_binds_on_a_lone_matched_row():
+    # the only target row is source row 0, and the 1100 other source rows lie far from
+    # it and from each other: row 0's weight would be about ns = 1101 without the cap
+    grid = np.stack(np.meshgrid(np.arange(1, 35), np.arange(1, 35)), axis=-1).reshape(-1, 2)
+    X = np.vstack([[[0.0, 0.0]], 10.0 * grid[:1100]])
+    result = solve_kmm(SplitKernel(1.0, X), [0], np.arange(X.shape[0]))
+    assert result.beta[0] == 1000.0 and result.beta[1:].max() < 1.0
+
+
+def test_fixed_step_cap_ends_a_slow_descent():
+    # a tight cloud of 250 source rows and one target row off its edge: the weights
+    # creep toward the target along a direction of small curvature
+    X = np.vstack([[[0.0, 0.6]], np.random.default_rng(0).normal(scale=0.05, size=(250, 2))])
+    kernel, source = SplitKernel(0.5, X), np.arange(1, 251)
+    with pytest.raises(RuntimeError, match="max_iters=5000 "):
+        solve_kmm(kernel, [0], source)
+    _, trace = kmm_module._projected_descent(*_descent_args(kernel.K, source, [0],
+                                                            max_iters=50_000))
+    assert 5000 < trace.size - 1 < 50_000  # the tolerance would end it later
 
 
 def test_identical_source_and_target_keeps_unit_weights():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(8, 2))
-    result = kmm(0.5, pts, pts, KmmConfig())
+    result = kmm(0.5, pts, pts)
     assert result.trace[-1] <= 1e-6
     assert np.abs(result.beta - 1.0).mean() <= 0.05
 
@@ -62,7 +134,7 @@ def test_reported_objective_matches_direct_recomputation():
     rng = np.random.default_rng(2)
     target = rng.normal(size=(9, 2))
     source = rng.normal(size=(5, 2))
-    result = kmm(0.7, target, source, KmmConfig())
+    result = kmm(0.7, target, source)
     direct = kmm_objective_direct(0.7, target, source, result.beta)
     assert result.trace[-1] == pytest.approx(direct, abs=1e-10)
 
@@ -71,8 +143,7 @@ def test_four_point_instance_matches_brute_force_oracle():
     rng = np.random.default_rng(3)
     target = rng.uniform(-1, 1, size=(5, 2))
     source = rng.uniform(-1, 1, size=(4, 2))
-    config = KmmConfig(upper_bound_B=1.0, epsilon=0.3, tol=1e-10, max_iters=20000)
-    result = kmm(1.0, target, source, config)
+    result = kmm(1.0, target, source, cap=1.0, eps=0.3, tol=1e-10, max_iters=20000)
     oracle = kmm_brute_force_min(1.0, target, source, cap=1.0, eps=0.3)
     assert abs(result.trace[-1] - oracle) <= 1e-4
 
@@ -85,29 +156,12 @@ def test_feasibility_on_random_instances():
         d = int(rng.integers(1, 4))
         cap = float(rng.choice([1.0, 1.5, 3.0, 10.0]))
         eps = float(rng.uniform(0.05, 0.9))
-        config = KmmConfig(upper_bound_B=cap, epsilon=eps)
         target = rng.normal(size=(n_t, d))
         source = rng.normal(size=(n_s, d))
-        result = kmm(1.0 / d, target, source, config)
+        result = kmm(1.0 / d, target, source, cap=cap, eps=eps)
         assert np.all(result.beta >= -1e-12)
         assert np.all(result.beta <= cap + 1e-12)
         assert abs(result.beta.mean() - 1.0) <= eps + 1e-9
-
-
-def _descent_args(K, source, config):
-    """The arguments solve_kmm passes _projected_descent for a kernel matrix K (a raw
-    matrix, such as a linear Gram block, or a SplitKernel's K) with every row as the target."""
-    run = kernels._as_run(source, K.shape[0])
-    k_ss = K[run, run] if isinstance(run, slice) else K[np.ix_(source, source)]
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
-    return (k_ss, K.sum(axis=1)[source], K.shape[0], config.upper_bound_B, eps,
-            config.max_iters, config.tol)
-
-
-def _solve_raw(K, source, config):
-    """solve_kmm's weights and trace on a raw kernel matrix K, every row the target."""
-    beta, trace = kmm_module._projected_descent(*_descent_args(K, source, config))
-    return beta, trace + K.sum(axis=1).sum() / K.shape[0] ** 2
 
 
 def _indefinite(rng, ns, low, high):
@@ -131,11 +185,10 @@ def test_objective_trace_never_increases(seed, kind, ns, cap, eps):
     # the descent lemma: a projected step of size 1/L, L at least the largest
     # Hessian eigenvalue, never raises the objective, whatever the curvature
     rng = np.random.default_rng(seed)
-    config = KmmConfig(upper_bound_B=cap, epsilon=eps, max_iters=100_000)
     if kind == "indefinite":  # no kernel has such a Gram block; passed to the descent directly
         beta, trace = kmm_module._projected_descent(
             _indefinite(rng, ns, -1.0, 1.0), rng.uniform(0.0, 2.0, size=ns) * ns, 2 * ns,
-            cap, eps, config.max_iters, config.tol)
+            cap, eps, 100_000, 1e-6)
     else:
         if kind == "rank-deficient":  # a linear block of rank at most 2, rows repeated
             X = np.repeat(rng.normal(size=(int(rng.integers(1, 4)), 3)), 2 * ns, axis=0)
@@ -144,11 +197,10 @@ def test_objective_trace_never_increases(seed, kind, ns, cap, eps):
             X = rng.normal(size=(2 * ns, 2))
         gamma = float(rng.choice([0.5, 2.0, 10.0]))
         source = np.sort(rng.choice(X.shape[0], ns, replace=False))
-        if kind == "rbf":
-            result = solve_kmm(SplitKernel(gamma, X), None, source, config)
-            beta, trace = result.beta, result.trace
-        else:  # a linear Gram block, passed to the descent as a raw matrix
-            beta, trace = _solve_raw(X @ X.T, source, config)
+        # an rbf kernel matrix, or a linear Gram block as a raw matrix
+        K = SplitKernel(gamma, X).K if kind == "rbf" else X @ X.T
+        result = _solve_raw(K, source, cap=cap, eps=eps, max_iters=100_000)
+        beta, trace = result.beta, result.trace
     _assert_descends_feasibly(beta, trace, cap, eps)
 
 
@@ -168,14 +220,14 @@ def test_overflowing_kernel_raises_non_finite():
         K = X @ X.T  # their linear Gram block
         assert np.isinf(K).all()
         with pytest.raises(RuntimeError, match="non-finite at the starting point"):
-            _solve_raw(K, np.arange(2), KmmConfig())
+            _solve_raw(K, np.arange(2))
 
 
 def test_oversampled_region_gets_downweighted():
     target = np.linspace(0.0, 1.0, 60)[:, None]
     extra = target[target[:, 0] < 0.3]
     source = np.vstack([target, extra])  # doubles the density below 0.3
-    result = kmm(10.0, target, source, KmmConfig(upper_bound_B=10.0, epsilon=0.5))
+    result = kmm(10.0, target, source, cap=10.0, eps=0.5)
     inside = source[:, 0] < 0.3
     assert result.beta[inside].mean() < result.beta[~inside].mean()
 
@@ -184,23 +236,24 @@ def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
     rng = np.random.default_rng(6)
     target = rng.normal(size=(60, 2))
     source = target[target[:, 0] > -0.2]  # a biased subsample, so the weights must move
-    assert kmm(1.0, target, source, KmmConfig()).trace.size > 2  # needs more than one step
+    assert kmm(1.0, target, source).trace.size > 2  # needs more than one step
 
     calls = []
     descent = kmm_module._projected_descent
     monkeypatch.setattr(kmm_module, "_projected_descent",
                         lambda *args: calls.append(args) or descent(*args))
-    with pytest.raises(RuntimeError, match="max_iters=1"):
-        kmm(1.0, target, source, KmmConfig(max_iters=1))
+    monkeypatch.setattr(kmm_module, "_MAX_ITERS", 1)
+    with pytest.raises(RuntimeError, match="max_iters=1 "):
+        kmm(1.0, target, source)
     assert len(calls) == 1  # no second solve
 
 
 def test_input_validation():
     pool = SplitKernel(1.0, np.ones((3, 2)))
     with pytest.raises(ValueError, match="nonempty"):
-        solve_kmm(pool, np.arange(0), np.arange(3), KmmConfig())
+        solve_kmm(pool, np.arange(0), np.arange(3))
     with pytest.raises(ValueError, match="nonempty"):
-        solve_kmm(pool, None, np.arange(0), KmmConfig())
+        solve_kmm(pool, None, np.arange(0))
 
 
 def test_solve_kmm_rejects_out_of_range_indices():
@@ -208,9 +261,9 @@ def test_solve_kmm_rejects_out_of_range_indices():
     pool = SplitKernel(1.0, np.random.default_rng(0).normal(size=(5, 2)))
     for bad in ([0, 5], [-1, 2], [3, 4, 5]):  # past the end, negative, a run past the end
         with pytest.raises(IndexError, match="out of range"):
-            solve_kmm(pool, None, bad, KmmConfig())
+            solve_kmm(pool, None, bad)
         with pytest.raises(IndexError, match="out of range"):
-            solve_kmm(pool, bad, [0, 1], KmmConfig())
+            solve_kmm(pool, bad, [0, 1])
 
 
 @pytest.mark.parametrize("source_first", [False, True])
@@ -221,63 +274,56 @@ def test_sliced_target_kernel_on_triangles_matches_direct_objective(source_first
     rng = np.random.default_rng(5)
     source = np.sort(rng.choice(X.shape[0], 150, replace=False))
     gamma = 10.0
-    config = KmmConfig()
     if source_first:  # the source block is then a view of the kernel
         rest = np.setdiff1d(np.arange(X.shape[0]), source)
         result = solve_kmm(SplitKernel(gamma, X[np.concatenate([source, rest])]),
-                           None, np.arange(source.size), config)
+                           None, np.arange(source.size))
     else:
-        result = solve_kmm(SplitKernel(gamma, X), None, source, config)
+        result = solve_kmm(SplitKernel(gamma, X), None, source)
     direct = kmm_objective_direct(gamma, X, X[source], result.beta)
     assert abs(result.trace[-1] - direct) <= 1e-8
-    eps = default_epsilon(source.size)
     assert np.all(result.beta >= 0.0)
-    assert np.all(result.beta <= config.upper_bound_B)
-    assert abs(result.beta.mean() - 1.0) <= eps + 1e-12
+    assert np.all(result.beta <= 1000.0)
+    assert abs(result.beta.mean() - 1.0) <= _slack(source.size) + 1e-12
 
 
 def _qp_problem(i):
     """Problem i of a fixed set in the pipeline's shape: the source is a biased
     subsample of a sample of 40-200 points, and the target is the whole sample.
-    The nine problems cover every box B and slack epsilon, alternating rbf kernels, which
-    solve_kmm solves, and linear Gram blocks, whose descent runs on the raw matrix."""
+    The nine problems cover every box B and slack epsilon, alternating rbf kernel
+    matrices and linear Gram blocks, on which the descent runs as on a raw matrix."""
     rng = np.random.default_rng(i)
     gamma = float(rng.choice([0.5, 2.0, 10.0]))
     X = rng.normal(size=(int(rng.integers(40, 201)), 2))
     source = np.flatnonzero(X[:, 0] + 0.5 * rng.normal(size=X.shape[0]) > -0.3)
-    config = KmmConfig(upper_bound_B=(1.5, 5.0, 1000.0)[i % 3], epsilon=(0.05, 0.3, None)[i // 3])
+    cap, eps = (1.5, 5.0, 1000.0)[i % 3], (0.05, 0.3, _slack(source.size))[i // 3]
     if i % 2:
-        K = X @ X.T
-
-        def solve(cfg):
-            return _solve_raw(K, source, cfg)
-    else:
+        K = matrix = X @ X.T
+    else:  # the oracle takes the direct formula, the descent the library's kernel matrix
         K = np.exp(-gamma * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        matrix = SplitKernel(gamma, X).K
 
-        def solve(cfg):
-            result = solve_kmm(SplitKernel(gamma, X), None, source, cfg)
-            return result.beta, result.trace
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
-    _, optimum = kmm_qp_scipy(K, source, config.upper_bound_B, eps)
-    return solve, source, config, optimum
+    def solve(**limits):
+        result = _solve_raw(matrix, source, cap=cap, eps=eps, **limits)
+        return result.beta, result.trace
+    _, optimum = kmm_qp_scipy(K, source, cap, eps)
+    return solve, cap, eps, optimum
 
 
 @pytest.mark.parametrize("i", range(9))
 def test_kmm_is_feasible_and_approaches_the_qp_optimum(i):
     pytest.importorskip("scipy")
-    solve, source, config, optimum = _qp_problem(i)
-    eps = config.epsilon if config.epsilon is not None else default_epsilon(source.size)
-    tight = dataclasses.replace(config, tol=1e-12, max_iters=200_000)
-    for cfg in (config, tight):
+    solve, cap, eps, optimum = _qp_problem(i)
+    for tight in (False, True):
         try:
-            beta, trace = solve(cfg)
+            beta, trace = solve(tol=1e-12, max_iters=200_000) if tight else solve()
         except RuntimeError as exc:
-            assert cfg is tight and "max_iters=200000" in str(exc)
+            assert tight and "max_iters=200000" in str(exc)
             continue
-        assert beta.min() >= 0.0 and beta.max() <= cfg.upper_bound_B
+        assert beta.min() >= 0.0 and beta.max() <= cap
         assert abs(beta.mean() - 1.0) <= eps + 1e-12
         assert trace[-1] >= optimum - 1e-10
-        if cfg is tight:  # the linear kernels' optimum is 0 up to rounding
+        if tight:  # the linear kernels' optimum is 0 up to rounding
             assert trace[-1] - optimum <= 1e-3 * optimum + 1e-10
 
 
@@ -290,8 +336,8 @@ def test_default_kmm_reaches_the_qp_optimum():
     X = gen_triangles(50, 50, seed=0).X
     source = np.sort(np.random.default_rng(0).choice(100, 80, replace=False))
     K = np.exp(-10.0 * ((X[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-    _, optimum = kmm_qp_scipy(K, source, 1000.0, default_epsilon(80))
-    result = solve_kmm(SplitKernel(10.0, X), None, source, KmmConfig())
+    _, optimum = kmm_qp_scipy(K, source, 1000.0, _slack(80))
+    result = solve_kmm(SplitKernel(10.0, X), None, source)
     assert result.trace[-1] - optimum <= 0.01 * optimum
 
 
@@ -335,16 +381,16 @@ def _first_theta(k_ss, kappa, n_target, cap, eps, *_):
     return -(grad @ d) / (2.0 * (d @ k_ss @ d) / ns**2)
 
 
-@pytest.mark.parametrize("kind, config", [
-    pytest.param("rbf", KmmConfig(), id="rbf"),
-    pytest.param("linear", KmmConfig(), id="linear"),
-    pytest.param("rbf", KmmConfig(epsilon=0.0), id="sum-bound"),
-    pytest.param("rbf", KmmConfig(upper_bound_B=1.5), id="box-bound"),
-    pytest.param("repeated", KmmConfig(epsilon=0.5), id="short-step"),
+@pytest.mark.parametrize("kind, settings", [
+    pytest.param("rbf", {}, id="rbf"),
+    pytest.param("linear", {}, id="linear"),
+    pytest.param("rbf", {"eps": 0.0}, id="sum-bound"),
+    pytest.param("rbf", {"cap": 1.5}, id="box-bound"),
+    pytest.param("repeated", {"eps": 0.5}, id="short-step"),
 ])
-def test_descent_is_byte_identical_to_the_plain_loop(kind, config, monkeypatch):
+def test_descent_is_byte_identical_to_the_plain_loop(kind, settings, monkeypatch):
     problem = _repeated_point_problem() if kind == "repeated" else _biased_problem(kind)
-    args = _descent_args(*problem, config)
+    args = _descent_args(*problem, **settings)
     projections = []
     clip_to_sum = kmm_module._clip_to_sum
     monkeypatch.setattr(kmm_module, "_clip_to_sum",
@@ -361,14 +407,14 @@ def test_descent_is_byte_identical_to_the_plain_loop(kind, config, monkeypatch):
         assert trace.tobytes() == ref_trace.tobytes()
         assert steps >= 10
     # the case each problem is there for: every step leaves the sum constraint, the box binds
-    assert (projected == steps) == (config.epsilon == 0.0)
-    assert (beta.max() == 1.5) == (config.upper_bound_B == 1.5)
+    assert (projected == steps) == (settings.get("eps") == 0.0)
+    assert (beta.max() == 1.5) == (settings.get("cap") == 1.5)
 
 
-@pytest.mark.parametrize("config", [pytest.param(KmmConfig(), id="default"),
-                                    pytest.param(KmmConfig(epsilon=0.0), id="sum-bound")])
+@pytest.mark.parametrize("eps", [pytest.param(None, id="default"),
+                                 pytest.param(0.0, id="sum-bound")])
 @pytest.mark.parametrize("ns", range(296, 304))  # every residue of ns % 8
-def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, config, monkeypatch):
+def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, eps, monkeypatch):
     # the pipeline's shape: one kernel over the sample, its leading rows the source, as a view
     kernel = SplitKernel(10.0, gen_triangles(200, 200, seed=ns).X)
     source = np.arange(ns)
@@ -377,8 +423,12 @@ def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, config, monkeypa
     started = []
     start = threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
-    result = solve_kmm(kernel, None, source, config)
-    ref_beta, ref_trace = kmm_descent_reference(*_descent_args(kernel.K, source, config))
+    # solve_kmm, or at another slack its descent on the same view of the kernel
+    if eps is None:
+        result = solve_kmm(kernel, None, source)
+    else:
+        result = _solve_raw(kernel.K, source, eps=eps)
+    ref_beta, ref_trace = kmm_descent_reference(*_descent_args(kernel.K, source, eps=eps))
     assert result.beta.tobytes() == ref_beta.tobytes()
     assert result.trace.tobytes() == (ref_trace + kernel.row_sums.sum() / kernel.n**2).tobytes()
     assert result.trace.size >= 10
@@ -439,9 +489,9 @@ def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
         "calls, clip = [], kmm._clip_to_sum",
         "kmm._clip_to_sum = lambda *a: calls.append(a) or clip(*a)",
         "X = np.random.default_rng(7).normal(size=(120, 2))",
+        "K = SplitKernel(2.0, X).K",
         "before = 'numpy.ma' in sys.modules",
-        "kmm.solve_kmm(SplitKernel(2.0, X), None, np.arange(80),",
-        "              kmm.KmmConfig(epsilon=0.0))",
+        "kmm._projected_descent(K[:80, :80], K.sum(axis=1)[:80], 120, 1000.0, 0.0, 5000, 1e-6)",
         "print(len(calls), before, 'numpy.ma' in sys.modules)",
     ])
     projections, before, after = _python(code)

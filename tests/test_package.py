@@ -76,3 +76,22 @@ def test_the_library_carries_no_helper_that_only_tests_use():
                     and not re.fullmatch(r"__\w+__", node.name) and node.name not in used):
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    # __init__.py is left out: its imports are the package's public re-exports
+    paths = [p for p in sorted((ROOT / "src" / "pgpu").glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}  # the name an import binds -> its line
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in imported.items() if name not in loaded]
+    assert unused == []

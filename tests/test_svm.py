@@ -28,7 +28,7 @@ def _split(X):
 
 
 def test_separable_points_classified_perfectly():
-    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4), C=1.0)
+    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4))
     pred = np.where(decision_values(model, SEPARABLE_X) >= 0, 1, -1)
     assert np.array_equal(pred, SEPARABLE_Y)
 
@@ -51,15 +51,15 @@ def test_integer_weight_equals_duplication():
 
 def test_single_class_is_degenerate():
     with pytest.raises(ValueError, match="degenerate training set"):
-        train_weighted_svm(_split(SEPARABLE_X), np.ones(4, dtype=int), np.ones(4), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), np.ones(4, dtype=int), np.ones(4))
 
 
 def test_zero_weights_rejected():
     with pytest.raises(ValueError, match="weights"):
-        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.zeros(4), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.zeros(4))
     # weights that silence one class leave a degenerate problem
     with pytest.raises(ValueError, match="degenerate"):
-        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.array([1.0, 1.0, 0.0, 0.0]), C=1.0)
+        train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_kkt_residuals_within_tolerance():
@@ -85,7 +85,7 @@ def test_box_constraint_respected():
     if np.abs(y.sum()) == 12:
         y[0] = -y[0]
     w = rng.uniform(0.1, 3.0, size=12)
-    model = train_weighted_svm(_split(X), y, w, C=2.0)
+    model = train_weighted_svm(_split(X), y, 2.0 * w)
     assert np.all(np.abs(model.dual_coefs) <= 2.0 * w.max() + 1e-12)
     assert len(model.dual_coefs) == len(model.support_vectors)
     assert np.all(model.dual_coefs != 0.0)
@@ -114,7 +114,7 @@ def test_decision_value_dimension_mismatch():
 def test_decision_values_reject_non_finite_features(bad):
     # a NaN decision value would be counted as a -1 prediction
     data = gen_triangles(20, 20, seed=3)
-    model = train_weighted_svm(_split(data.X), data.y, np.ones(40), C=1.0)
+    model = train_weighted_svm(_split(data.X), data.y, np.ones(40))
     rows = [[0.1, 0.2], [0.3, -0.4], [bad, 0.0]]
     with pytest.raises(ValueError, match="features must be finite: data row 2, x1 is"):
         decision_values(model, rows)
@@ -127,8 +127,8 @@ def test_training_is_deterministic():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(30, 2))
     y = np.where(X[:, 0] > 0, 1, -1)
-    a = train_weighted_svm(_split(X), y, np.ones(30), C=1.0)
-    b = train_weighted_svm(_split(X), y, np.ones(30), C=1.0)
+    a = train_weighted_svm(_split(X), y, np.ones(30))
+    b = train_weighted_svm(_split(X), y, np.ones(30))
     assert np.array_equal(a.dual_coefs, b.dual_coefs)
     assert np.array_equal(a.support_vectors, b.support_vectors)
     assert a.bias == b.bias
@@ -156,6 +156,13 @@ def test_platt_confident_on_separated_values():
 def test_platt_constant_values_rejected():
     with pytest.raises(ValueError, match="constant"):
         fit_platt(np.zeros(6), np.array([1, 1, 1, -1, -1, -1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_platt_rejects_non_finite_decision_values(bad):
+    # a NaN would leave the constant starting sigmoid, A = 0, as the fit
+    with pytest.raises(ValueError, match="decision values must be finite"):
+        fit_platt(np.array([bad, 1.0, 2.0]), np.array([1, -1, 1]))
 
 
 def test_platt_single_class_rejected():
@@ -186,7 +193,7 @@ def test_float_labels_of_plus_or_minus_one_fit_as_integer_labels():
 
 
 def _toy_model_calib():
-    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4), C=1.0)
+    model = train_weighted_svm(_split(SEPARABLE_X), SEPARABLE_Y, np.ones(4))
     dv = decision_values(model, SEPARABLE_X)
     return model, fit_platt(dv, SEPARABLE_Y)
 
@@ -240,7 +247,7 @@ def test_fitted_matches_features_at_fit_and_held_out_rows():
     y = np.where(X[:, 0] + 0.5 * rng.normal(size=50) > 0, 1, -1)
     kernel = _split(X)
     weights = np.where(np.arange(50) % 2 == 0, 1.0, 0.0)  # odd rows held out as zero caps
-    model = train_weighted_svm(kernel, y, weights, C=1.0)
+    model = train_weighted_svm(kernel, y, weights)
     assert model.fitted.shape == (50,)
     assert np.abs(model.fitted - decision_values(model, X)).max() <= 1e-12
     # with rows, one decision value per entry of rows, repeats included
@@ -254,7 +261,7 @@ def test_fitted_matches_features_at_fit_and_held_out_rows():
        C=st.sampled_from([1e-3, 0.1, 1.0, 10.0]), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_zero_caps_solve_bit_identically_to_dropped_examples(n, size, gather, C, seed):
-    # zeros interleaved among the examples, which are the whole matrix in order (a view)
+    # zeros interleaved among the examples, which are the whole matrix in order
     # or scattered, repeated rows of it (gathered row by row)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
@@ -287,8 +294,8 @@ def test_repeated_rows_equal_duplicated_features():
     rows = np.concatenate([np.arange(8), [1, 5]])
     labels = np.concatenate([y, [-1, 1]])
     weights = rng.uniform(0.2, 1.0, size=10)
-    by_rows = train_weighted_svm(_split(X), labels, weights, C=1.0, rows=rows)
-    by_copies = train_weighted_svm(_split(X[rows]), labels, weights, C=1.0)
+    by_rows = train_weighted_svm(_split(X), labels, weights, rows=rows)
+    by_copies = train_weighted_svm(_split(X[rows]), labels, weights)
     grid = rng.uniform(-2.0, 2.0, size=(30, 2))
     assert np.abs(decision_values(by_rows, grid) - decision_values(by_copies, grid)).max() <= 1e-12
 
@@ -306,12 +313,12 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     keep = rows[weights > 0]
     dense = SplitKernel.__new__(SplitKernel)
     dense.gamma, dense.X, dense.K = kernel.gamma, X[keep], kernel.K[np.ix_(keep, keep)]
-    expected = train_weighted_svm(dense, y[weights > 0], weights[weights > 0], C=1.0)
+    expected = train_weighted_svm(dense, y[weights > 0], weights[weights > 0])
 
     solve, matrices = pgpu.svm.smo_solve, []
     monkeypatch.setattr(pgpu.svm, "smo_solve",
                         lambda K, *args, **kw: matrices.append(K) or solve(K, *args, **kw))
-    model = train_weighted_svm(kernel, y, weights, C=1.0, rows=rows)
+    model = train_weighted_svm(kernel, y, weights, rows=rows)
     assert len(matrices) == 1 and matrices[0] is kernel.K  # SMO gathers the rows it uses
     assert np.array_equal(model.dual_coefs, expected.dual_coefs)
     assert model.bias == expected.bias
