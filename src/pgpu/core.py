@@ -9,6 +9,7 @@ between is discarded.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,10 @@ class FlipRateSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("inverse", "linear", "constant"):
             raise ValueError(f"unknown flip kind: {self.kind!r}")
+        for field in ("alpha",) if self.beta is None else ("alpha", "beta"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{field} must be a real number, got {value!r}")
         if not 0 <= self.alpha < math.inf:  # an infinite alpha makes NaN rates
             raise ValueError("alpha must be finite and nonnegative")
         if self.kind == "inverse":
@@ -140,41 +145,38 @@ def estimate_boundary_min(gaps, observed_labels) -> float:
 def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
     """Assign confident labels: observed positives stay positive, unlabelled
     instances become negative when gap <= boundary_l, positive when gap > 0,
-    and are discarded inside the ambiguous band (boundary_l, 0]."""
+    and are discarded inside the ambiguous band (boundary_l, 0].
+
+    Positives come in sample order; negatives, then discarded instances, come by
+    ascending gap, ties in sample order. The three parts laid end to end are then
+    the same for every boundary, and each boundary's relabelled sample (positives,
+    then negatives) is a leading run of them.
+    """
     if not -1.0 < boundary_l < 0.0:
         raise ValueError("boundary_l must lie strictly inside (-1, 0)")
     g, s = _checked_gaps(gaps, observed_labels)
-    obs_pos = s == 1
-    unl = ~obs_pos
-    new_neg = unl & (g <= boundary_l)
-    new_pos = unl & (g > 0.0)
-    discard = unl & ~new_neg & ~new_pos
+    positive = (s == 1) | (g > 0.0)
+    rest = np.flatnonzero(~positive)
+    rest = rest[np.argsort(g[rest], kind="stable")]
+    cut = int(np.searchsorted(g[rest], boundary_l, side="right"))
     return RelabelResult(
-        positive_idx=np.flatnonzero(obs_pos | new_pos),
-        negative_idx=np.flatnonzero(new_neg),
-        discarded_idx=np.flatnonzero(discard),
+        positive_idx=np.flatnonzero(positive),
+        negative_idx=rest[:cut],
+        discarded_idx=rest[cut:],
     )
 
 
-def _matching_order(s, gaps) -> np.ndarray:
-    """Sample positions: positives (observed, or unlabelled with gap > 0) in sample order,
-    then the other unlabelled rows stably sorted by gap. Negatives are the unlabelled rows
-    with gap <= l, so every boundary l's relabelled sample is a leading run of this order."""
-    g, s = _checked_gaps(gaps, s)
-    positive = (s == 1) | (g > 0.0)
-    rest = np.flatnonzero(~positive)
-    return np.concatenate([np.flatnonzero(positive), rest[np.argsort(g[rest], kind="stable")]])
-
-
-def _matching_kernel(kernel: SplitKernel, s, gaps, rows) -> tuple[SplitKernel, np.ndarray]:
-    """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``_matching_order``, and that order."""
-    order = _matching_order(s, gaps)
+def _matching_kernel(kernel: SplitKernel, result: RelabelResult, rows) -> SplitKernel:
+    """The KMM kernel on sample rows ``rows`` of ``kernel``, laid out as ``result``:
+    positives, negatives, then discarded rows. The layout is the same for every
+    boundary, so one matching kernel serves every boundary on one sample."""
+    layout = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
     gamma = KMM_GAMMA_SCALE / kernel.X.shape[1]
-    return SplitKernel(gamma, kernel.X[np.asarray(rows, dtype=np.intp)[order]]), order
+    return SplitKernel(gamma, kernel.X[np.asarray(rows, dtype=np.intp)[layout]])
 
 
 def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, rows=None,
-                              matching: tuple[SplitKernel, np.ndarray] | None = None,
+                              matching: SplitKernel | None = None,
                               ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
     """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
 
@@ -184,64 +186,57 @@ def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, r
     ``fitted`` scores every row. The KMM target is the full sample and the source is the
     relabelled subset, so the weights undo the bias from dropping the
     ambiguous band. ``matching`` (None: built here) is ``_matching_kernel``'s
-    pair of matching kernel and its row order, which puts every boundary's relabelled
-    sample first, so the KMM source block is a view; callers that fit many
-    boundaries on one sample pass it. Relabelled-positive and relabelled-negative
-    indices are sample positions; ``beta`` lines up with them, positives first.
+    kernel on the sample in ``relabel``'s layout, whose leading run is the relabelled
+    sample, so the KMM source block is a view; callers that fit many boundaries on one
+    sample pass it. Relabelled-positive and relabelled-negative indices are sample
+    positions; ``beta`` lines up with them, positives first.
     """
     idx = _ascending_rows(rows, kernel.n)
     result = relabel(gaps, s, boundary_l)
     n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
     if n_pos == 0 or n_neg == 0:
         raise ValueError("relabelling produced one class")
-    matching_kernel, order = matching or _matching_kernel(kernel, s, gaps, idx)
+    if matching is None:
+        matching = _matching_kernel(kernel, result, idx)
     # source stays solve_kmm's third positional argument: perfbench/spans.py reads it there
-    beta = solve_kmm(matching_kernel, None, np.arange(n_pos + n_neg))
-    # the source lists negatives by gap; the SVM and the result take them in sample order
-    back = np.concatenate([np.arange(n_pos), n_pos + np.argsort(order[n_pos:n_pos + n_neg])])
-    beta.beta = beta.beta[back]
-    fit_rows = idx[order[back]]  # split rows of the relabelled positives, then negatives
+    beta = solve_kmm(matching, None, np.arange(n_pos + n_neg))
+    fit_rows = idx[np.concatenate([result.positive_idx, result.negative_idx])]
     labels, weights = np.ones(kernel.n, dtype=int), np.zeros(kernel.n)
     labels[fit_rows[n_pos:]] = -1
     weights[fit_rows] = beta.beta
     return train_weighted_svm(kernel, labels, weights), result, beta
 
 
-def estimate_boundary_cv(kernel: SplitKernel, s, grid: Sequence[float] = BOUNDARY_GRID,
-                         seed: int = 0) -> float:
-    """Pick the boundary from ``grid`` that maximizes 5-fold cross-validated accuracy.
+def estimate_boundary_cv(kernel: SplitKernel, s, seed: int = 0) -> float:
+    """Pick the boundary from ``BOUNDARY_GRID`` that maximizes 5-fold cross-validated accuracy.
 
     ``kernel`` is the classifier kernel of the training split and ``s`` its
     observed labels. Each candidate is scored by running the full
     relabel-KMM-SVM pipeline on the training folds and measuring accuracy
     against the held-out observed PU labels; every classifier kernel value
-    comes from ``kernel.K``. Each fold builds its matching kernel once, and every
-    candidate's KMM source is a leading view of it; candidates that relabel a fold alike
-    share one fit. Ties resolve to the candidate that comes first in ``grid`` (with the
-    default ascending grid, the most negative boundary); each must lie inside (-1, 0).
+    comes from ``kernel.K``. Each fold relabels once for its layout and builds its
+    matching kernel once, and every candidate's KMM source is a leading view of it;
+    candidates that relabel a fold alike share one fit. Ties resolve to the candidate
+    that comes first in the grid, the most negative boundary.
     Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every candidate
     degenerates everywhere, this raises. A solver failure (RuntimeError) is not skipped: it
     propagates.
     """
-    grid = list(grid)
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    outside = [cand for cand in grid if not -1.0 < cand < 0.0]
-    if outside:
-        raise ValueError(f"boundary candidate {outside[0]!r} lies outside (-1, 0)")
     s = check_labels(s, "observed labels")
     if s.shape != (kernel.n,):
         raise ValueError("s must have one label per row of the kernel")
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
         raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
                          f"for {_BOUNDARY_FOLDS}-fold CV")
+    grid = BOUNDARY_GRID
     scores = _cv_scores(kernel, s, grid, seed)
     if not np.isfinite(scores).any():
         raise ValueError("every boundary candidate was degenerate in cross-validation")
     return float(grid[int(np.argmax(scores))])
 
 
-def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: list[float], seed: int) -> np.ndarray:
+def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: Sequence[float],
+               seed: int) -> np.ndarray:
     """Mean held-out accuracy of each grid candidate over the folds where it is not
     degenerate, -inf where it is degenerate in every fold."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
@@ -255,11 +250,12 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: list[float], seed: int)
             fold_gaps = observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
-        matching = _matching_kernel(kernel, s[fit_rows], fold_gaps, fit_rows)
-        # Positives do not depend on the boundary and negatives (unlabelled, gap <= l)
-        # nest as it grows, so candidates with equal negative counts relabel alike.
-        unlabelled_gaps = np.sort(fold_gaps[s[fit_rows] != 1])
-        n_negatives = np.searchsorted(unlabelled_gaps, grid, side="right")
+        layout = relabel(fold_gaps, s[fit_rows], grid[0])
+        matching = _matching_kernel(kernel, layout, fit_rows)
+        # Negatives lead the layout's gap-sorted unlabelled rows at every boundary, so
+        # candidates with equal negative counts relabel alike.
+        ranked = fold_gaps[np.concatenate([layout.negative_idx, layout.discarded_idx])]
+        n_negatives = np.searchsorted(ranked, grid, side="right")
         # distinct counts in grid order; np.unique's first call would import numpy.ma
         # inside a cell (4 ms, and 340 objects left for the garbage collector)
         for count in dict.fromkeys(n_negatives.tolist()):

@@ -11,7 +11,7 @@ import numbers
 import time
 import types
 import typing
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from pathlib import Path
 
@@ -68,6 +68,8 @@ class ExperimentConfig:
                 raise ValueError(f"{field} must be an integer, got {value!r}")
         if self.n_splits < 1:
             raise ValueError("n_splits must be at least 1")
+        if isinstance(self.methods, str) or not isinstance(self.methods, Sequence):
+            raise ValueError(f"methods must be a sequence of method names, got {self.methods!r}")
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for m in self.methods:
@@ -84,9 +86,16 @@ class ExperimentConfig:
         elif not (isinstance(self.dataset_source, Mapping)
                   and isinstance(self.dataset_source.get("csv"), str)):
             raise ValueError("dataset_source must be 'triangles', 'overlap_square', or {'csv': path}")
+        else:
+            extra = [key for key in self.dataset_source if key != "csv"]
+            if extra:
+                raise ValueError(f"dataset_source takes only the key 'csv', got {extra!r}")
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
-        if not 0.0 < self.train_fraction < 1.0:  # NaN fails too
+        fraction = self.train_fraction
+        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
+            raise ValueError(f"train_fraction must be a real number, got {fraction!r}")
+        if not 0.0 < fraction < 1.0:  # NaN fails too
             raise ValueError("train_fraction must lie in (0, 1)")
 
 

@@ -413,7 +413,8 @@ def boundary_cv_reference(kernel, s, grid, seed):
             fold_gaps = core.observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
-        matching = core._matching_kernel(kernel, s[fit_rows], fold_gaps, fit_rows)
+        layout = core.relabel(fold_gaps, s[fit_rows], grid[0])
+        matching = core._matching_kernel(kernel, layout, fit_rows)
         for ci, cand in enumerate(grid):
             try:
                 clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,

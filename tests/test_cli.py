@@ -116,6 +116,7 @@ def test_missing_report_dir_exits_one(tmp_path, capsys):
     ("flip", [3]),
     ("flip", {"kind": "inverse"}),
     ("dataset_source", {"csv": 3}),
+    ("dataset_source", {"csv": "t.csv", "seed": 3}),
     ("train_fraction", 1.5),
     ("train_fraction", 0),
     ("n_splits", 2.5),

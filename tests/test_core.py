@@ -11,7 +11,6 @@ from pgpu import FlipRateSpec, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
     _matching_kernel,
-    _matching_order,
     estimate_boundary_cv,
     estimate_boundary_min,
     fit_relabelled_classifier,
@@ -173,20 +172,29 @@ def test_relabel_positives_ignore_the_boundary_and_negatives_nest(seed, l1, l2):
     assert np.all(np.isin(high.discarded_idx, low.discarded_idx))
 
 
+# boundaries, with -0.5 often enough that some gaps fall exactly on one
+_BOUNDARIES = st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True), st.just(-0.5))
+
+
 @given(st.lists(st.tuples(st.sampled_from([1, -1]),
                           st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-0.5, 0.0]))),
                 min_size=1, max_size=40),
-       st.one_of(st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True), st.just(-0.5)))
+       _BOUNDARIES, _BOUNDARIES)
 @settings(max_examples=150, deadline=None)
-def test_matching_order_leads_with_the_relabelled_sample_of_every_boundary(rows, boundary):
+def test_relabel_lays_out_every_boundary_alike_with_its_relabelled_sample_first(rows, l1, l2):
+    lo, hi = sorted((l1, l2))
     s = np.array([label for label, _ in rows])
     gaps = np.array([gap for _, gap in rows])
-    order = _matching_order(s, gaps)
-    result = relabel(gaps, s, boundary)
-    n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
-    assert np.array_equal(np.sort(order), np.arange(s.size))
-    assert np.array_equal(order[:n_pos], result.positive_idx)
-    assert np.array_equal(np.sort(order[n_pos:n_pos + n_neg]), result.negative_idx)
+    low, high = relabel(gaps, s, lo), relabel(gaps, s, hi)
+    layout = np.concatenate([high.positive_idx, high.negative_idx, high.discarded_idx])
+    assert np.array_equal(np.sort(layout), np.arange(s.size))  # the parts partition the sample
+    assert np.all(np.diff(high.positive_idx) > 0)
+    for part in (high.negative_idx, high.discarded_idx):
+        # ascending gap, ties in sample order
+        assert np.array_equal(part, part[np.lexsort((part, gaps[part]))])
+    assert np.array_equal(
+        layout, np.concatenate([low.positive_idx, low.negative_idx, low.discarded_idx]))
+    assert np.array_equal(high.negative_idx[:low.negative_idx.size], low.negative_idx)
 
 
 @pytest.mark.parametrize("spec", [FlipRateSpec("constant", 0.3), FlipRateSpec("linear", 0.6)])
@@ -214,6 +222,8 @@ def test_boundary_grid_matches_protocol():
     assert BOUNDARY_GRID[0] == -0.90
     assert BOUNDARY_GRID[-1] == -0.60
     assert np.allclose(np.diff(BOUNDARY_GRID), 0.01)
+    # ascending, so ties resolve to the most negative candidate; each a valid boundary
+    assert all(-1.0 < a < b < 0.0 for a, b in zip(BOUNDARY_GRID, BOUNDARY_GRID[1:]))
 
 
 def _cv_dataset(spread, seed=3):
@@ -225,9 +235,10 @@ def _cv_dataset(spread, seed=3):
     return pgpu.SplitKernel(0.5, X), s
 
 
-def test_boundary_cv_single_candidate():
+def test_boundary_cv_single_candidate(monkeypatch):
     kernel, s = _cv_dataset(0.8)
-    assert estimate_boundary_cv(kernel, s, grid=[-0.75], seed=1) == -0.75
+    monkeypatch.setattr(pgpu.core, "BOUNDARY_GRID", (-0.75,))
+    assert estimate_boundary_cv(kernel, s, seed=1) == -0.75
 
 
 def test_boundary_cv_ties_resolve_to_most_negative():
@@ -239,8 +250,8 @@ def test_boundary_cv_ties_resolve_to_most_negative():
 
 def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeypatch):
     kernel, s = _cv_dataset(0.2)  # unlabelled gaps lie in [-0.97, -0.95], so -0.96 splits them
-    grid = [-0.96, -0.90]
-    assert estimate_boundary_cv(kernel, s, grid=grid, seed=1) == -0.96  # a tie
+    monkeypatch.setattr(pgpu.core, "BOUNDARY_GRID", (-0.96, -0.90))
+    assert estimate_boundary_cv(kernel, s, seed=1) == -0.96  # a tie
     real = pgpu.core.fit_relabelled_classifier
 
     def degenerate_if_rows_discarded(kernel, s, gaps, boundary_l, *args):
@@ -250,7 +261,7 @@ def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeyp
         return real(kernel, s, gaps, boundary_l, *args)
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_if_rows_discarded)
-    assert estimate_boundary_cv(kernel, s, grid=grid, seed=1) == -0.90
+    assert estimate_boundary_cv(kernel, s, seed=1) == -0.90
 
     def capped(*args):
         raise RuntimeError("SMO reached its iteration cap max_iter=1")
@@ -268,16 +279,11 @@ def _pu_triangles(n, seed):
     return pgpu.SplitKernel(0.5, pu.X), pu.s
 
 
-# descending, then a repeat of one candidate and a candidate out of order
-_UNSORTED_GRID = [*BOUNDARY_GRID[::-1], -0.75, -0.905]
-
-
-@pytest.mark.parametrize("n, grid", [(200, BOUNDARY_GRID), (800, BOUNDARY_GRID),
-                                     (200, _UNSORTED_GRID)], ids=["200", "800", "200-unsorted"])
+@pytest.mark.parametrize("n", [200, 800], ids=["200", "800"])
 def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_candidate(
-        n, grid, monkeypatch):
+        n, monkeypatch):
     kernel, s = _pu_triangles(n, seed=n)
-    expected_l, expected_scores = boundary_cv_reference(kernel, s, grid, seed=2)
+    expected_l, expected_scores = boundary_cv_reference(kernel, s, BOUNDARY_GRID, seed=2)
 
     fits, fold_gaps = [], {}
     fit, cv_scores = pgpu.core.fit_relabelled_classifier, pgpu.core._cv_scores
@@ -294,25 +300,13 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", counted_fit)
     monkeypatch.setattr(pgpu.core, "_cv_scores", recorded_scores)
-    assert estimate_boundary_cv(kernel, s, grid=grid, seed=2) == expected_l
+    assert estimate_boundary_cv(kernel, s, seed=2) == expected_l
     assert np.array_equal(scores[0], expected_scores)
     # one fit per distinct (fold, negatives count) pair, and every such pair fitted
     distinct = {(fold, relabel(gaps, fold_s, cand).negative_idx.size)
-                for fold, (fold_s, gaps) in fold_gaps.items() for cand in grid}
+                for fold, (fold_s, gaps) in fold_gaps.items() for cand in BOUNDARY_GRID}
     assert len(fold_gaps) == 5
     assert len(fits) == len(distinct) and set(fits) == distinct
-
-
-@pytest.mark.parametrize("grid", [[0.3], [-0.5, 0.3], [-1.0]])
-def test_boundary_cv_rejects_candidates_outside_the_interval_before_fitting(grid, monkeypatch):
-    kernel, s = _cv_dataset(0.8)
-
-    def no_fit(*args):
-        raise AssertionError("a fold was fitted")
-
-    monkeypatch.setattr(pgpu.core, "observed_gap", no_fit)
-    with pytest.raises(ValueError, match=f"candidate {grid[-1]!r} lies outside"):
-        estimate_boundary_cv(kernel, s, grid=grid, seed=1)
 
 
 def test_boundary_cv_needs_enough_of_each_class():
@@ -359,6 +353,10 @@ def test_flip_rate_spec_validation_and_parse():
     with pytest.raises(ValueError):
         FlipRateSpec("inverse", 0.0, 0.5)
     assert FlipRateSpec("inverse", 0.1, -0.5).rate(np.array([1.0])) == pytest.approx(1 / 6)
+    # numpy floats and plain integers are real numbers too
+    assert FlipRateSpec("inverse", np.float32(0.25), 1).describe() == "inverse(0.25,1)"
+    assert FlipRateSpec("linear", np.float64(0.5)) == FlipRateSpec("linear", 0.5)
+    assert FlipRateSpec("constant", 0).rate(np.array([0.5])) == 0.0
 
     spec = FlipRateSpec.parse("inverse:0.1,0.5")
     assert spec == FlipRateSpec("inverse", 0.1, 0.5)
@@ -383,6 +381,15 @@ def test_flip_rate_spec_rejects_non_finite_parameters_and_an_inverse_beta_of_at_
         FlipRateSpec(*args)
 
 
+@pytest.mark.parametrize("args, field", [
+    (("constant", "0.1"), "alpha"), (("linear", True), "alpha"), (("inverse", 0.1, "0.5"), "beta"),
+    (("inverse", None, 0.5), "alpha"), (("inverse", 0.1, False), "beta"),
+])
+def test_flip_rate_spec_rejects_a_parameter_that_is_not_a_real_number(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
+        FlipRateSpec(*args)
+
+
 def test_flip_rate_zero_below_boundary():
     spec = FlipRateSpec("inverse", 0.2, 1.0)
     gaps = np.array([-0.5, -1e-9, 0.0, 0.3, 1.0])
@@ -398,10 +405,10 @@ def test_matching_kernel_is_rbf_with_gamma_20_over_dim():
     gaps = np.array([0.5, 0.4, 0.2, -0.3, -0.8, -0.6])
     for dim, gamma in ((2, 10.0), (5, 4.0)):
         X = np.random.default_rng(dim).normal(size=(6, dim))
-        matching, order = _matching_kernel(pgpu.SplitKernel(1.0 / dim, X), s, gaps, np.arange(6))
+        matching = _matching_kernel(pgpu.SplitKernel(1.0 / dim, X), relabel(gaps, s, -0.7),
+                                    np.arange(6))
         assert matching.gamma == gamma
-        assert np.array_equal(order, [0, 1, 2, 4, 5, 3])
-        assert np.array_equal(matching.X, X[order])
+        assert np.array_equal(matching.X, X[[0, 1, 2, 4, 5, 3]])
 
 
 def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monkeypatch):
@@ -452,14 +459,13 @@ def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follow
                                                         rows=rows)
         shared, _, shared_beta = fit_relabelled_classifier(
             kernel, s[rows], gaps, boundary, rows=rows,
-            matching=_matching_kernel(kernel, s[rows], gaps, rows))
+            matching=_matching_kernel(kernel, relabel(gaps, s[rows], -0.5), rows))
         assert np.array_equal(built.support_vectors, shared.support_vectors)
         assert np.array_equal(built.dual_coefs, shared.dual_coefs) and built.bias == shared.bias
         assert np.array_equal(beta.beta, shared_beta.beta)
-        # KMM on a matching kernel laid out as [positives, negatives, discarded], each in
-        # sample order, weighs the same points alike, up to rounding
+        # the fit's KMM is the one on the matching kernel in relabel's layout, bit for bit
         laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
         pool = pgpu.SplitKernel(10.0, kernel.X[rows[laid_out]])
         direct = solve_kmm(pool, None, np.arange(beta.beta.size))
         assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
-        assert np.allclose(direct.beta, beta.beta, rtol=0.0, atol=1e-9)
+        assert direct.beta.tobytes() == beta.beta.tobytes()

@@ -189,6 +189,20 @@ def test_config_rejects_unknown_fields_and_methods():
             ExperimentConfig(**{field: value})
     cfg = ExperimentConfig(n_splits=np.int64(2), dataset_n=np.int32(40), master_seed=np.uint8(7))
     assert (cfg.n_splits, cfg.dataset_n, cfg.master_seed) == (2, 40, 7)
+    # a mistyped or extra key of a csv source would be dropped without a word
+    extra_key = r"^dataset_source takes only the key 'csv', got \['{}'\]"
+    with pytest.raises(ValueError, match=extra_key.format("seed")):
+        config_from_dict({"dataset_source": {"csv": "t.csv", "seed": 3}})
+    with pytest.raises(ValueError, match=extra_key.format("cvs")):
+        ExperimentConfig(dataset_source={"csv": "t.csv", "cvs": "x"})
+    # a string of methods would be read letter by letter, as method 'p'
+    with pytest.raises(ValueError, match="^methods must be a sequence of method names, got 'pgpu'"):
+        ExperimentConfig(methods="pgpu")
+    for value in ("0.5", True):
+        with pytest.raises(ValueError, match="^train_fraction must be a real number, got "):
+            ExperimentConfig(train_fraction=value)
+    cfg = ExperimentConfig(methods=["pgpu"], train_fraction=np.float32(0.5))
+    assert cfg.methods == ["pgpu"] and cfg.train_fraction == 0.5
 
 
 @pytest.mark.parametrize("field, value, json_value, repeated", [

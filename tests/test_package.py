@@ -95,3 +95,57 @@ def test_no_module_imports_a_name_it_never_loads():
         unused += [f"{path.relative_to(ROOT)}:{line} {name}"
                    for name, line in imported.items() if name not in loaded]
     assert unused == []
+
+
+# Defaulted parameters that only tests set, each kept on purpose:
+_TEST_ONLY_PARAMETERS = {
+    # tests check tight optima and the iteration cap with them, and a second SMO tolerance
+    # for the clean fit of data generation is planned
+    ("svm.py", "smo_solve", "tol"),
+    ("svm.py", "smo_solve", "max_iter"),
+    # the command-line entry point, which tests drive with an argument list
+    ("cli.py", "main", "argv"),
+}
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> dict[str, int | None]:
+    """Each parameter of ``fn`` that has a default -> its position among a call's positional
+    arguments (a method's self is not one), or None when it is keyword-only."""
+    positional = [a.arg for a in fn.args.posonlyargs + fn.args.args][1 if is_method else 0:]
+    first = len(positional) - len(fn.args.defaults)
+    found = {name: i for i, name in enumerate(positional) if i >= first}
+    found.update((a.arg, None) for a, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                 if default is not None)
+    return found
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` may pass the parameter: by keyword or a ** mapping, or by position
+    or a * sequence."""
+    return (any(k.arg in (name, None) for k in call.keywords)
+            or position is not None and any(isinstance(a, ast.Starred) or i >= position
+                                             for i, a in enumerate(call.args)))
+
+
+def test_no_defaulted_parameter_is_set_only_by_tests():
+    library = sorted((ROOT / "src" / "pgpu").glob("*.py"))
+    callers = library + sorted((ROOT / "scripts").glob("*.py"))
+    callers += sorted((ROOT / "perfbench").glob("*.py"))
+    calls = [node for path in callers
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+    unused = []
+    for path in library:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # a call by the function's name, plain or as an attribute
+            named = [c for c in calls
+                     if getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            for name, position in _defaulted(fn, id(fn) in methods).items():
+                if ((path.name, fn.name, name) not in _TEST_ONLY_PARAMETERS
+                        and not any(_passes(c, name, position) for c in named)):
+                    unused.append(f"{path.name}:{fn.lineno} {fn.name}({name}=...)")
+    assert unused == []
