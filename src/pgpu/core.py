@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -145,13 +144,9 @@ def estimate_boundary_min(gaps, observed_labels) -> float:
 def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
     """Assign confident labels: observed positives stay positive, unlabelled
     instances become negative when gap <= boundary_l, positive when gap > 0,
-    and are discarded inside the ambiguous band (boundary_l, 0].
-
-    Positives come in sample order; negatives, then discarded instances, come by
-    ascending gap, ties in sample order. The three parts laid end to end are then
-    the same for every boundary, and each boundary's relabelled sample (positives,
-    then negatives) is a leading run of them.
-    """
+    and are discarded inside the ambiguous band (boundary_l, 0]. Positives come in
+    sample order, then negatives and discarded ones by ascending gap (ties in sample
+    order): the same layout for every boundary, each led by its relabelled sample."""
     if not -1.0 < boundary_l < 0.0:
         raise ValueError("boundary_l must lie strictly inside (-1, 0)")
     g, s = _checked_gaps(gaps, observed_labels)
@@ -167,9 +162,8 @@ def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
 
 
 def _matching_kernel(kernel: SplitKernel, result: RelabelResult, rows) -> SplitKernel:
-    """The KMM kernel on sample rows ``rows`` of ``kernel``, laid out as ``result``:
-    positives, negatives, then discarded rows. The layout is the same for every
-    boundary, so one matching kernel serves every boundary on one sample."""
+    """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``relabel``'s layout
+    ``result``, which is the same for every boundary on the sample."""
     layout = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
     gamma = KMM_GAMMA_SCALE / kernel.X.shape[1]
     return SplitKernel(gamma, kernel.X[np.asarray(rows, dtype=np.intp)[layout]])
@@ -228,15 +222,13 @@ def estimate_boundary_cv(kernel: SplitKernel, s, seed: int = 0) -> float:
     if min(int((s == 1).sum()), int((s == -1).sum())) < _BOUNDARY_FOLDS:
         raise ValueError(f"each observed class needs at least {_BOUNDARY_FOLDS} examples "
                          f"for {_BOUNDARY_FOLDS}-fold CV")
-    grid = BOUNDARY_GRID
-    scores = _cv_scores(kernel, s, grid, seed)
+    scores = _cv_scores(kernel, s, BOUNDARY_GRID, seed)
     if not np.isfinite(scores).any():
         raise ValueError("every boundary candidate was degenerate in cross-validation")
-    return float(grid[int(np.argmax(scores))])
+    return float(BOUNDARY_GRID[int(np.argmax(scores))])
 
 
-def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid: Sequence[float],
-               seed: int) -> np.ndarray:
+def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid, seed: int) -> np.ndarray:
     """Mean held-out accuracy of each grid candidate over the folds where it is not
     degenerate, -inf where it is degenerate in every fold."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
