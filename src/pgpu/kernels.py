@@ -16,7 +16,8 @@ import numpy as np
 # of its operands, so another block size moves last bits (128 does at 1500 rows).
 _BLOCK = 256
 _PANEL = 16  # columns of the lower half written at a time when mirroring a block
-_MAPPED_BYTES = 4 << 20  # matrices at least this large get a memory mapping of their own
+_MAPPED_BYTES = 1 << 20  # matrices at least this large get a memory mapping of their own
+_HUGE_PAGE = 2 << 20  # a mapping is a whole number of these, so huge pages can back all of it
 _SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
 
 
@@ -39,17 +40,17 @@ def check_labels(labels, name: str) -> np.ndarray:
 def _empty(rows: int, cols: int) -> np.ndarray:
     """An uninitialised float matrix; a large one in a memory mapping of its own.
 
-    On the heap, a small array put in the space a freed matrix left makes the
-    next matrix miss it and the heap grow by a whole matrix, so peak memory
-    hung on unrelated earlier allocations. A mapping goes back to the system
-    on release; huge pages keep the cost of its fresh memory low.
+    On the heap, a small array put in the space a freed matrix left (from 1.8 MB
+    up) made the next matrix miss it and the heap grow by a whole matrix, so peak
+    memory hung on unrelated earlier allocations. A mapping goes back to the system
+    on release; whole huge pages, which the kernel aligns, make its memory cheap.
     """
     if 8 * rows * cols < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.empty((rows, cols))
-    buf = mmap.mmap(-1, 8 * rows * cols, flags=mmap.MAP_PRIVATE)
+    buf = mmap.mmap(-1, -(-8 * rows * cols // _HUGE_PAGE) * _HUGE_PAGE, flags=mmap.MAP_PRIVATE)
     with suppress(OSError):  # a kernel without huge pages: 4 KiB pages, just slower
         buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf).reshape(rows, cols)
+    return np.frombuffer(buf, count=rows * cols).reshape(rows, cols)
 
 
 def _shares_work(nbytes: int) -> bool:

@@ -108,7 +108,7 @@ def test_split_kernel_equals_recomputation(n, d, seed):
 
 
 def test_mapped_matrices_equal_heap_ones(monkeypatch):
-    # matrices of 4 MiB and more live in mappings of their own; here every one does
+    # matrices of 1 MiB and more live in mappings of their own; here every one does
     X = np.random.default_rng(5).normal(size=(300, 2))
     heap = SplitKernel(0.5, X)
     monkeypatch.setattr(kernels, "_MAPPED_BYTES", 1)
@@ -118,6 +118,15 @@ def test_mapped_matrices_equal_heap_ones(monkeypatch):
     # views of either are laid out alike, so products with them sum in the same order
     v = np.random.default_rng(6).normal(size=170)
     assert np.array_equal(mapped.K[:170, :170] @ v, heap.K[:170, :170] @ v)
+
+
+def test_a_matrix_of_a_mebibyte_gets_a_mapping_of_whole_huge_pages():
+    # a 600 x 600 kernel (2.9 MB) on the heap made peak memory hang on earlier allocations
+    X = np.random.default_rng(7).normal(size=(600, 2))
+    K = SplitKernel(0.5, X).K
+    assert not K.flags.owndata and K.flags.c_contiguous and K.shape == (600, 600)
+    assert K.base.base.nbytes == 2 * kernels._HUGE_PAGE
+    assert gram_matrix(0.5, X[:361], X[:362]).flags.owndata  # just under 1 MiB: the heap
 
 
 def test_gram_symmetric_across_blocks():
