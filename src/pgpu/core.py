@@ -54,6 +54,10 @@ class FlipRateSpec:
             value = getattr(self, field)
             if not isinstance(value, numbers.Real) or isinstance(value, bool):
                 raise ValueError(f"{field} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, field, float(value))
+            except OverflowError:  # an integer too large for a float
+                raise ValueError(f"{field} is too large for a float") from None
         if not 0 <= self.alpha < math.inf:  # an infinite alpha makes NaN rates
             raise ValueError("alpha must be finite and nonnegative")
         if self.kind == "inverse":

@@ -9,10 +9,8 @@ import json
 import math
 import numbers
 import time
-import types
-import typing
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +48,9 @@ class ExperimentConfig:
 
     ``flip`` may be a single flip-rate setting, a sequence of settings, or
     None for clean data. ``dataset_n`` is the total sample size (split evenly
-    per class for the triangles generator).
+    per class for the triangles generator). Counts and the seed are stored
+    as int, ``train_fraction`` as float and sequences as tuples, so a config
+    built in Python equals the same config read by ``config_from_dict``.
     """
 
     dataset_source: str | Mapping[str, str] = "triangles"
@@ -66,6 +66,7 @@ class ExperimentConfig:
             value = getattr(self, field)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
                 raise ValueError(f"{field} must be an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if self.n_splits < 1:
             raise ValueError("n_splits must be at least 1")
         if isinstance(self.methods, str) or not isinstance(self.methods, Sequence):
@@ -75,7 +76,10 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHOD_NAMES:
                 raise ValueError(f"unknown method {m!r}; valid: {METHOD_NAMES}")
+        object.__setattr__(self, "methods", tuple(self.methods))
         settings = [name for name, _ in _normalize_settings(self.flip)]
+        if isinstance(self.flip, Sequence):
+            object.__setattr__(self, "flip", tuple(self.flip))
         for field, entries in (("methods", self.methods), ("flip", settings)):
             repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeated:
@@ -97,6 +101,7 @@ class ExperimentConfig:
             raise ValueError(f"train_fraction must be a real number, got {fraction!r}")
         if not 0.0 < fraction < 1.0:  # NaN fails too
             raise ValueError("train_fraction must lie in (0, 1)")
+        object.__setattr__(self, "train_fraction", float(fraction))
 
 
 @dataclass(frozen=True)
@@ -194,9 +199,12 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
 
 
 def _normalize_settings(flip) -> list[tuple[str, FlipRateSpec | None]]:
-    specs = (flip,) if isinstance(flip, FlipRateSpec) else tuple(flip or ())
-    if not all(isinstance(spec, FlipRateSpec) for spec in specs):
-        raise ValueError("flip entries must be FlipRateSpec instances")
+    if flip is None:
+        return [("none", None)]
+    specs = (flip,) if isinstance(flip, FlipRateSpec) else flip
+    if (isinstance(specs, str) or not isinstance(specs, Sequence)
+            or not all(isinstance(spec, FlipRateSpec) for spec in specs)):
+        raise ValueError(f"flip must be a FlipRateSpec, a sequence of them, or None, got {flip!r}")
     return [(spec.describe(), spec) for spec in specs] or [("none", None)]
 
 
@@ -338,54 +346,35 @@ def write_results(records: list[ResultRecord], out_dir) -> dict[str, Path]:
     return paths
 
 
-_SECTIONS = {ExperimentConfig: "config", FlipRateSpec: "flip"}
-
-
-def _from_json(cls, d: Mapping, path: str):
-    """Build the config dataclass ``cls`` from a JSON object keyed by its field names."""
-    section = _SECTIONS[cls]
+def _check_fields(cls, d: Mapping, section: str) -> None:
     unknown = set(d) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {section} fields: {sorted(unknown)}")
     missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in d]
     if missing:
         raise ValueError(f"missing {section} fields: {missing}")
-    hints = typing.get_type_hints(cls)
-    return cls(**{k: _json_value(hints[k], v, f"{path}.{k}".lstrip(".")) for k, v in d.items()})
 
 
-def _json_value(hint, value, path: str):
-    """A JSON value as the field type ``hint``, or a ValueError naming the field at ``path``."""
-    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
-    options = typing.get_args(hint) if union else (hint,)
-    if value is None and type(None) in options:
-        return None
-    for opt in options:
-        if is_dataclass(opt):
-            if isinstance(value, Mapping):
-                return _from_json(opt, value, path)
-        elif typing.get_origin(opt) is tuple:
-            if isinstance(value, (list, tuple)):
-                return tuple(_json_value(typing.get_args(opt)[0], v, f"{path}[{i}]")
-                             for i, v in enumerate(value))
-        elif opt in (int, float):  # a JSON number; an int field takes only an integral one
-            if (isinstance(value, (int, float)) and not isinstance(value, bool)
-                    and (opt is float or isinstance(value, int) or value.is_integer())):
-                try:
-                    return opt(value)
-                except OverflowError:  # an integer too large for a float
-                    pass
-        elif opt is not type(None):
-            return value  # str and mapping fields are checked by the dataclass itself
-    raise ValueError(f"invalid value for {path}: {json.dumps(value, default=repr)}")
+def _flip_from_json(entry) -> FlipRateSpec:
+    if not isinstance(entry, Mapping):
+        raise ValueError(f"each flip setting must be an object, got {entry!r}")
+    _check_fields(FlipRateSpec, entry, "flip")
+    return FlipRateSpec(**entry)
 
 
 def config_from_dict(d: Mapping) -> ExperimentConfig:
     """Build an ExperimentConfig from the JSON object form, rejecting unknown keys.
 
-    The config and each flip setting take exactly their dataclass's fields; a
-    value of the wrong JSON type raises a ValueError naming its field.
+    The config and each flip setting take exactly their dataclass's fields.
+    A flip object, or each one of a list, becomes a FlipRateSpec; every other
+    value goes to ExperimentConfig as it is, and the dataclasses check it.
     """
     if not isinstance(d, Mapping):
         raise ValueError("config must be a JSON object")
-    return _from_json(ExperimentConfig, d, "")
+    _check_fields(ExperimentConfig, d, "config")
+    flip = d.get("flip")
+    if isinstance(flip, (list, tuple)):
+        flip = tuple(map(_flip_from_json, flip))
+    elif flip is not None:
+        flip = _flip_from_json(flip)
+    return ExperimentConfig(**{**d, "flip": flip})

@@ -120,6 +120,7 @@ def test_missing_report_dir_exits_one(tmp_path, capsys):
     ("train_fraction", 1.5),
     ("train_fraction", 0),
     ("n_splits", 2.5),
+    ("n_splits", 10.0),
     ("n_splits", True),
     ("dataset_n", "100"),
     ("svm", {"C": "1"}),

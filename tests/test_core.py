@@ -374,6 +374,8 @@ def test_flip_rate_spec_validation_and_parse():
     (("inverse", 0.1, -1.0), "beta"), (("inverse", 0.1, -2.0), "beta"),
     (("inverse", math.inf, 0.5), "alpha"), (("inverse", math.nan, 0.5), "alpha"),
     (("linear", math.inf), "alpha"), (("constant", math.nan), "alpha"),
+    # unchecked, an integer too large for a float makes rate() raise OverflowError
+    (("linear", 10**400), "alpha"), (("inverse", 0.1, 10**400), "beta"),
 ])
 def test_flip_rate_spec_rejects_non_finite_parameters_and_an_inverse_beta_of_at_most_minus_one(
         args, field):
@@ -388,6 +390,12 @@ def test_flip_rate_spec_rejects_non_finite_parameters_and_an_inverse_beta_of_at_
 def test_flip_rate_spec_rejects_a_parameter_that_is_not_a_real_number(args, field):
     with pytest.raises(ValueError, match=f"^{field} must be a real number, got "):
         FlipRateSpec(*args)
+
+
+def test_flip_rate_spec_stores_float_parameters():
+    spec = FlipRateSpec("inverse", 1, np.float32(0.5))
+    assert (type(spec.alpha), type(spec.beta)) == (float, float)
+    assert spec == FlipRateSpec("inverse", 1.0, 0.5) and spec.describe() == "inverse(1,0.5)"
 
 
 def test_flip_rate_zero_below_boundary():

@@ -202,7 +202,29 @@ def test_config_rejects_unknown_fields_and_methods():
         with pytest.raises(ValueError, match="^train_fraction must be a real number, got "):
             ExperimentConfig(train_fraction=value)
     cfg = ExperimentConfig(methods=["pgpu"], train_fraction=np.float32(0.5))
-    assert cfg.methods == ["pgpu"] and cfg.train_fraction == 0.5
+    assert cfg.methods == ("pgpu",) and cfg.train_fraction == 0.5
+    # a list is stored as a tuple, so the config equals its JSON form and hashes like it
+    read = config_from_dict({"methods": ["pgpu"], "train_fraction": 0.5})
+    assert cfg == read and hash(cfg) == hash(read)
+
+
+def test_config_stores_plain_ints_floats_and_tuples():
+    cfg = ExperimentConfig(flip=[FlipRateSpec("linear", 1)], methods=["pgpu", "elkan"],
+                           n_splits=np.int64(2), master_seed=np.uint8(7), dataset_n=np.int32(40),
+                           train_fraction=np.float32(0.5))
+    assert cfg == ExperimentConfig(flip=(FlipRateSpec("linear", 1.0),), methods=("pgpu", "elkan"),
+                                   n_splits=2, master_seed=7, dataset_n=40, train_fraction=0.5)
+    for field, kind in (("flip", tuple), ("methods", tuple), ("n_splits", int),
+                        ("master_seed", int), ("dataset_n", int), ("train_fraction", float)):
+        assert type(getattr(cfg, field)) is kind, field
+
+
+@pytest.mark.parametrize("flip", [3, 0, {}, "", "linear", [FlipRateSpec("linear", 0.5), 3]])
+def test_config_rejects_a_flip_that_is_not_a_setting_or_a_sequence_of_them(flip):
+    # unchecked, an int raises TypeError, which the CLI does not catch, and 0, {} and ""
+    # run as clean data
+    with pytest.raises(ValueError, match="^flip must be a FlipRateSpec, a sequence of them, or None"):
+        ExperimentConfig(flip=flip)
 
 
 @pytest.mark.parametrize("field, value, json_value, repeated", [
