@@ -64,12 +64,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    config = config_from_dict(raw)
+    config = config_from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
     records = run_suite(config)
     paths = write_results(records, args.out_dir)
     for p in paths.values():
@@ -117,7 +112,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_report(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # a malformed JSON file is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,7 @@ import math
 import numbers
 import time
 from collections.abc import Mapping, Sequence
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,6 @@ from .datagen import (
 from .kernels import SplitKernel
 from .svm import SvmModel, decision_values, train_prob_svm, train_weighted_svm
 
-METHOD_NAMES = ("pgpu", "pgpu_cv", "svm_naive", "elkan", "clean")
-
 RESULTS_FILE = "results.csv"
 SUMMARY_FILE = "summary.json"
 TIMINGS_FILE = "timings.csv"
@@ -46,15 +44,17 @@ TIMINGS_FILE = "timings.csv"
 class ExperimentConfig:
     """Declarative description of one experiment suite.
 
-    ``flip`` may be a single flip-rate setting, a sequence of settings, or
-    None for clean data. ``dataset_n`` is the total sample size (split evenly
-    per class for the triangles generator). Counts and the seed are stored
-    as int, ``train_fraction`` as float and sequences as tuples, so a config
-    built in Python equals the same config read by ``config_from_dict``.
+    ``flip`` may be given as a single flip-rate setting, a sequence of
+    settings, or None for clean data; it is stored as a tuple, empty for clean
+    data. ``dataset_n`` is the total sample size (split evenly per class for
+    the triangles generator). Counts and the seed are stored as int,
+    ``train_fraction`` as float, sequences as tuples, and a csv source as a
+    dict of its own that the hash leaves out, so a config built in Python
+    equals and hashes like the same config read by ``config_from_dict``.
     """
 
-    dataset_source: str | Mapping[str, str] = "triangles"
-    flip: FlipRateSpec | tuple[FlipRateSpec, ...] | None = None
+    dataset_source: str | Mapping[str, str] = field(default="triangles", hash=False)
+    flip: tuple[FlipRateSpec, ...] = ()
     methods: tuple[str, ...] = ("pgpu", "svm_naive")
     n_splits: int = 10
     master_seed: int = 0
@@ -62,11 +62,11 @@ class ExperimentConfig:
     train_fraction: float = 0.75
 
     def __post_init__(self) -> None:
-        for field in ("n_splits", "dataset_n", "master_seed"):
-            value = getattr(self, field)
+        for name in ("n_splits", "dataset_n", "master_seed"):
+            value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{field} must be an integer, got {value!r}")
-            object.__setattr__(self, field, int(value))
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n_splits < 1:
             raise ValueError("n_splits must be at least 1")
         if isinstance(self.methods, str) or not isinstance(self.methods, Sequence):
@@ -74,16 +74,22 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for m in self.methods:
-            if m not in METHOD_NAMES:
-                raise ValueError(f"unknown method {m!r}; valid: {METHOD_NAMES}")
+            if m not in _METHODS:
+                raise ValueError(f"unknown method {m!r}; valid: {tuple(_METHODS)}")
         object.__setattr__(self, "methods", tuple(self.methods))
-        settings = [name for name, _ in _normalize_settings(self.flip)]
-        if isinstance(self.flip, Sequence):
-            object.__setattr__(self, "flip", tuple(self.flip))
-        for field, entries in (("methods", self.methods), ("flip", settings)):
+        specs = () if self.flip is None else self.flip
+        if isinstance(specs, FlipRateSpec):
+            specs = (specs,)
+        if (isinstance(specs, str) or not isinstance(specs, Sequence)
+                or not all(isinstance(spec, FlipRateSpec) for spec in specs)):
+            raise ValueError("flip must be a FlipRateSpec, a sequence of them, or None, "
+                             f"got {self.flip!r}")
+        object.__setattr__(self, "flip", tuple(specs))
+        settings = [spec.describe() for spec in self.flip]
+        for name, entries in (("methods", self.methods), ("flip", settings)):
             repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeated:
-                raise ValueError(f"{field} lists {repeated[0]!r} more than once")
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         if isinstance(self.dataset_source, str):
             if self.dataset_source not in ("triangles", "overlap_square"):
                 raise ValueError(f"unknown dataset_source {self.dataset_source!r}")
@@ -94,6 +100,7 @@ class ExperimentConfig:
             extra = [key for key in self.dataset_source if key != "csv"]
             if extra:
                 raise ValueError(f"dataset_source takes only the key 'csv', got {extra!r}")
+            object.__setattr__(self, "dataset_source", dict(self.dataset_source))
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
         fraction = self.train_fraction
@@ -198,16 +205,6 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     return evaluate(final, test)
 
 
-def _normalize_settings(flip) -> list[tuple[str, FlipRateSpec | None]]:
-    if flip is None:
-        return [("none", None)]
-    specs = (flip,) if isinstance(flip, FlipRateSpec) else flip
-    if (isinstance(specs, str) or not isinstance(specs, Sequence)
-            or not all(isinstance(spec, FlipRateSpec) for spec in specs)):
-        raise ValueError(f"flip must be a FlipRateSpec, a sequence of them, or None, got {flip!r}")
-    return [(spec.describe(), spec) for spec in specs] or [("none", None)]
-
-
 def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:
     seed = derive_seed(config.master_seed, "gen", setting_idx)
     src = config.dataset_source
@@ -219,16 +216,24 @@ def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:
     return load_csv(src["csv"])
 
 
-def _run_method(name: str, train: PUDataset, test: PUDataset, seed: int) -> float:
-    if name == "pgpu":
-        return run_pgpu(train, test, boundary_mode="min_nprime")
-    if name == "pgpu_cv":
-        return run_pgpu(train, test, boundary_mode="cv", cv_seed=seed)
-    if name == "svm_naive":
-        return run_svm_naive(train, test)
-    if name == "elkan":
-        return run_elkan(train, test, seed=seed)
-    raise ValueError(f"unknown method {name!r}")
+def _run_clean(train: PUDataset, test: PUDataset, seed: int) -> float:
+    """Upper reference: svm_naive trained on the split's latent labels."""
+    if train.y is None:
+        raise ValueError("the clean reference requires latent labels")
+    return run_svm_naive(PUDataset(train.X, train.y), test)
+
+
+# Each method name -> its runner on a train split that keeps its latent labels, a test
+# split, and the cell's seed. Every method but the clean reference trains on the observed
+# labels alone.
+_METHODS = {
+    "pgpu": lambda train, test, seed: run_pgpu(train.without_latent(), test),
+    "pgpu_cv": lambda train, test, seed: run_pgpu(train.without_latent(), test,
+                                                  boundary_mode="cv", cv_seed=seed),
+    "svm_naive": lambda train, test, seed: run_svm_naive(train.without_latent(), test),
+    "elkan": lambda train, test, seed: run_elkan(train.without_latent(), test, seed=seed),
+    "clean": _run_clean,
+}
 
 
 def _aggregate(method: str, setting: str,
@@ -260,7 +265,7 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
     not abort the remaining cells. Identical configs give identical records
     apart from wall times.
     """
-    settings = _normalize_settings(config.flip)
+    settings = [(spec.describe(), spec) for spec in config.flip] or [("none", None)]
     records: list[ResultRecord] = []
     for si, (sname, fspec) in enumerate(settings):
         clean = _make_dataset(config, si)
@@ -273,22 +278,15 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
             m: [] for m in config.methods
         }
         for split_id in range(config.n_splits):
-            sseed = derive_seed(config.master_seed, "split", si, split_id)
-            tr, te = split(pu, config.train_fraction, sseed)
-            tr_blind = tr.without_latent()
-            clean_tr = clean_te = None
-            if "clean" in config.methods:
-                clean_tr, clean_te = split(clean, config.train_fraction, sseed)
+            tr, te = split(pu, config.train_fraction,
+                           derive_seed(config.master_seed, "split", si, split_id))
             for m in config.methods:
+                mseed = derive_seed(config.master_seed, "method", si, split_id, m)
                 started = time.perf_counter()
                 acc: float | None
                 err: str | None
                 try:
-                    if m == "clean":
-                        acc = run_svm_naive(clean_tr.without_latent(), clean_te)
-                    else:
-                        mseed = derive_seed(config.master_seed, "method", si, split_id, m)
-                        acc = _run_method(m, tr_blind, te, mseed)
+                    acc = _METHODS[m](tr, te, mseed)
                     err = None
                 except (ValueError, RuntimeError) as exc:
                     acc, err = None, str(exc)

@@ -83,7 +83,8 @@ def test_run_bad_config_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "o")]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: Expecting property name")
 
     bad = _write_config(tmp_path, methods=["warp_drive"])
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "o2")]) == 1

@@ -219,6 +219,27 @@ def test_config_stores_plain_ints_floats_and_tuples():
         assert type(getattr(cfg, field)) is kind, field
 
 
+@pytest.mark.parametrize("flip, same, raw", [
+    (FlipRateSpec("linear", 0.5), (FlipRateSpec("linear", 0.5),), {"kind": "linear", "alpha": 0.5}),
+    (None, (), None),
+    (None, [], []),
+])
+def test_flip_forms_that_run_the_same_suite_make_equal_configs(flip, same, raw):
+    cfg = ExperimentConfig(flip=flip)
+    assert type(cfg.flip) is tuple
+    for other in (ExperimentConfig(flip=same), config_from_dict({"flip": raw})):
+        assert cfg == other and hash(cfg) == hash(other)
+
+
+def test_csv_source_config_hashes_and_keeps_its_own_copy():
+    source = {"csv": "t.csv"}
+    cfg = ExperimentConfig(dataset_source=source, methods=("clean",))
+    read = config_from_dict({"dataset_source": {"csv": "t.csv"}, "methods": ["clean"]})
+    assert cfg == read and hash(cfg) == hash(read)
+    source["csv"] = "other.csv"
+    assert cfg.dataset_source == {"csv": "t.csv"} and cfg == read
+
+
 @pytest.mark.parametrize("flip", [3, 0, {}, "", "linear", [FlipRateSpec("linear", 0.5), 3]])
 def test_config_rejects_a_flip_that_is_not_a_setting_or_a_sequence_of_them(flip):
     # unchecked, an int raises TypeError, which the CLI does not catch, and 0, {} and ""
@@ -269,10 +290,27 @@ def test_csv_dataset_without_latent_labels_reports_errors(tmp_path):
     path = tmp_path / "pu_only.csv"
     pgpu.save_csv(data, path)
     cfg = ExperimentConfig(dataset_source={"csv": str(path)}, flip=None,
-                           methods=("svm_naive",), n_splits=2, master_seed=0)
-    records = run_suite(cfg)
-    assert len(records[0].per_split) == 0
-    assert all("latent" in err for err in records[0].errors)
+                           methods=("svm_naive", "clean"), n_splits=2, master_seed=0)
+    for record in run_suite(cfg):
+        assert len(record.per_split) == 0
+        assert len(record.errors) == 2 and all("latent" in err for err in record.errors)
+
+
+def test_clean_reference_trains_on_the_latent_labels_of_a_csv_source(tmp_path):
+    clean = gen_triangles(60, 60, seed=23)
+    gap = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
+    pu = pgpu.flip_labels(clean, gap, FlipRateSpec("constant", 0.6), seed=24)
+    accuracies = {}
+    for name, data in (("clean", clean), ("pu", pu)):
+        pgpu.save_csv(data, tmp_path / f"{name}.csv")
+        cfg = ExperimentConfig(dataset_source={"csv": str(tmp_path / f"{name}.csv")},
+                               methods=("svm_naive", "clean"), n_splits=3, master_seed=4)
+        for r in run_suite(cfg):
+            accuracies[name, r.method] = r.per_split
+    # on the same rows, clean fits what svm_naive fits when every positive is labelled
+    assert accuracies["pu", "clean"] == accuracies["clean", "svm_naive"]
+    assert accuracies["clean", "clean"] == accuracies["clean", "svm_naive"]
+    assert accuracies["pu", "svm_naive"] != accuracies["pu", "clean"]
 
 
 def _readme_config() -> dict:
@@ -310,7 +348,7 @@ def test_config_from_dict_table(raw, expected):
     cfg = config_from_dict(raw)
     if expected is None:  # integers-for-floats: every float field holds a float
         expected = ExperimentConfig(flip=FlipRateSpec("inverse", 1.0, 2.0))
-        for value in (cfg.flip.alpha, cfg.flip.beta):
+        for value in (cfg.flip[0].alpha, cfg.flip[0].beta):
             assert type(value) is float
     assert cfg == expected
 

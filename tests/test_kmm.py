@@ -1,3 +1,10 @@
+"""The KMM solver against its plain reference, brute force and an independent QP solution.
+
+KMM is certified against an independent optimum only on samples of at most 200 points
+until ROADMAP item 4 makes its problem strongly convex; larger solves replay the reference
+descent bit for bit, which pins last bits, not optimality.
+"""
+
 import math
 import os
 import subprocess

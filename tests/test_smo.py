@@ -160,3 +160,31 @@ def test_smo_dual_objective_matches_scipy(n, seed):
     _, ref_obj = svm_dual_scipy(K, y, c_box)
     smo_obj = 0.5 * (alpha * y) @ K @ (alpha * y) - alpha.sum()
     assert abs(smo_obj - ref_obj) <= 1e-8 * max(1.0, abs(ref_obj))
+
+
+@pytest.mark.parametrize("n, seed", [(2000, 4), (4000, 7)])  # 1500 and 3000 training rows
+def test_smo_duality_gap_on_pipeline_fits(n, seed):
+    # a certificate that needs no second solver: with the maximal violating pair within
+    # tol and the bias between its ends, each example adds at most c_i * tol to P - D
+    clean = gen_triangles(n // 2, n // 2, seed=seed)
+    gap = rank_normalized_gap(estimate_clean_gap(clean), clean.y)
+    pu = flip_labels(clean, gap, FlipRateSpec("inverse", 0.1, 0.5), seed=seed + 1)
+    train, _ = split(pu, 0.75, seed=seed + 2)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
+    y = train.s.astype(float)
+    rng = np.random.default_rng(seed)
+    fold = np.ones(train.n)
+    fold[::3] = 0.0  # a Platt fold: its held-out rows are zero caps
+    weighted = rng.uniform(0.0, 3.0, train.n)  # a reweighted fit, dropped rows at zero
+    weighted[rng.random(train.n) < 0.3] = 0.0
+    tol = 1e-3
+    for c_box in (np.ones(train.n), fold, weighted):
+        alpha, bias, _, fitted = smo_solve(kernel.K, y, c_box, tol=tol)
+        v = alpha * y
+        Kv = kernel.K @ v
+        primal = 0.5 * v @ Kv + c_box @ np.maximum(0.0, 1.0 - y * (Kv + bias))
+        dual = alpha.sum() - 0.5 * v @ Kv
+        assert 0.0 <= primal - dual <= tol * c_box.sum()
+        # the O(n) form from the solver's own decision values
+        from_fitted = v @ (fitted - bias) + c_box @ np.maximum(0.0, 1.0 - y * fitted) - alpha.sum()
+        assert abs(from_fitted - (primal - dual)) <= 1e-10 * (1.0 + primal)
