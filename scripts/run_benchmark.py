@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the synthetic PU benchmarks over the standard mislabel-rate settings.
 
+The results go to --out-dir as `pgpu run` writes them, and the run ends by printing
+the table of `pgpu report`.
+
 Examples:
     python scripts/run_benchmark.py --dataset triangles --family inverse --out-dir results/tri_inverse
     python scripts/run_benchmark.py --dataset overlap --family all --splits 10 --out-dir results/sq_all
@@ -13,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from pgpu import ExperimentConfig, FlipRateSpec, run_suite, write_results  # noqa: E402
+from pgpu import ExperimentConfig, FlipRateSpec, cli, run_suite, write_results  # noqa: E402
 
 INVERSE = tuple(FlipRateSpec("inverse", a, b) for a in (0.1, 0.2, 0.3) for b in (0.5, 1.0, 1.5))
 LINEAR = tuple(FlipRateSpec("linear", a) for a in (0.2, 0.4, 0.6, 0.8, 1.0))
@@ -46,25 +49,9 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
     started = time.perf_counter()
-    records = run_suite(config)
-    paths = write_results(records, args.out_dir)
-
-    print(f"\nfinished in {time.perf_counter() - started:.1f}s; files in {args.out_dir}\n")
-    print(f"{'setting':<18} " + " ".join(f"{m:>12}" for m in config.methods))
-    by_setting: dict = {}
-    for r in records:
-        by_setting.setdefault(r.setting, {})[r.method] = r
-    for setting, row in by_setting.items():
-        cells = []
-        for m in config.methods:
-            rec = row[m]
-            if rec.per_split:
-                cells.append(f"{100 * rec.accuracy_mean:6.2f}+-{100 * rec.accuracy_std:4.2f}")
-            else:
-                cells.append("failed".rjust(12))
-        print(f"{setting:<18} " + " ".join(f"{c:>12}" for c in cells))
-    print(f"\nsummary: {paths['summary.json']}")
-    return 0
+    write_results(run_suite(config), args.out_dir)
+    print(f"finished in {time.perf_counter() - started:.1f}s; files in {args.out_dir}\n")
+    return cli.main(["report", "--in", args.out_dir])
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Command line interface: generate datasets, run experiment suites, format reports.
+"""Command line interface: generate datasets, run experiment suites, print their results.
 
 Exit codes: 0 on success, 1 on configuration or usage errors, 2 when every
 cell of a suite failed at runtime.
@@ -41,9 +41,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True, help="JSON config path")
     run.add_argument("--out-dir", required=True, help="directory for result files")
 
-    rep = sub.add_parser("report", help="format the results of a finished suite")
+    rep = sub.add_parser("report", help="print a finished suite's results as a markdown table")
     rep.add_argument("--in", dest="in_dir", required=True, help="directory written by 'run'")
-    rep.add_argument("--format", choices=["csv", "json", "markdown"], default="markdown")
     return parser
 
 
@@ -80,18 +79,7 @@ def _fmt_pct(value) -> str:
 
 
 def _cmd_report(args) -> int:
-    summary_path = Path(args.in_dir) / SUMMARY_FILE
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
-    rows = summary["results"]
-    if args.format == "json":
-        print(json.dumps(summary, indent=2, sort_keys=True))
-        return 0
-    if args.format == "csv":
-        print("method,setting,accuracy_mean,accuracy_std,n_splits_ok")
-        for r in rows:
-            print(f"{r['method']},\"{r['setting']}\",{_fmt_pct(r['accuracy_mean'])},"
-                  f"{_fmt_pct(r['accuracy_std'])},{r['n_splits_ok']}")
-        return 0
+    rows = json.loads((Path(args.in_dir) / SUMMARY_FILE).read_text(encoding="utf-8"))["results"]
     print("| method | setting | accuracy (%) | std | splits ok |")
     print("|---|---|---|---|---|")
     for r in rows:

@@ -93,8 +93,8 @@ class FlipRateSpec:
     def parse(cls, text: str) -> "FlipRateSpec":
         """Parse 'inverse:a,b', 'linear:a', or 'constant:a'."""
         kind, _, rest = text.partition(":")
-        try:
-            nums = [float(part) for part in rest.split(",") if part != ""]
+        try:  # float("") fails, so an empty field is invalid as well
+            nums = [float(part) for part in rest.split(",")] if rest else []
         except ValueError:
             raise ValueError(f"invalid flip parameters in {text!r}") from None
         if kind == "inverse":

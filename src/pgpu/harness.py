@@ -47,10 +47,10 @@ class ExperimentConfig:
     ``flip`` may be given as a single flip-rate setting, a sequence of
     settings, or None for clean data; it is stored as a tuple, empty for clean
     data. ``dataset_n`` is the total sample size (split evenly per class for
-    the triangles generator). Counts and the seed are stored as int,
-    ``train_fraction`` as float, sequences as tuples, and a csv source as a
-    dict of its own that the hash leaves out, so a config built in Python
-    equals and hashes like the same config read by ``config_from_dict``.
+    the triangles generator); each split trains on 75% of it. Counts and the
+    seed are stored as int, sequences as tuples, and a csv source as a dict of
+    its own that the hash leaves out, so a config built in Python equals and
+    hashes like the same config read by ``config_from_dict``.
     """
 
     dataset_source: str | Mapping[str, str] = field(default="triangles", hash=False)
@@ -59,7 +59,6 @@ class ExperimentConfig:
     n_splits: int = 10
     master_seed: int = 0
     dataset_n: int = 2000
-    train_fraction: float = 0.75
 
     def __post_init__(self) -> None:
         for name in ("n_splits", "dataset_n", "master_seed"):
@@ -103,12 +102,6 @@ class ExperimentConfig:
             object.__setattr__(self, "dataset_source", dict(self.dataset_source))
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
-        fraction = self.train_fraction
-        if not isinstance(fraction, numbers.Real) or isinstance(fraction, bool):
-            raise ValueError(f"train_fraction must be a real number, got {fraction!r}")
-        if not 0.0 < fraction < 1.0:  # NaN fails too
-            raise ValueError("train_fraction must lie in (0, 1)")
-        object.__setattr__(self, "train_fraction", float(fraction))
 
 
 @dataclass(frozen=True)
@@ -278,8 +271,7 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
             m: [] for m in config.methods
         }
         for split_id in range(config.n_splits):
-            tr, te = split(pu, config.train_fraction,
-                           derive_seed(config.master_seed, "split", si, split_id))
+            tr, te = split(pu, seed=derive_seed(config.master_seed, "split", si, split_id))
             for m in config.methods:
                 mseed = derive_seed(config.master_seed, "method", si, split_id, m)
                 started = time.perf_counter()

@@ -18,10 +18,11 @@ from pgpu import (
     run_suite,
     write_results,
 )
-from pgpu.core import estimate_boundary_min, relabel
+from pgpu.core import estimate_boundary_min, fit_relabelled_classifier, relabel
 from pgpu.kernels import gram_matrix
 from pgpu.kmm import BetaWeights, _projected_descent, solve_kmm
 from pgpu.svm import (
+    decision_values,
     fit_platt,
     predict_proba_batch,
     smo_solve,
@@ -268,3 +269,46 @@ def test_criterion_8_suite_reruns_are_byte_identical(tmp_path):
     )
     _report(8, "rerunning a suite with the same master seed reproduces result files byte-for-byte",
             same, "results.csv and summary.json compared")
+
+
+def _bayes_check(dataset, spec, n, seed):
+    """One 75% split of a generated PU dataset, run through pgpu: the number of unlabelled
+    rows relabelled positive that the Bayes classifier sign(x2 - x1) calls negative, the
+    Bayes error of the relabelled negatives, and the final fit's test disagreement with it."""
+    clean = (pgpu.gen_triangles(n // 2, n - n // 2, seed) if dataset == "triangles"
+             else pgpu.gen_overlap_square(n, seed))
+    drive = pgpu.rank_normalized_gap(pgpu.estimate_clean_gap(clean), clean.y)
+    pu = pgpu.flip_labels(clean, drive, spec, seed=seed + 10)
+    train, test = pgpu.split(pu, 0.75, seed=seed + 20)
+    kernel = SplitKernel(1.0 / train.dim, train.X)
+    gaps = observed_gap(kernel, train.s)
+    boundary = estimate_boundary_min(gaps, train.s)
+    final, result, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary)
+    bayes_train = np.where(train.X[:, 1] > train.X[:, 0], 1, -1)
+    bayes_test = np.where(test.X[:, 1] > test.X[:, 0], 1, -1)
+    relabelled_pos = result.positive_idx[train.s[result.positive_idx] == -1]
+    wrong_pos = int(np.sum(bayes_train[relabelled_pos] == -1))
+    neg_error = float(np.mean(bayes_train[result.negative_idx] == 1))
+    predicted = np.where(decision_values(final, test.X) >= 0.0, 1, -1)
+    return wrong_pos, neg_error, float(np.mean(predicted != bayes_test))
+
+
+def test_criterion_9_relabelling_approaches_the_bayes_labels():
+    wrong_pos = 0
+    falls = True
+    details = []
+    for dataset, spec in (("triangles", FlipRateSpec("inverse", 0.1, 0.5)),
+                          ("overlap_square", FlipRateSpec("linear", 0.6))):
+        means = {}
+        for n in (400, 2000):
+            checks = [_bayes_check(dataset, spec, n, seed) for seed in (0, 1, 2)]
+            wrong_pos += sum(c[0] for c in checks)
+            means[n] = np.mean([c[1:] for c in checks], axis=0)
+        falls = falls and bool(np.all(means[2000] < means[400]))
+        details.append(f"{dataset}: negative error {100 * means[400][0]:.2f}% -> "
+                       f"{100 * means[2000][0]:.2f}%, test disagreement "
+                       f"{100 * means[400][1]:.2f}% -> {100 * means[2000][1]:.2f}%")
+    _report(9, "no relabelled positive is a Bayes negative, and the relabelled-negative error "
+            "and test disagreement with the Bayes classifier fall from n=400 to n=2000",
+            wrong_pos == 0 and falls,
+            f"Bayes-negative positives={wrong_pos}; " + "; ".join(details))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,6 +368,16 @@ def test_flip_rate_spec_validation_and_parse():
         FlipRateSpec.parse("inverse:0.1")
     with pytest.raises(ValueError):
         FlipRateSpec.parse("nope:1")
+    with pytest.raises(ValueError, match=r"^constant flip needs one parameter, e\.g\."):
+        FlipRateSpec.parse("constant:")
+
+
+# an empty field is an invalid parameter, not one left out
+@pytest.mark.parametrize("text", ["inverse:0.1,,0.5", "inverse:,0.1,0.5", "inverse:0.1,0.5,",
+                                  "linear:,0.3", "linear:0.3,", "constant:,"])
+def test_flip_rate_spec_parse_rejects_an_empty_field(text):
+    with pytest.raises(ValueError, match=f"^invalid flip parameters in {re.escape(repr(text))}$"):
+        FlipRateSpec.parse(text)
 
 
 @pytest.mark.parametrize("args, field", [

@@ -166,7 +166,6 @@ def test_config_json_round_trip():
         n_splits=4,
         master_seed=9,
         dataset_n=400,
-        train_fraction=0.8,
     )
     assert config_from_dict(dataclasses.asdict(cfg)) == cfg
     # JSON text survives the trip too
@@ -198,25 +197,22 @@ def test_config_rejects_unknown_fields_and_methods():
     # a string of methods would be read letter by letter, as method 'p'
     with pytest.raises(ValueError, match="^methods must be a sequence of method names, got 'pgpu'"):
         ExperimentConfig(methods="pgpu")
-    for value in ("0.5", True):
-        with pytest.raises(ValueError, match="^train_fraction must be a real number, got "):
-            ExperimentConfig(train_fraction=value)
-    cfg = ExperimentConfig(methods=["pgpu"], train_fraction=np.float32(0.5))
-    assert cfg.methods == ("pgpu",) and cfg.train_fraction == 0.5
+    cfg = ExperimentConfig(methods=["pgpu"])
+    assert cfg.methods == ("pgpu",)
     # a list is stored as a tuple, so the config equals its JSON form and hashes like it
-    read = config_from_dict({"methods": ["pgpu"], "train_fraction": 0.5})
+    read = config_from_dict({"methods": ["pgpu"]})
     assert cfg == read and hash(cfg) == hash(read)
 
 
 def test_config_stores_plain_ints_floats_and_tuples():
     cfg = ExperimentConfig(flip=[FlipRateSpec("linear", 1)], methods=["pgpu", "elkan"],
-                           n_splits=np.int64(2), master_seed=np.uint8(7), dataset_n=np.int32(40),
-                           train_fraction=np.float32(0.5))
+                           n_splits=np.int64(2), master_seed=np.uint8(7), dataset_n=np.int32(40))
     assert cfg == ExperimentConfig(flip=(FlipRateSpec("linear", 1.0),), methods=("pgpu", "elkan"),
-                                   n_splits=2, master_seed=7, dataset_n=40, train_fraction=0.5)
+                                   n_splits=2, master_seed=7, dataset_n=40)
     for field, kind in (("flip", tuple), ("methods", tuple), ("n_splits", int),
-                        ("master_seed", int), ("dataset_n", int), ("train_fraction", float)):
+                        ("master_seed", int), ("dataset_n", int)):
         assert type(getattr(cfg, field)) is kind, field
+    assert type(cfg.flip[0].alpha) is float
 
 
 @pytest.mark.parametrize("flip, same, raw", [
@@ -262,17 +258,6 @@ def test_config_rejects_repeated_methods_and_flip_settings(field, value, json_va
         ExperimentConfig(**{field: value})
     with pytest.raises(ValueError, match=re.escape(message)):
         config_from_dict({field: json_value})
-
-
-@pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.25, math.nan, math.inf])
-def test_config_rejects_a_train_fraction_outside_the_open_unit_interval(fraction):
-    message = "train_fraction must lie in (0, 1)"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        ExperimentConfig(train_fraction=fraction)
-    # Python's json reads NaN and Infinity, so a JSON config can carry either
-    raw = json.loads(json.dumps({"train_fraction": fraction}))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        config_from_dict(raw)
 
 
 def test_csv_dataset_source_round_trip(tmp_path):
@@ -365,6 +350,8 @@ UNKNOWN_FIELD_CASES = [
     ({"kmm": {"upper_bound_B": 1000.0, "epsilon": None}}, "unknown config fields: ['kmm']"),
     ({"kernel": {"kind": "rbf", "gamma": 0.5}}, "unknown config fields: ['kernel']"),
     ({"kmm_kernel": None, "n_prime": 3}, "unknown config fields: ['kmm_kernel', 'n_prime']"),
+    # every suite splits 75/25, as pgpu.split does by default
+    ({"train_fraction": 0.75}, "unknown config fields: ['train_fraction']"),
     ({"flip": {"kind": "linear", "alpha": 0.2, "rate": 0.1}}, "unknown flip fields: ['rate']"),
     ({"flip": [_INVERSE, {"kind": "constant", "alpha": 0.2, "gap": 1}]},
      "unknown flip fields: ['gap']"),
