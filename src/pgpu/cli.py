@@ -79,12 +79,17 @@ def _fmt_pct(value) -> str:
 
 
 def _cmd_report(args) -> int:
-    rows = json.loads((Path(args.in_dir) / SUMMARY_FILE).read_text(encoding="utf-8"))["results"]
-    print("| method | setting | accuracy (%) | std | splits ok |")
-    print("|---|---|---|---|---|")
-    for r in rows:
-        print(f"| {r['method']} | {r['setting']} | {_fmt_pct(r['accuracy_mean'])} "
-              f"| {_fmt_pct(r['accuracy_std'])} | {r['n_splits_ok']} |")
+    path = Path(args.in_dir) / SUMMARY_FILE
+    lines = ["| method | setting | accuracy (%) | std | splits ok |", "|---|---|---|---|---|"]
+    try:  # format every row before printing anything: a bad file prints the error alone
+        rows = json.loads(path.read_text(encoding="utf-8"))["results"]
+        if not isinstance(rows, list):
+            raise TypeError
+        lines += [f"| {r['method']} | {r['setting']} | {_fmt_pct(r['accuracy_mean'])} "
+                  f"| {_fmt_pct(r['accuracy_std'])} | {r['n_splits_ok']} |" for r in rows]
+    except (ValueError, TypeError, KeyError):  # a malformed JSON file is a ValueError
+        raise ValueError(f"{path} is not a summary written by 'pgpu run'") from None
+    print("\n".join(lines))
     return 0
 
 

@@ -3,14 +3,15 @@
 The observed gap of an instance is P(s=+1|x) - P(s=-1|x) under the PU labels.
 Unlabelled instances whose gap falls below a negative boundary l are safely
 negative, those with positive gap are safely positive, and the band in
-between is discarded.
+between is discarded. ``relabel`` builds a relabelling once, as one layout of the
+sample and two counts, and ``fit_relabelled_classifier`` fits it as given.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +28,13 @@ _BOUNDARY_FOLDS = 5  # cross-validation folds of estimate_boundary_cv
 
 @dataclass(frozen=True)
 class RelabelResult:
-    """Partition of instance indices into relabelled-positive, relabelled-negative, discarded."""
+    """A relabelling: ``layout`` holds the sample's positives in sample order, then its other
+    unlabelled rows by ascending gap. The first ``n_positive`` are relabelled positive, the
+    next ``n_negative`` negative, and the rest are discarded."""
 
-    positive_idx: np.ndarray
-    negative_idx: np.ndarray
-    discarded_idx: np.ndarray
+    layout: np.ndarray
+    n_positive: int
+    n_negative: int
 
 
 @dataclass(frozen=True)
@@ -148,61 +151,49 @@ def estimate_boundary_min(gaps, observed_labels) -> float:
 def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
     """Assign confident labels: observed positives stay positive, unlabelled
     instances become negative when gap <= boundary_l, positive when gap > 0,
-    and are discarded inside the ambiguous band (boundary_l, 0]. Positives come in
-    sample order, then negatives and discarded ones by ascending gap (ties in sample
-    order): the same layout for every boundary, each led by its relabelled sample."""
+    and are discarded inside the ambiguous band (boundary_l, 0]. Ties in gap keep
+    sample order. Positives do not depend on the boundary and negatives lead the
+    gap-sorted rest, so every boundary gives the same layout."""
     if not -1.0 < boundary_l < 0.0:
         raise ValueError("boundary_l must lie strictly inside (-1, 0)")
     g, s = _checked_gaps(gaps, observed_labels)
     positive = (s == 1) | (g > 0.0)
-    rest = np.flatnonzero(~positive)
+    pos, rest = np.flatnonzero(positive), np.flatnonzero(~positive)
     rest = rest[np.argsort(g[rest], kind="stable")]
-    cut = int(np.searchsorted(g[rest], boundary_l, side="right"))
-    return RelabelResult(
-        positive_idx=np.flatnonzero(positive),
-        negative_idx=rest[:cut],
-        discarded_idx=rest[cut:],
-    )
+    n_negative = int(np.searchsorted(g[rest], boundary_l, side="right"))
+    return RelabelResult(np.concatenate([pos, rest]), pos.size, n_negative)
 
 
-def _matching_kernel(kernel: SplitKernel, result: RelabelResult, rows) -> SplitKernel:
-    """The KMM kernel on sample rows ``rows`` of ``kernel`` in ``relabel``'s layout
-    ``result``, which is the same for every boundary on the sample."""
-    layout = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
-    gamma = KMM_GAMMA_SCALE / kernel.X.shape[1]
-    return SplitKernel(gamma, kernel.X[np.asarray(rows, dtype=np.intp)[layout]])
+def _matching_kernel(kernel: SplitKernel, relabelled: RelabelResult) -> SplitKernel:
+    """The KMM kernel on the rows ``relabelled.layout`` of ``kernel``, in that order."""
+    return SplitKernel(KMM_GAMMA_SCALE / kernel.X.shape[1], kernel.X[relabelled.layout])
 
 
-def fit_relabelled_classifier(kernel: SplitKernel, s, gaps, boundary_l: float, rows=None,
+def fit_relabelled_classifier(kernel: SplitKernel, relabelled: RelabelResult,
                               matching: SplitKernel | None = None,
-                              ) -> tuple[SvmModel, RelabelResult, BetaWeights]:
-    """Relabel, correct the induced domain bias with KMM, and train the weighted SVM.
+                              ) -> tuple[SvmModel, BetaWeights]:
+    """Correct the bias of the relabelling ``relabelled`` with KMM, and train the weighted SVM.
 
-    The sample is the rows ``rows`` (None: all; strictly ascending) of the classifier
-    kernel, with ``s`` and ``gaps`` given per sample row. The final SVM runs over the
-    whole split with weight beta at the relabelled rows and 0 elsewhere, so its
-    ``fitted`` scores every row. The KMM target is the full sample and the source is the
-    relabelled subset, so the weights undo the bias from dropping the
-    ambiguous band. ``matching`` (None: built here) is ``_matching_kernel``'s
-    kernel on the sample in ``relabel``'s layout, whose leading run is the relabelled
-    sample, so the KMM source block is a view; callers that fit many boundaries on one
-    sample pass it. Relabelled-positive and relabelled-negative indices are sample
-    positions; ``beta`` lines up with them, positives first.
+    ``relabelled.layout`` is read as rows of the classifier kernel. The final SVM runs over
+    the whole split with weight beta at the relabelled rows and 0 elsewhere, so its
+    ``fitted`` scores every row. The KMM target is the whole layout and the source is its
+    relabelled lead, so the weights undo the bias from dropping the ambiguous band.
+    ``matching`` (None: built here) is ``_matching_kernel``'s kernel on the layout, which
+    callers that fit many relabellings of one layout build once; the KMM source block is a
+    view of it. ``beta`` lines up with the relabelled rows of the layout, positives first.
     """
-    idx = _ascending_rows(rows, kernel.n)
-    result = relabel(gaps, s, boundary_l)
-    n_pos, n_neg = result.positive_idx.size, result.negative_idx.size
+    n_pos, n_neg = relabelled.n_positive, relabelled.n_negative
     if n_pos == 0 or n_neg == 0:
         raise ValueError("relabelling produced one class")
     if matching is None:
-        matching = _matching_kernel(kernel, result, idx)
+        matching = _matching_kernel(kernel, relabelled)
     # source stays solve_kmm's third positional argument: perfbench/spans.py reads it there
     beta = solve_kmm(matching, None, np.arange(n_pos + n_neg))
-    fit_rows = idx[np.concatenate([result.positive_idx, result.negative_idx])]
+    fit_rows = relabelled.layout[:n_pos + n_neg]
     labels, weights = np.ones(kernel.n, dtype=int), np.zeros(kernel.n)
     labels[fit_rows[n_pos:]] = -1
     weights[fit_rows] = beta.beta
-    return train_weighted_svm(kernel, labels, weights), result, beta
+    return train_weighted_svm(kernel, labels, weights), beta
 
 
 def estimate_boundary_cv(kernel: SplitKernel, s, seed: int = 0) -> float:
@@ -212,9 +203,9 @@ def estimate_boundary_cv(kernel: SplitKernel, s, seed: int = 0) -> float:
     observed labels. Each candidate is scored by running the full
     relabel-KMM-SVM pipeline on the training folds and measuring accuracy
     against the held-out observed PU labels; every classifier kernel value
-    comes from ``kernel.K``. Each fold relabels once for its layout and builds its
-    matching kernel once, and every candidate's KMM source is a leading view of it;
-    candidates that relabel a fold alike share one fit. Ties resolve to the candidate
+    comes from ``kernel.K``. Each fold is relabelled once and builds one matching kernel
+    on its layout; a candidate only sets how many rows of it are negative, and candidates
+    with the same count share one fit. Ties resolve to the candidate
     that comes first in the grid, the most negative boundary.
     Degenerate (candidate, fold) pairs (a ValueError) are skipped; if every candidate
     degenerates everywhere, this raises. A solver failure (RuntimeError) is not skipped: it
@@ -246,20 +237,20 @@ def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid, seed: int) -> np.ndarra
             fold_gaps = observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
-        layout = relabel(fold_gaps, s[fit_rows], grid[0])
-        matching = _matching_kernel(kernel, layout, fit_rows)
-        # Negatives lead the layout's gap-sorted unlabelled rows at every boundary, so
-        # candidates with equal negative counts relabel alike.
-        ranked = fold_gaps[np.concatenate([layout.negative_idx, layout.discarded_idx])]
+        relabelled = relabel(fold_gaps, s[fit_rows], grid[0])
+        # the layout's unlabelled rows are gap-sorted and led by the negatives at every
+        # boundary, so a candidate's relabelling is its count of negatives
+        ranked = fold_gaps[relabelled.layout[relabelled.n_positive:]]
         n_negatives = np.searchsorted(ranked, grid, side="right")
+        sample = replace(relabelled, layout=fit_rows[relabelled.layout])  # split rows
+        matching = _matching_kernel(kernel, sample)
         # distinct counts in grid order; np.unique's first call would import numpy.ma
         # inside a cell (4 ms, and 340 objects left for the garbage collector)
         for count in dict.fromkeys(n_negatives.tolist()):
             alike = n_negatives == count
             try:
-                clf, _, _ = fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps,
-                                                      grid[int(np.argmax(alike))], fit_rows,
-                                                      matching)
+                clf, _ = fit_relabelled_classifier(kernel, replace(sample, n_negative=count),
+                                                   matching)
             except ValueError:  # a degenerate relabelling; solver failures propagate
                 continue
             pred = np.where(clf.fitted[hold_rows] >= 0.0, 1, -1)

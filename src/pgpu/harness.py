@@ -21,6 +21,7 @@ from .core import (
     estimate_boundary_min,
     fit_relabelled_classifier,
     observed_gap,
+    relabel,
 )
 from .datagen import (
     PUDataset,
@@ -73,7 +74,7 @@ class ExperimentConfig:
         if not self.methods:
             raise ValueError("methods must be nonempty")
         for m in self.methods:
-            if m not in _METHODS:
+            if not isinstance(m, str) or m not in _METHODS:
                 raise ValueError(f"unknown method {m!r}; valid: {tuple(_METHODS)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         specs = () if self.flip is None else self.flip
@@ -148,7 +149,7 @@ def run_pgpu(train: PUDataset, test: PUDataset, boundary_mode: str = "min_nprime
         boundary = estimate_boundary_cv(kernel, train.s, seed=cv_seed)
     else:
         boundary = estimate_boundary_min(gaps, train.s)
-    final, _, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary)
+    final, _ = fit_relabelled_classifier(kernel, relabel(gaps, train.s, boundary))
     return evaluate(final, test)
 
 

@@ -151,9 +151,7 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
 
 
 def _as_run(idx, n: int):
-    """A slice for None (everything) or for consecutive ascending indices, else an index array."""
-    if idx is None:
-        return slice(None)
+    """``idx`` checked against n rows: a slice if consecutive and ascending, else an index array."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.size and (idx.min() < 0 or idx.max() >= n):
         raise IndexError(f"index out of range for a kernel matrix of {n} rows")

@@ -4,6 +4,8 @@ Everything here is computed from first principles (enumeration, direct
 formulas) so the tests never trust the code path they are checking.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 
@@ -395,7 +397,8 @@ def clip_to_sum_bisection(v, cap, target):
 
 def boundary_cv_reference(kernel, s, grid, seed):
     """estimate_boundary_cv as one relabel-KMM-SVM fit per (candidate, fold) pair,
-    with no sharing between candidates. Returns (boundary, per-candidate scores),
+    with no sharing between candidates: each candidate relabels the fold itself, and its
+    fit builds its own matching kernel. Returns (boundary, per-candidate scores),
     the scores being mean held-out accuracy, -inf where every fold degenerated.
     Calls the pipeline steps through ``pgpu.core``, so patches of them apply."""
     from pgpu import core
@@ -413,12 +416,11 @@ def boundary_cv_reference(kernel, s, grid, seed):
             fold_gaps = core.observed_gap(kernel, s[fit_rows], fit_rows)
         except ValueError:
             continue
-        layout = core.relabel(fold_gaps, s[fit_rows], grid[0])
-        matching = core._matching_kernel(kernel, layout, fit_rows)
         for ci, cand in enumerate(grid):
+            relabelled = core.relabel(fold_gaps, s[fit_rows], cand)
+            on_split = replace(relabelled, layout=fit_rows[relabelled.layout])
             try:
-                clf, _, _ = core.fit_relabelled_classifier(kernel, s[fit_rows], fold_gaps, cand,
-                                                           fit_rows, matching)
+                clf, _ = core.fit_relabelled_classifier(kernel, on_split)
             except ValueError:
                 continue
             pred = np.where(clf.fitted[hold_rows] >= 0.0, 1, -1)
@@ -426,6 +428,12 @@ def boundary_cv_reference(kernel, s, grid, seed):
             counts[ci] += 1
     scores = np.where(counts > 0, sums / np.maximum(counts, 1.0), -np.inf)
     return float(grid[int(np.argmax(scores))]), scores
+
+
+def relabelled_parts(relabelled):
+    """The relabelled-positive, relabelled-negative and discarded rows of a relabelling."""
+    n_pos, n_kept = relabelled.n_positive, relabelled.n_positive + relabelled.n_negative
+    return relabelled.layout[:n_pos], relabelled.layout[n_pos:n_kept], relabelled.layout[n_kept:]
 
 
 def forward_gap(true_gap, rho_plus):

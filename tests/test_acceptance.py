@@ -7,7 +7,13 @@ suites run under pinned master seeds and fixed RNG streams.
 
 import numpy as np
 
-from _oracles import forward_gap, kmm_brute_force_min, monotone_rate, svm_kkt_residuals
+from _oracles import (
+    forward_gap,
+    kmm_brute_force_min,
+    monotone_rate,
+    relabelled_parts,
+    svm_kkt_residuals,
+)
 import pgpu
 from pgpu import (
     ExperimentConfig,
@@ -104,9 +110,10 @@ def test_criterion_4_relabelling_consistency():
         true_gap = rng.uniform(-1.0, 1.0, 4000)
         observed = forward_gap(true_gap, spec.rate(true_gap))
         boundary = -float(spec.rate(np.array([0.0]))[0])
-        result = relabel(observed, -np.ones(4000, dtype=int), boundary)
+        positive, negative, _ = relabelled_parts(
+            relabel(observed, -np.ones(4000, dtype=int), boundary))
         oracle_ok = oracle_ok and bool(
-            np.all(true_gap[result.positive_idx] > 0) and np.all(true_gap[result.negative_idx] < 0)
+            np.all(true_gap[positive] > 0) and np.all(true_gap[negative] < 0)
         )
 
     # estimated half: overlap square, full estimation pipeline
@@ -116,11 +123,11 @@ def test_criterion_4_relabelling_consistency():
     kernel = SplitKernel(1.0 / pu.dim, pu.X)
     gaps = observed_gap(kernel, pu.s)
     boundary = estimate_boundary_min(gaps, pu.s)
-    result = relabel(gaps, pu.s, boundary)
+    positive, negative, _ = relabelled_parts(relabel(gaps, pu.s, boundary))
     bayes = np.where(pu.X[:, 1] > pu.X[:, 0], 1, -1)
-    assigned = np.concatenate([np.ones(result.positive_idx.size, dtype=int),
-                               -np.ones(result.negative_idx.size, dtype=int)])
-    reference = np.concatenate([bayes[result.positive_idx], bayes[result.negative_idx]])
+    assigned = np.concatenate([np.ones(positive.size, dtype=int),
+                               -np.ones(negative.size, dtype=int)])
+    reference = np.concatenate([bayes[positive], bayes[negative]])
     agreement = float(np.mean(assigned == reference))
 
     _report(4, "relabelled instances match the optimal labels (oracle 100%, estimated >= 98%)",
@@ -283,12 +290,14 @@ def _bayes_check(dataset, spec, n, seed):
     kernel = SplitKernel(1.0 / train.dim, train.X)
     gaps = observed_gap(kernel, train.s)
     boundary = estimate_boundary_min(gaps, train.s)
-    final, result, _ = fit_relabelled_classifier(kernel, train.s, gaps, boundary)
+    result = relabel(gaps, train.s, boundary)
+    final, _ = fit_relabelled_classifier(kernel, result)
+    positive, negative, _ = relabelled_parts(result)
     bayes_train = np.where(train.X[:, 1] > train.X[:, 0], 1, -1)
     bayes_test = np.where(test.X[:, 1] > test.X[:, 0], 1, -1)
-    relabelled_pos = result.positive_idx[train.s[result.positive_idx] == -1]
+    relabelled_pos = positive[train.s[positive] == -1]
     wrong_pos = int(np.sum(bayes_train[relabelled_pos] == -1))
-    neg_error = float(np.mean(bayes_train[result.negative_idx] == 1))
+    neg_error = float(np.mean(bayes_train[negative] == 1))
     predicted = np.where(decision_values(final, test.X) >= 0.0, 1, -1)
     return wrong_pos, neg_error, float(np.mean(predicted != bayes_test))
 

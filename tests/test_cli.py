@@ -98,6 +98,17 @@ def test_run_every_cell_failing_exits_two(tmp_path, capsys):
     assert "every suite cell failed" in capsys.readouterr().err
 
 
+def test_run_exits_two_when_a_solver_failure_fails_every_cell(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pgpu.kmm, "_MAX_ITERS", 1)  # no KMM solve converges in one step
+    config = _write_config(tmp_path, methods=["pgpu"])
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "fail")]) == 2
+    assert "every suite cell failed" in capsys.readouterr().err
+    summary = json.loads((tmp_path / "fail" / "summary.json").read_text(encoding="utf-8"))
+    errors = summary["results"][0]["errors"]
+    assert len(errors) == 2
+    assert all("KMM reached its iteration cap max_iters=1 " in e for e in errors)
+
+
 def test_usage_errors_exit_one(capsys):
     assert main(["gen", "--dataset", "hexagons", "--out", "x.csv"]) == 1
     capsys.readouterr()
@@ -125,13 +136,39 @@ def test_missing_report_dir_exits_one(tmp_path, capsys):
     ("n_splits", True),
     ("dataset_n", "100"),
     ("svm", {"C": "1"}),
+    ("methods", [["pgpu"]]),  # a method name that is not a string
+    ("methods", [{"a": 1}]),
 ])
 def test_run_malformed_config_prints_one_error_line(tmp_path, capsys, field, value):
     config = _write_config(tmp_path, **{field: value})
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert field in err[0]
+    # the message names the field, or the method name that is not one
+    assert field in err[0] or err[0].startswith(f"error: unknown method {value[0]!r}; valid: ")
+
+
+_ROW = {"method": "pgpu", "setting": "none", "accuracy_mean": 0.9, "accuracy_std": 0.0,
+        "n_splits_ok": 1}
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    '{"results": 3}',
+    "{}",
+    "{not json",
+    json.dumps({"results": [{k: v for k, v in _ROW.items() if k != "setting"}]}),
+    # a good row first: nothing is printed before the bad one is found
+    json.dumps({"results": [_ROW, {**_ROW, "accuracy_mean": "90"}]}),
+    json.dumps({"results": [_ROW, 3]}),
+], ids=["list", "results-not-a-list", "no-results", "not-json", "row-without-setting",
+        "string-accuracy", "row-not-an-object"])
+def test_report_on_a_malformed_summary_prints_one_error_line(tmp_path, capsys, text):
+    path = tmp_path / "summary.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--in", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {path} is not a summary written by 'pgpu run'\n"
 
 
 def test_run_infinite_flip_alpha_prints_one_error_line(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pgpu
-from _oracles import boundary_cv_reference, forward_gap, kmm_descent_reference, monotone_rate
+from _oracles import (
+    boundary_cv_reference,
+    forward_gap,
+    kmm_descent_reference,
+    monotone_rate,
+    relabelled_parts,
+)
 from pgpu import FlipRateSpec, observed_gap
 from pgpu.core import (
     BOUNDARY_GRID,
@@ -126,9 +133,8 @@ def test_relabel_rules():
     gaps = np.array([0.5, -0.5, -0.1, -0.9])
     s = np.array([-1, -1, -1, 1])
     result = relabel(gaps, s, -0.3)
-    assert list(result.positive_idx) == [0, 3]  # gap > 0, and the observed positive
-    assert list(result.negative_idx) == [1]     # gap <= l
-    assert list(result.discarded_idx) == [2]    # inside (l, 0]
+    # positives 0 (gap > 0) and 3 (observed), then negative 1 (gap <= l), discarded 2 (in (l, 0])
+    assert (result.layout.tolist(), result.n_positive, result.n_negative) == ([0, 3, 1, 2], 2, 1)
 
 
 def test_relabel_boundary_validation():
@@ -145,15 +151,14 @@ def test_relabel_partitions_everything(seed, boundary):
     n = int(rng.integers(1, 40))
     gaps = rng.uniform(-1.0, 1.0, n)
     s = np.where(rng.random(n) < 0.4, 1, -1)
-    result = relabel(gaps, s, boundary)
-    parts = [result.positive_idx, result.negative_idx, result.discarded_idx]
-    merged = np.concatenate(parts)
+    positive, negative, discarded = relabelled_parts(relabel(gaps, s, boundary))
+    merged = np.concatenate([positive, negative, discarded])
     assert len(merged) == n
     assert len(np.unique(merged)) == n
-    assert np.all(np.isin(np.flatnonzero(s == 1), result.positive_idx))
-    for i in result.negative_idx:
+    assert np.all(np.isin(np.flatnonzero(s == 1), positive))
+    for i in negative:
         assert s[i] == -1 and gaps[i] <= boundary
-    for i in result.discarded_idx:
+    for i in discarded:
         assert s[i] == -1 and boundary < gaps[i] <= 0.0
 
 
@@ -167,10 +172,10 @@ def test_relabel_positives_ignore_the_boundary_and_negatives_nest(seed, l1, l2):
     # coarse gaps, so some fall exactly on a boundary or on zero
     gaps = np.round(rng.uniform(-1.0, 1.0, n), 1)
     s = np.where(rng.random(n) < 0.4, 1, -1)
-    low, high = relabel(gaps, s, lo), relabel(gaps, s, hi)
-    assert np.array_equal(low.positive_idx, high.positive_idx)
-    assert np.all(np.isin(low.negative_idx, high.negative_idx))
-    assert np.all(np.isin(high.discarded_idx, low.discarded_idx))
+    low, high = relabelled_parts(relabel(gaps, s, lo)), relabelled_parts(relabel(gaps, s, hi))
+    assert np.array_equal(low[0], high[0])
+    assert np.all(np.isin(low[1], high[1]))
+    assert np.all(np.isin(high[2], low[2]))
 
 
 # boundaries, with -0.5 often enough that some gaps fall exactly on one
@@ -187,15 +192,12 @@ def test_relabel_lays_out_every_boundary_alike_with_its_relabelled_sample_first(
     s = np.array([label for label, _ in rows])
     gaps = np.array([gap for _, gap in rows])
     low, high = relabel(gaps, s, lo), relabel(gaps, s, hi)
-    layout = np.concatenate([high.positive_idx, high.negative_idx, high.discarded_idx])
-    assert np.array_equal(np.sort(layout), np.arange(s.size))  # the parts partition the sample
-    assert np.all(np.diff(high.positive_idx) > 0)
-    for part in (high.negative_idx, high.discarded_idx):
-        # ascending gap, ties in sample order
-        assert np.array_equal(part, part[np.lexsort((part, gaps[part]))])
-    assert np.array_equal(
-        layout, np.concatenate([low.positive_idx, low.negative_idx, low.discarded_idx]))
-    assert np.array_equal(high.negative_idx[:low.negative_idx.size], low.negative_idx)
+    assert np.array_equal(np.sort(high.layout), np.arange(s.size))  # a permutation of the sample
+    assert np.all(np.diff(high.layout[:high.n_positive]) > 0)
+    rest = high.layout[high.n_positive:]  # ascending gap, ties in sample order
+    assert np.array_equal(rest, rest[np.lexsort((rest, gaps[rest]))])
+    assert np.array_equal(high.layout, low.layout)
+    assert high.n_positive == low.n_positive and high.n_negative >= low.n_negative
 
 
 @pytest.mark.parametrize("spec", [FlipRateSpec("constant", 0.3), FlipRateSpec("linear", 0.6)])
@@ -205,17 +207,17 @@ def test_relabelling_with_oracle_gaps_matches_bayes_sign(spec):
     rho = spec.rate(true_gap)
     observed = forward_gap(true_gap, rho)
     boundary = -float(spec.rate(np.array([0.0]))[0])
-    result = relabel(observed, -np.ones(4000, dtype=int), boundary)
-    assert np.all(true_gap[result.positive_idx] > 0)
-    assert np.all(true_gap[result.negative_idx] < 0)
+    positive, negative, _ = relabelled_parts(relabel(observed, -np.ones(4000, dtype=int), boundary))
+    assert np.all(true_gap[positive] > 0)
+    assert np.all(true_gap[negative] < 0)
 
 
 def test_single_class_relabelling_is_surfaced():
     gaps = np.array([0.5, 0.6, 0.7, 0.8])
     s = np.array([1, 1, -1, -1])  # no unlabelled gap falls below any boundary
+    X = np.random.default_rng(0).normal(size=(4, 2))
     with pytest.raises(ValueError, match="relabelling produced one class"):
-        X = np.random.default_rng(0).normal(size=(4, 2))
-        fit_relabelled_classifier(pgpu.SplitKernel(0.5, X), s, gaps, -0.5)
+        fit_relabelled_classifier(pgpu.SplitKernel(0.5, X), relabel(gaps, s, -0.5))
 
 
 def test_boundary_grid_matches_protocol():
@@ -255,11 +257,11 @@ def test_boundary_cv_skips_degenerate_candidates_but_not_solver_failures(monkeyp
     assert estimate_boundary_cv(kernel, s, seed=1) == -0.96  # a tie
     real = pgpu.core.fit_relabelled_classifier
 
-    def degenerate_if_rows_discarded(kernel, s, gaps, boundary_l, *args):
+    def degenerate_if_rows_discarded(kernel, relabelled, *args):
         # fails a relabelling, not a boundary value: candidates that relabel alike fail alike
-        if relabel(gaps, s, boundary_l).discarded_idx.size:
+        if relabelled_parts(relabelled)[2].size:
             raise ValueError("relabelling discarded rows")
-        return real(kernel, s, gaps, boundary_l, *args)
+        return real(kernel, relabelled, *args)
 
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", degenerate_if_rows_discarded)
     assert estimate_boundary_cv(kernel, s, seed=1) == -0.90
@@ -286,28 +288,41 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
     kernel, s = _pu_triangles(n, seed=n)
     expected_l, expected_scores = boundary_cv_reference(kernel, s, BOUNDARY_GRID, seed=2)
 
-    fits, fold_gaps = [], {}
-    fit, cv_scores = pgpu.core.fit_relabelled_classifier, pgpu.core._cv_scores
-    scores = []
+    fits, fold_gaps, relabels, layouts, scores = [], {}, [], set(), []
+    gap, fit = pgpu.core.observed_gap, pgpu.core.fit_relabelled_classifier
+    cv_scores = pgpu.core._cv_scores
 
-    def counted_fit(kernel, s, gaps, boundary_l, rows, *args):
-        fold_gaps[rows.tobytes()] = (s, gaps)
-        fits.append((rows.tobytes(), relabel(gaps, s, boundary_l).negative_idx.size))
-        return fit(kernel, s, gaps, boundary_l, rows, *args)
+    def recorded_gap(kernel, s, rows):
+        fold_gaps[rows.tobytes()] = (rows, s, gap(kernel, s, rows))
+        return fold_gaps[rows.tobytes()][2]
+
+    def counted_relabel(*args):
+        relabels.append(args)
+        return relabel(*args)
+
+    def counted_fit(kernel, relabelled, *args):  # the layout is in split rows
+        fits.append((np.sort(relabelled.layout).tobytes(), relabelled.n_negative))
+        layouts.add(relabelled.layout.tobytes())
+        return fit(kernel, relabelled, *args)
 
     def recorded_scores(*args):
         scores.append(cv_scores(*args))
         return scores[-1]
 
+    monkeypatch.setattr(pgpu.core, "observed_gap", recorded_gap)
+    monkeypatch.setattr(pgpu.core, "relabel", counted_relabel)
     monkeypatch.setattr(pgpu.core, "fit_relabelled_classifier", counted_fit)
     monkeypatch.setattr(pgpu.core, "_cv_scores", recorded_scores)
     assert estimate_boundary_cv(kernel, s, seed=2) == expected_l
     assert np.array_equal(scores[0], expected_scores)
-    # one fit per distinct (fold, negatives count) pair, and every such pair fitted
-    distinct = {(fold, relabel(gaps, fold_s, cand).negative_idx.size)
-                for fold, (fold_s, gaps) in fold_gaps.items() for cand in BOUNDARY_GRID}
-    assert len(fold_gaps) == 5
+    # one relabelling per fold; one fit per distinct (fold, negatives count) pair, and every
+    # such pair fitted, each on its fold's layout in split rows
+    assert len(fold_gaps) == len(relabels) == 5
+    distinct = {(fold, relabel(gaps, fold_s, cand).n_negative)
+                for fold, (_, fold_s, gaps) in fold_gaps.items() for cand in BOUNDARY_GRID}
     assert len(fits) == len(distinct) and set(fits) == distinct
+    assert layouts == {rows[relabel(gaps, fold_s, -0.5).layout].tobytes()
+                       for rows, fold_s, gaps in fold_gaps.values()}
 
 
 def test_boundary_cv_needs_enough_of_each_class():
@@ -340,8 +355,6 @@ def test_sample_rows_must_be_strictly_ascending(rows):
     labels = s[rows]
     with pytest.raises(ValueError, match="rows must be strictly ascending"):
         observed_gap(kernel, labels, rows)
-    with pytest.raises(ValueError, match="rows must be strictly ascending"):
-        fit_relabelled_classifier(kernel, labels, np.array([0.5, -0.9, 0.5, -0.9]), -0.5, rows)
 
 
 def test_flip_rate_spec_validation_and_parse():
@@ -424,8 +437,7 @@ def test_matching_kernel_is_rbf_with_gamma_20_over_dim():
     gaps = np.array([0.5, 0.4, 0.2, -0.3, -0.8, -0.6])
     for dim, gamma in ((2, 10.0), (5, 4.0)):
         X = np.random.default_rng(dim).normal(size=(6, dim))
-        matching = _matching_kernel(pgpu.SplitKernel(1.0 / dim, X), relabel(gaps, s, -0.7),
-                                    np.arange(6))
+        matching = _matching_kernel(pgpu.SplitKernel(1.0 / dim, X), relabel(gaps, s, -0.7))
         assert matching.gamma == gamma
         assert np.array_equal(matching.X, X[[0, 1, 2, 4, 5, 3]])
 
@@ -447,7 +459,7 @@ def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monke
     monkeypatch.setattr(pgpu.core, "solve_kmm", solved)
     monkeypatch.setattr(pgpu.kmm, "_projected_descent", checked)
     boundary = estimate_boundary_cv(kernel, s, seed=2)
-    fit_relabelled_classifier(kernel, s, observed_gap(kernel, s), boundary)
+    fit_relabelled_classifier(kernel, relabel(observed_gap(kernel, s), s, boundary))
     assert len(leading_views) == len(matching) > 5 * 2 and all(leading_views)
 
 
@@ -473,18 +485,18 @@ def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follow
     kernel, s = _pu_triangles(200, seed=200)
     rows = np.arange(1, 200, 2)
     gaps = observed_gap(kernel, s[rows], rows)
+    other = relabel(gaps, s[rows], -0.5)
+    matching = _matching_kernel(kernel, replace(other, layout=rows[other.layout]))
     for boundary in (estimate_boundary_min(gaps, s[rows]), -0.9):
-        built, result, beta = fit_relabelled_classifier(kernel, s[rows], gaps, boundary,
-                                                        rows=rows)
-        shared, _, shared_beta = fit_relabelled_classifier(
-            kernel, s[rows], gaps, boundary, rows=rows,
-            matching=_matching_kernel(kernel, relabel(gaps, s[rows], -0.5), rows))
+        result = relabel(gaps, s[rows], boundary)
+        result = replace(result, layout=rows[result.layout])  # sample positions -> split rows
+        built, beta = fit_relabelled_classifier(kernel, result)
+        shared, shared_beta = fit_relabelled_classifier(kernel, result, matching=matching)
         assert np.array_equal(built.support_vectors, shared.support_vectors)
         assert np.array_equal(built.dual_coefs, shared.dual_coefs) and built.bias == shared.bias
         assert np.array_equal(beta.beta, shared_beta.beta)
         # the fit's KMM is the one on the matching kernel in relabel's layout, bit for bit
-        laid_out = np.concatenate([result.positive_idx, result.negative_idx, result.discarded_idx])
-        pool = pgpu.SplitKernel(10.0, kernel.X[rows[laid_out]])
+        pool = pgpu.SplitKernel(10.0, kernel.X[result.layout])
         direct = solve_kmm(pool, None, np.arange(beta.beta.size))
-        assert beta.beta.size == result.positive_idx.size + result.negative_idx.size
+        assert beta.beta.size == result.n_positive + result.n_negative
         assert direct.beta.tobytes() == beta.beta.tobytes()

@@ -121,6 +121,18 @@ def test_suite_records_cell_errors_without_aborting():
     assert len(records["svm_naive"].per_split) == 2  # unaffected by the pgpu failures
 
 
+def test_suite_records_a_solver_failure_in_a_cell_instead_of_raising(monkeypatch):
+    cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("inverse", 0.2, 1.0),
+                           methods=("pgpu", "svm_naive"), n_splits=2, master_seed=5, dataset_n=160)
+    naive = run_suite(dataclasses.replace(cfg, methods=("svm_naive",)))[0]
+    monkeypatch.setattr(pgpu.kmm, "_MAX_ITERS", 1)  # no KMM solve converges in one step
+    records = {r.method: r for r in run_suite(cfg)}
+    assert records["pgpu"].per_split == () and len(records["pgpu"].errors) == 2
+    for sid, err in enumerate(records["pgpu"].errors):
+        assert err.startswith(f"split {sid}: KMM reached its iteration cap max_iters=1 ")
+    assert records["svm_naive"].per_split == naive.per_split and not records["svm_naive"].errors
+
+
 def test_result_files_are_deterministic(tmp_path):
     cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("inverse", 0.2, 1.0),
                            methods=("svm_naive", "pgpu", "elkan", "clean"), n_splits=2,

@@ -94,8 +94,8 @@ def test_fixed_settings_on_a_pipeline_matching_kernel():
     kernel = SplitKernel(1.0 / train.X.shape[1], train.X)
     gaps = pgpu.observed_gap(kernel, train.s)
     result = relabel(gaps, train.s, estimate_boundary_min(gaps, train.s))
-    matching = _matching_kernel(kernel, result, np.arange(kernel.n))
-    weights = _assert_fixed_settings(matching, result.positive_idx.size + result.negative_idx.size)
+    matching = _matching_kernel(kernel, result)
+    weights = _assert_fixed_settings(matching, result.n_positive + result.n_negative)
     assert 10 <= weights.trace.size - 1 < 5000
 
 
