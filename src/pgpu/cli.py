@@ -87,7 +87,7 @@ def _cmd_report(args) -> int:
             raise TypeError
         lines += [f"| {r['method']} | {r['setting']} | {_fmt_pct(r['accuracy_mean'])} "
                   f"| {_fmt_pct(r['accuracy_std'])} | {r['n_splits_ok']} |" for r in rows]
-    except (ValueError, TypeError, KeyError):  # a malformed JSON file is a ValueError
+    except (ValueError, TypeError, KeyError, ArithmeticError, RecursionError):
         raise ValueError(f"{path} is not a summary written by 'pgpu run'") from None
     print("\n".join(lines))
     return 0
