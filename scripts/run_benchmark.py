@@ -6,7 +6,9 @@ the table of `pgpu report`.
 
 Examples:
     python scripts/run_benchmark.py --dataset triangles --family inverse --out-dir results/tri_inverse
-    python scripts/run_benchmark.py --dataset overlap --family all --splits 10 --out-dir results/sq_all
+    python scripts/run_benchmark.py --dataset overlap_square --family all --splits 10 --out-dir results/sq_all
+
+--dataset takes the names of the suite's generator table, as a config's dataset_source does.
 """
 
 import argparse
@@ -17,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pgpu import ExperimentConfig, FlipRateSpec, cli, run_suite, write_results  # noqa: E402
+from pgpu.harness import _GENERATORS  # noqa: E402
 
 INVERSE = tuple(FlipRateSpec("inverse", a, b) for a in (0.1, 0.2, 0.3) for b in (0.5, 1.0, 1.5))
 LINEAR = tuple(FlipRateSpec("linear", a) for a in (0.2, 0.4, 0.6, 0.8, 1.0))
@@ -27,7 +30,7 @@ FAMILIES = {"inverse": INVERSE, "linear": LINEAR, "constant": CONSTANT,
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dataset", choices=["triangles", "overlap"], default="triangles")
+    parser.add_argument("--dataset", choices=_GENERATORS, default="triangles")
     parser.add_argument("--family", choices=sorted(FAMILIES), default="all")
     parser.add_argument("--methods", default="svm_naive,elkan,pgpu,clean",
                         help="comma-separated subset of pgpu,pgpu_cv,svm_naive,elkan,clean")
@@ -39,7 +42,7 @@ def main() -> int:
 
     try:
         config = ExperimentConfig(
-            dataset_source="triangles" if args.dataset == "triangles" else "overlap_square",
+            dataset_source=args.dataset,
             flip=FAMILIES[args.family],
             methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
             n_splits=args.splits,

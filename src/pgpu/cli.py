@@ -12,15 +12,8 @@ import sys
 from pathlib import Path
 
 from .core import FlipRateSpec
-from .datagen import (
-    estimate_clean_gap,
-    flip_labels,
-    gen_overlap_square,
-    gen_triangles,
-    rank_normalized_gap,
-    save_csv,
-)
-from .harness import SUMMARY_FILE, config_from_dict, run_suite, write_results
+from .datagen import save_csv
+from .harness import _GENERATORS, SUMMARY_FILE, _pu_data, config_from_dict, run_suite, write_results
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -30,8 +23,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a synthetic PU dataset as CSV")
-    gen.add_argument("--dataset", choices=["triangles", "overlap"], required=True)
+    gen = sub.add_parser("gen", help="generate a synthetic PU dataset of 2000 points as CSV")
+    gen.add_argument("--dataset", choices=_GENERATORS, required=True)
     gen.add_argument("--flip", default=None,
                      help="flip setting: inverse:a,b | linear:a | constant:a (omit for clean data)")
     gen.add_argument("--seed", type=int, default=0)
@@ -47,15 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.dataset == "triangles":
-        clean = gen_triangles(seed=args.seed)
-    else:
-        clean = gen_overlap_square(seed=args.seed)
-    dataset = clean
-    if args.flip is not None:
-        spec = FlipRateSpec.parse(args.flip)
-        gap = rank_normalized_gap(estimate_clean_gap(clean), clean.y)
-        dataset = flip_labels(clean, gap, spec, seed=args.seed + 1)
+    spec = None if args.flip is None else FlipRateSpec.parse(args.flip)
+    dataset = _pu_data(args.dataset, 2000, args.seed, spec, args.seed + 1)
     save_csv(dataset, args.out)
     n_pos = int((dataset.s == 1).sum())
     print(f"wrote {dataset.n} rows ({n_pos} labelled positive) to {args.out}")

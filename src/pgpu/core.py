@@ -17,7 +17,7 @@ import numpy as np
 
 from .kernels import SplitKernel, check_labels
 from .kmm import BetaWeights, solve_kmm
-from .svm import SvmModel, _ascending_rows, _stratified_folds, train_prob_svm, train_weighted_svm
+from .svm import SvmModel, _stratified_folds, train_prob_svm, train_weighted_svm
 
 BOUNDARY_GRID: tuple[float, ...] = tuple(round(-0.90 + 0.01 * k, 2) for k in range(31))
 
@@ -117,11 +117,11 @@ class FlipRateSpec:
 KMM_GAMMA_SCALE = 20.0
 
 
-def observed_gap(kernel: SplitKernel, labels, rows=None) -> np.ndarray:
-    """Observed gaps 2P(s=+1|x) - 1 of the rows ``rows`` of the split (None: all; ascending),
-    one per row, from the ``fitted`` of a calibrated SVM trained on them with their ``labels``."""
-    model, calib = train_prob_svm(kernel, labels, rows=rows)
-    return 2.0 * calib.posterior(model.fitted[_ascending_rows(rows, kernel.n)]) - 1.0
+def observed_gap(kernel: SplitKernel, labels, fit=None) -> np.ndarray:
+    """Observed gap 2P(s=+1|x) - 1 of every row of the split, from the ``fitted`` of a calibrated
+    SVM trained on the rows of the boolean mask ``fit`` (None: all), one label per split row."""
+    model, calib = train_prob_svm(kernel, labels, fit)
+    return 2.0 * calib.posterior(model.fitted) - 1.0
 
 
 def _checked_gaps(gaps, observed_labels) -> tuple[np.ndarray, np.ndarray]:
@@ -225,16 +225,17 @@ def estimate_boundary_cv(kernel: SplitKernel, s, seed: int = 0) -> float:
 
 def _cv_scores(kernel: SplitKernel, s: np.ndarray, grid, seed: int) -> np.ndarray:
     """Mean held-out accuracy of each grid candidate over the folds where it is not
-    degenerate, -inf where it is degenerate in every fold."""
+    degenerate, -inf where it is degenerate in every fold. A fold's gaps come from one calibrated
+    fit on the mask of the other folds; if that fit fails (a ValueError), the fold is skipped."""
     fold = _stratified_folds(s, _BOUNDARY_FOLDS, np.random.default_rng(seed))
 
     sums = np.zeros(len(grid))
     counts = np.zeros(len(grid))
     for k in range(_BOUNDARY_FOLDS):
-        fit_rows = np.flatnonzero(fold != k)
-        hold_rows = np.flatnonzero(fold == k)
+        fit = fold != k
+        fit_rows, hold_rows = np.flatnonzero(fit), np.flatnonzero(~fit)
         try:
-            fold_gaps = observed_gap(kernel, s[fit_rows], fit_rows)
+            fold_gaps = observed_gap(kernel, s, fit)[fit_rows]
         except ValueError:
             continue
         relabelled = relabel(fold_gaps, s[fit_rows], grid[0])

@@ -90,17 +90,16 @@ class ExperimentConfig:
             repeated = [e for i, e in enumerate(entries) if e in entries[:i]]
             if repeated:
                 raise ValueError(f"{name} lists {repeated[0]!r} more than once")
-        if isinstance(self.dataset_source, str):
-            if self.dataset_source not in ("triangles", "overlap_square"):
-                raise ValueError(f"unknown dataset_source {self.dataset_source!r}")
-        elif not (isinstance(self.dataset_source, Mapping)
-                  and isinstance(self.dataset_source.get("csv"), str)):
-            raise ValueError("dataset_source must be 'triangles', 'overlap_square', or {'csv': path}")
-        else:
-            extra = [key for key in self.dataset_source if key != "csv"]
+        src = self.dataset_source
+        if not (src in _GENERATORS if isinstance(src, str)
+                else isinstance(src, Mapping) and isinstance(src.get("csv"), str)):
+            raise ValueError(f"dataset_source must be one of {tuple(_GENERATORS)} or "
+                             f"{{'csv': path}}, got {src!r}")
+        if isinstance(src, Mapping):
+            extra = [key for key in src if key != "csv"]
             if extra:
                 raise ValueError(f"dataset_source takes only the key 'csv', got {extra!r}")
-            object.__setattr__(self, "dataset_source", dict(self.dataset_source))
+            object.__setattr__(self, "dataset_source", dict(src))
         if self.dataset_n < 4:
             raise ValueError("dataset_n must be at least 4")
 
@@ -178,14 +177,12 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     kernel = SplitKernel(1.0 / train.dim, train.X)
     n = train.n
     perm = np.random.default_rng(seed).permutation(n)
-    n_fit = int(round(0.8 * n))
-    n_fit = min(max(n_fit, 2), n - 1)
-    fit_idx = np.sort(perm[:n_fit])
-    cal_idx = np.sort(perm[n_fit:])
-    cal_pos = cal_idx[train.s[cal_idx] == 1]
+    fit = np.zeros(n, dtype=bool)  # the 80% that trains the calibrated fit
+    fit[perm[:min(max(int(round(0.8 * n)), 2), n - 1)]] = True
+    cal_pos = np.flatnonzero(~fit & (train.s == 1))
     if cal_pos.size == 0:
         raise ValueError("no observed positives in the calibration split")
-    model, calib = train_prob_svm(kernel, train.s[fit_idx], rows=fit_idx)
+    model, calib = train_prob_svm(kernel, train.s, fit)
     c = float(calib.posterior(model.fitted[cal_pos]).mean())  # > 0: clipped posteriors
 
     pos = np.flatnonzero(train.s == 1)
@@ -199,15 +196,23 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     return evaluate(final, test)
 
 
-def _make_dataset(config: ExperimentConfig, setting_idx: int) -> PUDataset:
-    seed = derive_seed(config.master_seed, "gen", setting_idx)
-    src = config.dataset_source
-    if src == "triangles":
-        half = config.dataset_n // 2
-        return gen_triangles(half, config.dataset_n - half, seed)
-    if src == "overlap_square":
-        return gen_overlap_square(config.dataset_n, seed)
-    return load_csv(src["csv"])
+# Each generator name -> its generator of a clean dataset of n points from a seed
+_GENERATORS = {
+    "triangles": lambda n, seed: gen_triangles(n // 2, n - n // 2, seed),
+    "overlap_square": gen_overlap_square,
+}
+
+
+def _pu_data(source: str | Mapping[str, str], n: int, seed: int, flip: FlipRateSpec | None,
+             flip_seed: int) -> PUDataset:
+    """One setting's PU data: the dataset of ``source``, a generator name (made with ``n``
+    points from ``seed``) or {'csv': path}, with its positives flipped by ``flip`` from
+    ``flip_seed`` at their within-class rank of the clean gap (None: the data as it is)."""
+    data = load_csv(source["csv"]) if isinstance(source, Mapping) else _GENERATORS[source](n, seed)
+    if flip is None:
+        return data
+    gap = rank_normalized_gap(estimate_clean_gap(data), data.y)
+    return flip_labels(data, gap, flip, seed=flip_seed)
 
 
 def _run_clean(train: PUDataset, test: PUDataset, seed: int) -> float:
@@ -262,12 +267,9 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
     settings = [(spec.describe(), spec) for spec in config.flip] or [("none", None)]
     records: list[ResultRecord] = []
     for si, (sname, fspec) in enumerate(settings):
-        clean = _make_dataset(config, si)
-        if fspec is None:
-            pu = clean
-        else:
-            gap = rank_normalized_gap(estimate_clean_gap(clean), clean.y)
-            pu = flip_labels(clean, gap, fspec, seed=derive_seed(config.master_seed, "flip", si))
+        pu = _pu_data(config.dataset_source, config.dataset_n,
+                      derive_seed(config.master_seed, "gen", si), fspec,
+                      derive_seed(config.master_seed, "flip", si))
         cells: dict[str, list[tuple[int, float | None, str | None, float]]] = {
             m: [] for m in config.methods
         }

@@ -323,16 +323,6 @@ def predict_proba_batch(model: SvmModel, calib: PlattCalibration, X) -> np.ndarr
     return calib.posterior(decision_values(model, X))
 
 
-def _ascending_rows(rows, n: int) -> np.ndarray:
-    """Rows ``rows`` of an n-row split (None: all) as an index array, strictly ascending:
-    a whole-split fit has one example per row, so a repeat cannot be a second example."""
-    idx = np.arange(n) if rows is None else np.asarray(rows, dtype=np.intp)
-    if idx.ndim != 1 or (np.diff(idx) <= 0).any():
-        raise ValueError("rows must be strictly ascending")
-    _as_run(idx, n)  # raises IndexError for a row out of range
-    return idx
-
-
 def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = None) -> np.ndarray:
     """Fold of each example: each class dealt round robin into k folds, in sample order
     or, given ``rng``, in a random permutation."""
@@ -343,26 +333,30 @@ def _stratified_folds(y: np.ndarray, k: int, rng: np.random.Generator | None = N
     return fold
 
 
-def train_prob_svm(kernel: SplitKernel, y, rows=None) -> tuple[SvmModel, PlattCalibration]:
-    """Train an SVM on rows ``rows`` of the split (None: all; strictly ascending) and
-    calibrate its posteriors.
+def train_prob_svm(kernel: SplitKernel, labels, fit=None) -> tuple[SvmModel, PlattCalibration]:
+    """Train an SVM on the rows of the split that the boolean mask ``fit`` selects (None:
+    all), with ``labels`` one +-1 label per row of the split, and calibrate its posteriors.
 
     Calibration targets come from 3-fold cross-validated decision values when
     the sample is large enough (at least 30 examples and 3 per class); smaller
     samples use raw training decision values, which avoids fitting a sigmoid
     on three points. Every fit runs over the whole split with weight 0 outside
-    its rows, so the model's ``fitted`` scores every row of the split and each
+    ``fit``, so the model's ``fitted`` scores every row of the split and each
     fold's fit scores its held-out rows, with no kernel product.
     """
-    idx = _ascending_rows(rows, kernel.n)
-    y = check_labels(y, "labels")
-    if y.shape != idx.shape:
-        raise ValueError("rows and y must have matching lengths")
-    labels, weights = np.ones(kernel.n, dtype=int), np.zeros(kernel.n)
-    labels[idx] = y  # a zero-weight row's label moves its decision value by last bits only
-    weights[idx] = 1.0
-    model = train_weighted_svm(kernel, labels, weights)
+    labels = check_labels(labels, "labels")
+    fit = np.ones(kernel.n, dtype=bool) if fit is None else np.asarray(fit)
+    if fit.dtype != bool or fit.shape != (kernel.n,):
+        raise ValueError("fit must be a boolean mask with one entry per row of the split")
+    if labels.shape != fit.shape:
+        raise ValueError("labels must have one label per row of the split")
+    # a row outside fit keeps label +1: at weight 0 its label moves decision values by last bits
+    on_split = np.where(fit, labels, 1)
+    weights = fit.astype(float)
+    model = train_weighted_svm(kernel, on_split, weights)
 
+    idx = np.flatnonzero(fit)
+    y = labels[idx]
     n = y.size
     min_class = min(int((y > 0).sum()), int((y < 0).sum()))
     if n >= _CV_MIN_SIZE and min_class >= _CV_FOLDS:
@@ -373,7 +367,7 @@ def train_prob_svm(kernel: SplitKernel, y, rows=None) -> tuple[SvmModel, PlattCa
             hold = fold == k
             fold_weights = weights.copy()
             fold_weights[idx[hold]] = 0.0
-            dv[hold] = train_weighted_svm(kernel, labels, fold_weights).fitted[idx[hold]]
+            dv[hold] = train_weighted_svm(kernel, on_split, fold_weights).fitted[idx[hold]]
     else:
         dv = model.fitted[idx]
     return model, fit_platt(dv, y)

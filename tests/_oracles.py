@@ -413,7 +413,7 @@ def boundary_cv_reference(kernel, s, grid, seed):
         fit_rows = np.flatnonzero(fold != k)
         hold_rows = np.flatnonzero(fold == k)
         try:
-            fold_gaps = core.observed_gap(kernel, s[fit_rows], fit_rows)
+            fold_gaps = core.observed_gap(kernel, s, fold != k)[fit_rows]
         except ValueError:
             continue
         for ci, cand in enumerate(grid):

@@ -19,7 +19,8 @@ def test_gen_writes_loadable_csv(tmp_path, capsys):
 
 def test_gen_clean_overlap(tmp_path):
     out = tmp_path / "sq.csv"
-    assert main(["gen", "--dataset", "overlap", "--seed", "1", "--out", str(out)]) == 0
+    assert main(["gen", "--dataset", "overlap", "--seed", "1", "--out", str(out)]) == 1
+    assert main(["gen", "--dataset", "overlap_square", "--seed", "1", "--out", str(out)]) == 0
     data = pgpu.load_csv(out)
     assert data.n == 2000
     assert (data.s == data.y).all()

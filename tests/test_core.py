@@ -30,15 +30,19 @@ from pgpu.svm import decision_values, predict_proba_batch, train_prob_svm
 
 def test_observed_gap_is_the_calibrated_svm_gap_of_its_rows():
     kernel, s = _cv_dataset(1.5)
-    rows = np.flatnonzero(np.arange(s.size) % 4 != 0)
-    model, calib = train_prob_svm(kernel, s[rows], rows=rows)
-    got = observed_gap(kernel, s[rows], rows)
-    assert np.array_equal(got, 2.0 * calib.posterior(model.fitted[rows]) - 1.0)
+    fit = np.arange(s.size) % 4 != 0
+    model, calib = train_prob_svm(kernel, s, fit)
+    got = observed_gap(kernel, s, fit)
+    # one gap per row of the split: the fit's rows and the held-out ones alike
+    assert np.array_equal(got, 2.0 * calib.posterior(model.fitted) - 1.0)
     # the fit's own decision values, read from SMO's gradient, are the features-based ones
     assert np.abs(model.fitted - decision_values(model, kernel.X)).max() <= 1e-12
-    by_features = 2.0 * predict_proba_batch(model, calib, kernel.X[rows]) - 1.0
+    by_features = 2.0 * predict_proba_batch(model, calib, kernel.X) - 1.0
     assert np.abs(got - by_features).max() <= 1e-12
-    assert got.shape == rows.shape and np.all(np.abs(got) < 1.0)
+    assert got.shape == s.shape and np.all(np.abs(got) < 1.0)
+    # a held-out row's label is not read: the fit gives it weight 0 and label +1
+    flipped = np.where(fit, s, -s)
+    assert np.array_equal(observed_gap(kernel, flipped, fit), got)
     # far-apart blobs: each labelled positive gets a positive gap, each other row a negative one
     kernel, s = _cv_dataset(0.2)
     assert np.array_equal(np.sign(observed_gap(kernel, s)), s)
@@ -292,9 +296,10 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
     gap, fit = pgpu.core.observed_gap, pgpu.core.fit_relabelled_classifier
     cv_scores = pgpu.core._cv_scores
 
-    def recorded_gap(kernel, s, rows):
-        fold_gaps[rows.tobytes()] = (rows, s, gap(kernel, s, rows))
-        return fold_gaps[rows.tobytes()][2]
+    def recorded_gap(kernel, s, fit):  # records the fold's sample: its rows, labels and gaps
+        gaps, rows = gap(kernel, s, fit), np.flatnonzero(fit)
+        fold_gaps[rows.tobytes()] = (rows, s[rows], gaps[rows])
+        return gaps
 
     def counted_relabel(*args):
         relabels.append(args)
@@ -325,6 +330,25 @@ def test_boundary_cv_fits_each_relabelling_once_with_the_scores_of_one_fit_per_c
                        for rows, fold_s, gaps in fold_gaps.values()}
 
 
+def test_boundary_cv_skips_a_fold_whose_calibrated_fit_fails(monkeypatch):
+    # identical rows: every fold's calibrated fit has constant decision values
+    kernel, s = pgpu.SplitKernel(0.5, np.zeros((40, 2))), np.repeat([1, -1], [10, 30])
+    gap, failures = pgpu.core.observed_gap, []
+
+    def recorded_gap(*args):
+        try:
+            return gap(*args)
+        except ValueError as exc:
+            failures.append(str(exc))
+            raise
+
+    monkeypatch.setattr(pgpu.core, "observed_gap", recorded_gap)
+    monkeypatch.setattr(pgpu.core, "relabel", None)  # a skipped fold relabels nothing
+    with pytest.raises(ValueError, match="every boundary candidate was degenerate"):
+        estimate_boundary_cv(kernel, s, seed=0)
+    assert failures == ["constant decision values cannot be calibrated"] * 5
+
+
 def test_boundary_cv_needs_enough_of_each_class():
     X = np.random.default_rng(0).normal(size=(12, 2))
     s = np.array([1, 1, 1, -1, -1, -1, -1, -1, -1, -1, -1, -1])
@@ -346,15 +370,6 @@ def test_observed_labels_are_checked_before_they_are_cast(bad):
     s[7] = bad
     with pytest.raises(ValueError, match=r"observed labels must be \+1 or -1"):
         estimate_boundary_cv(kernel, s, seed=1)
-
-
-@pytest.mark.parametrize("rows", [[0, 3, 3, 9], [9, 3, 0]])
-def test_sample_rows_must_be_strictly_ascending(rows):
-    # a whole-split fit has one example per row: a repeated row cannot be a second example
-    kernel, s = _cv_dataset(0.8)
-    labels = s[rows]
-    with pytest.raises(ValueError, match="rows must be strictly ascending"):
-        observed_gap(kernel, labels, rows)
 
 
 def test_flip_rate_spec_validation_and_parse():
@@ -483,8 +498,9 @@ def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(mo
 
 def test_fit_on_a_built_or_a_shared_matching_kernel_is_identical_and_beta_follows_the_relabelling():
     kernel, s = _pu_triangles(200, seed=200)
-    rows = np.arange(1, 200, 2)
-    gaps = observed_gap(kernel, s[rows], rows)
+    fit = np.arange(200) % 2 == 1
+    rows = np.flatnonzero(fit)
+    gaps = observed_gap(kernel, s, fit)[rows]
     other = relabel(gaps, s[rows], -0.5)
     matching = _matching_kernel(kernel, replace(other, layout=rows[other.layout]))
     for boundary in (estimate_boundary_min(gaps, s[rows]), -0.9):

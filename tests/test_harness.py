@@ -69,6 +69,15 @@ def test_elkan_without_noise_matches_naive():
     assert run_elkan(blind, test, seed=6) == pytest.approx(run_svm_naive(blind, test))
 
 
+def test_elkan_needs_an_observed_positive_in_its_calibration_split():
+    # seed 0 holds out rows 5, 7, 14, 15, 29, 31, 33, 39, 41 and 49 of 50 to estimate c;
+    # the one observed positive, row 0, trains the calibrated fit
+    X = np.random.default_rng(0).normal(size=(50, 2))
+    s = np.where(np.arange(50) == 0, 1, -1)
+    with pytest.raises(ValueError, match="no observed positives in the calibration split"):
+        run_elkan(PUDataset(X, s), PUDataset(X, s, s), seed=0)
+
+
 def test_pgpu_without_noise_tracks_clean_accuracy():
     cfg = ExperimentConfig(dataset_source="triangles", flip=None, methods=("pgpu", "clean"),
                            n_splits=2, master_seed=3, dataset_n=800)

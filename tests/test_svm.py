@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import svm_kkt_residuals
 import pgpu
-from pgpu import SplitKernel, gen_triangles
+from pgpu import SplitKernel, gen_triangles, observed_gap
 from pgpu.kernels import gram_matrix
 from pgpu.svm import (
     PlattCalibration,
@@ -325,10 +325,19 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     assert np.array_equal(model.support_vectors, expected.support_vectors)
 
 
-@pytest.mark.parametrize("rows", [[0, 2, 2, 5], [5, 2, 0], [[0, 1], [2, 3]]])
-def test_prob_svm_rows_must_be_strictly_ascending(rows):
+@pytest.mark.parametrize("fit", [
+    [0, 2, 5],  # row indices
+    np.resize([1, 0], 8),  # 0/1 integers, one per row
+    np.resize([1.0, 0.0], 8),
+    np.resize([True, False], 7),
+    np.resize([True, False], 9),
+    np.resize([True, False], (2, 4)),
+], ids=["indices", "ints", "floats", "short", "long", "2-d"])
+def test_fit_must_be_a_boolean_mask_over_the_split(fit):
+    # a calibrated fit selects its rows with a mask over the split, which nothing casts into
     kernel = _split(np.random.default_rng(4).normal(size=(8, 2)))
-    with pytest.raises(ValueError, match="rows must be strictly ascending"):
-        train_prob_svm(kernel, np.resize([1, -1], np.size(rows)), rows=rows)
-    with pytest.raises(IndexError, match="out of range"):
-        train_prob_svm(kernel, [1, -1, 1], rows=[-1, 2, 5])
+    labels = np.resize([1, -1], 8)
+    with pytest.raises(ValueError, match="fit must be a boolean mask"):
+        train_prob_svm(kernel, labels, fit)
+    with pytest.raises(ValueError, match="fit must be a boolean mask"):
+        observed_gap(kernel, labels, fit)
