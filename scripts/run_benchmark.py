@@ -8,7 +8,8 @@ Examples:
     python scripts/run_benchmark.py --dataset triangles --family inverse --out-dir results/tri_inverse
     python scripts/run_benchmark.py --dataset overlap_square --family all --splits 10 --out-dir results/sq_all
 
---dataset takes the names of the suite's generator table, as a config's dataset_source does.
+--dataset takes the names of the suite's generator table, as a config's dataset_source does,
+and --methods the names of its method table, as a config's methods do.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from pgpu import ExperimentConfig, FlipRateSpec, cli, run_suite, write_results  # noqa: E402
-from pgpu.harness import _GENERATORS  # noqa: E402
+from pgpu.harness import _GENERATORS, _METHODS  # noqa: E402
 
 INVERSE = tuple(FlipRateSpec("inverse", a, b) for a in (0.1, 0.2, 0.3) for b in (0.5, 1.0, 1.5))
 LINEAR = tuple(FlipRateSpec("linear", a) for a in (0.2, 0.4, 0.6, 0.8, 1.0))
@@ -33,7 +34,7 @@ def main() -> int:
     parser.add_argument("--dataset", choices=_GENERATORS, default="triangles")
     parser.add_argument("--family", choices=sorted(FAMILIES), default="all")
     parser.add_argument("--methods", default="svm_naive,elkan,pgpu,clean",
-                        help="comma-separated subset of pgpu,pgpu_cv,svm_naive,elkan,clean")
+                        help=f"comma-separated subset of {','.join(_METHODS)}")
     parser.add_argument("--splits", type=int, default=10)
     parser.add_argument("--size", type=int, default=2000, help="total dataset size")
     parser.add_argument("--seed", type=int, default=0)

@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
     paths = write_results(records, args.out_dir)
     for p in paths.values():
         print(f"wrote {p}")
-    if records and all(len(r.per_split) == 0 for r in records):
+    if all(r.error is not None for r in records):
         print("error: every suite cell failed", file=sys.stderr)
         return 2
     return 0

@@ -6,11 +6,11 @@ import csv
 import hashlib
 import io
 import json
-import math
 import numbers
 import time
 from collections.abc import Mapping, Sequence
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -106,16 +106,16 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """Accuracy summary for one method on one flip setting across all splits."""
+    """One suite cell: a method on one split of one flip setting. ``accuracy`` is its test
+    accuracy, None when the cell raised; ``error`` is the message it raised, None when it
+    ran; ``seconds`` is its wall time."""
 
     method: str
     setting: str
-    accuracy_mean: float
-    accuracy_std: float
-    per_split: tuple[float, ...]
-    split_ids: tuple[int, ...]
-    errors: tuple[str, ...]
-    cell_times: tuple[tuple[int, float], ...] = ()
+    split: int
+    accuracy: float | None
+    error: str | None
+    seconds: float
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -235,34 +235,12 @@ _METHODS = {
 }
 
 
-def _aggregate(method: str, setting: str,
-               cells: list[tuple[int, float | None, str | None, float]]) -> ResultRecord:
-    oks = [(sid, acc) for sid, acc, err, _ in cells if err is None]
-    accs = tuple(acc for _, acc in oks)
-    if accs:
-        mean = float(np.mean(accs))
-        std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
-    else:
-        mean = math.nan
-        std = math.nan
-    return ResultRecord(
-        method=method,
-        setting=setting,
-        accuracy_mean=mean,
-        accuracy_std=std,
-        per_split=accs,
-        split_ids=tuple(sid for sid, _ in oks),
-        errors=tuple(f"split {sid}: {err}" for sid, _, err, _ in cells if err is not None),
-        cell_times=tuple((sid, t) for sid, _, _, t in cells),
-    )
-
-
 def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
-    """Run every (setting x split x method) cell and aggregate accuracies.
+    """Run every (setting x split x method) cell of a suite, one record per cell.
 
-    Per-cell failures are recorded in the matching record's ``errors`` and do
-    not abort the remaining cells. Identical configs give identical records
-    apart from wall times.
+    Records are ordered by setting, then method, then split. A cell that raises
+    records its error and does not abort the remaining cells. Identical configs
+    give identical records apart from wall times.
     """
     settings = [(spec.describe(), spec) for spec in config.flip] or [("none", None)]
     records: list[ResultRecord] = []
@@ -270,37 +248,41 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
         pu = _pu_data(config.dataset_source, config.dataset_n,
                       derive_seed(config.master_seed, "gen", si), fspec,
                       derive_seed(config.master_seed, "flip", si))
-        cells: dict[str, list[tuple[int, float | None, str | None, float]]] = {
-            m: [] for m in config.methods
-        }
-        for split_id in range(config.n_splits):
-            tr, te = split(pu, seed=derive_seed(config.master_seed, "split", si, split_id))
-            for m in config.methods:
+        splits = [split(pu, seed=derive_seed(config.master_seed, "split", si, split_id))
+                  for split_id in range(config.n_splits)]
+        for m in config.methods:
+            for split_id, (tr, te) in enumerate(splits):
                 mseed = derive_seed(config.master_seed, "method", si, split_id, m)
                 started = time.perf_counter()
-                acc: float | None
-                err: str | None
                 try:
-                    acc = _METHODS[m](tr, te, mseed)
-                    err = None
+                    acc, err = _METHODS[m](tr, te, mseed), None
                 except (ValueError, RuntimeError) as exc:
                     acc, err = None, str(exc)
-                cells[m].append((split_id, acc, err, time.perf_counter() - started))
-        for m in config.methods:
-            records.append(_aggregate(m, sname, cells[m]))
+                records.append(ResultRecord(m, sname, split_id, acc, err,
+                                            time.perf_counter() - started))
     return records
 
 
 def summarize(records: list[ResultRecord]) -> dict:
+    """One row per (method, setting) group of consecutive records, as ``run_suite``
+    orders them: the mean accuracy of the group's successful cells, their std with
+    ddof=1 (0.0 for one cell, None for none), their count, and one ``split N: <error>``
+    line per failed cell."""
     rows = []
-    for r in records:
+    for (method, setting), group in groupby(records, key=lambda r: (r.method, r.setting)):
+        cells = list(group)
+        accs = [r.accuracy for r in cells if r.error is None]
+        mean = std = None
+        if accs:
+            mean = float(np.mean(accs))
+            std = float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0
         rows.append({
-            "method": r.method,
-            "setting": r.setting,
-            "accuracy_mean": None if math.isnan(r.accuracy_mean) else r.accuracy_mean,
-            "accuracy_std": None if math.isnan(r.accuracy_std) else r.accuracy_std,
-            "n_splits_ok": len(r.per_split),
-            "errors": list(r.errors),
+            "method": method,
+            "setting": setting,
+            "accuracy_mean": mean,
+            "accuracy_std": std,
+            "n_splits_ok": len(accs),
+            "errors": [f"split {r.split}: {r.error}" for r in cells if r.error is not None],
         })
     return {"results": rows}
 
@@ -314,17 +296,14 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
 
 
 def write_results(records: list[ResultRecord], out_dir) -> dict[str, Path]:
-    """Emit results.csv and summary.json (deterministic given the records'
-    accuracies) plus timings.csv (wall-clock, inherently run-dependent)."""
+    """Emit results.csv (one row per successful cell) and summary.json, deterministic
+    given the records' accuracies and errors, plus timings.csv (one row per cell, its wall
+    time: inherently run-dependent)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    res_rows = []
-    timing_rows = []
-    for r in records:
-        for sid, acc in zip(r.split_ids, r.per_split):
-            res_rows.append([r.method, r.setting, sid, repr(acc)])
-        for sid, t in r.cell_times:
-            timing_rows.append([r.method, r.setting, sid, f"{t:.6f}"])
+    res_rows = [[r.method, r.setting, r.split, repr(r.accuracy)]
+                for r in records if r.error is None]
+    timing_rows = [[r.method, r.setting, r.split, f"{r.seconds:.6f}"] for r in records]
     paths = {
         RESULTS_FILE: out / RESULTS_FILE,
         SUMMARY_FILE: out / SUMMARY_FILE,

@@ -25,6 +25,7 @@ from pgpu import (
     write_results,
 )
 from pgpu.core import estimate_boundary_min, fit_relabelled_classifier, relabel
+from pgpu.harness import _pu_data, evaluate, summarize
 from pgpu.kernels import gram_matrix
 from pgpu.kmm import BetaWeights, _projected_descent, solve_kmm
 from pgpu.svm import (
@@ -62,9 +63,10 @@ def _suite_means(dataset, flip):
     cfg = ExperimentConfig(dataset_source=dataset, flip=flip,
                            methods=("svm_naive", "pgpu"), n_splits=10,
                            master_seed=MASTER_SEED)
-    records = {r.method: r for r in run_suite(cfg)}
-    assert all(not r.errors for r in records.values())
-    return 100.0 * records["svm_naive"].accuracy_mean, 100.0 * records["pgpu"].accuracy_mean
+    records = run_suite(cfg)
+    assert all(r.error is None for r in records)
+    means = {row["method"]: row["accuracy_mean"] for row in summarize(records)["results"]}
+    return 100.0 * means["svm_naive"], 100.0 * means["pgpu"]
 
 
 def test_criterion_1_triangles_inverse_regression():
@@ -321,3 +323,31 @@ def test_criterion_9_relabelling_approaches_the_bayes_labels():
             "and test disagreement with the Bayes classifier fall from n=400 to n=2000",
             wrong_pos == 0 and falls,
             f"Bayes-negative positives={wrong_pos}; " + "; ".join(details))
+
+
+def test_criterion_10_kmm_beats_uniform_weights():
+    # pgpu's gaps, boundary and relabelling, then its final fit against the same weighted
+    # SVM with weight 1 on every relabelled row, on 2 datasets x 4 flips x 5 seeds at n=800
+    kmm, uniform = [], []
+    for dataset in ("triangles", "overlap_square"):
+        for spec in (FlipRateSpec("inverse", 0.1, 0.5), FlipRateSpec("inverse", 0.3, 1.5),
+                     FlipRateSpec("linear", 0.6), FlipRateSpec("constant", 0.3)):
+            for seed in range(5):
+                pu = _pu_data(dataset, 800, seed, spec, seed + 100)
+                train, test = pgpu.split(pu, seed=seed + 200)
+                kernel = SplitKernel(1.0 / train.dim, train.X)
+                gaps = observed_gap(kernel, train.s)
+                result = relabel(gaps, train.s, estimate_boundary_min(gaps, train.s))
+                final, _ = fit_relabelled_classifier(kernel, result)
+                positive, negative, _ = relabelled_parts(result)
+                labels, weights = np.ones(train.n, dtype=int), np.zeros(train.n)
+                labels[negative] = -1
+                weights[positive] = weights[negative] = 1.0
+                kmm.append(evaluate(final, test))
+                uniform.append(evaluate(train_weighted_svm(kernel, labels, weights), test))
+    kmm, uniform = np.array(kmm), np.array(uniform)
+    wins, losses = int(np.sum(kmm > uniform)), int(np.sum(kmm < uniform))
+    _report(10, "KMM weights beat uniform weights on the relabelled rows: a higher mean "
+            "accuracy, and more cells won than lost", kmm.mean() > uniform.mean() and wins > losses,
+            f"KMM={kmm.mean():.4f}, uniform={uniform.mean():.4f}, wins/losses/ties="
+            f"{wins}/{losses}/{kmm.size - wins - losses} over {kmm.size} cells")

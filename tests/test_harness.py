@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import re
 from pathlib import Path
 
@@ -12,6 +11,7 @@ from pgpu import (
     ExperimentConfig,
     FlipRateSpec,
     PUDataset,
+    ResultRecord,
     config_from_dict,
     gen_triangles,
     run_elkan,
@@ -21,7 +21,7 @@ from pgpu import (
     split,
     write_results,
 )
-from pgpu.harness import derive_seed, elkan_weights, evaluate
+from pgpu.harness import derive_seed, elkan_weights, evaluate, summarize
 from pgpu.svm import SvmModel
 
 
@@ -81,8 +81,8 @@ def test_elkan_needs_an_observed_positive_in_its_calibration_split():
 def test_pgpu_without_noise_tracks_clean_accuracy():
     cfg = ExperimentConfig(dataset_source="triangles", flip=None, methods=("pgpu", "clean"),
                            n_splits=2, master_seed=3, dataset_n=800)
-    recs = {r.method: r for r in run_suite(cfg)}
-    assert abs(recs["pgpu"].accuracy_mean - recs["clean"].accuracy_mean) <= 0.015
+    means = {row["method"]: row["accuracy_mean"] for row in summarize(run_suite(cfg))["results"]}
+    assert abs(means["pgpu"] - means["clean"]) <= 0.015
 
 
 def test_run_pgpu_cv_mode_smoke():
@@ -100,46 +100,83 @@ def test_suite_cardinality_and_record_invariants():
     cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("inverse", 0.2, 1.0),
                            methods=("svm_naive", "pgpu", "elkan"), n_splits=10,
                            master_seed=5, dataset_n=160)
+    assert [f.name for f in dataclasses.fields(ResultRecord)] == [
+        "method", "setting", "split", "accuracy", "error", "seconds"]
     records = run_suite(cfg)
-    assert len(records) == 3
-    for r in records:
-        assert len(r.per_split) == 10
-        assert not r.errors
-        assert r.accuracy_mean == pytest.approx(float(np.mean(r.per_split)), abs=1e-12)
-        assert r.accuracy_std == pytest.approx(float(np.std(r.per_split, ddof=1)), abs=1e-12)
-        assert 0.0 <= r.accuracy_mean <= 1.0
-        assert [sid for sid, _ in r.cell_times] == list(range(10))
-        assert all(t >= 0.0 for _, t in r.cell_times)
+    rows = summarize(records)["results"]
+    assert len(records) == 30 and len(rows) == 3
+    for method, row in zip(cfg.methods, rows):
+        cells = [r for r in records if r.method == method]
+        accs = [r.accuracy for r in cells]
+        assert [r.split for r in cells] == list(range(10))
+        assert all(r.error is None and r.seconds >= 0.0 for r in cells)
+        assert row["method"] == method and row["n_splits_ok"] == 10 and row["errors"] == []
+        assert row["accuracy_mean"] == pytest.approx(float(np.mean(accs)), abs=1e-12)
+        assert row["accuracy_std"] == pytest.approx(float(np.std(accs, ddof=1)), abs=1e-12)
+        assert 0.0 <= row["accuracy_mean"] <= 1.0
 
 
 def test_suite_multiple_settings_make_one_record_each():
     cfg = ExperimentConfig(dataset_source="triangles",
                            flip=(FlipRateSpec("constant", 0.1), FlipRateSpec("constant", 0.2)),
-                           methods=("svm_naive",), n_splits=2, master_seed=7, dataset_n=120)
+                           methods=("svm_naive", "clean"), n_splits=2, master_seed=7,
+                           dataset_n=120)
     records = run_suite(cfg)
-    assert [r.setting for r in records] == ["constant(0.1)", "constant(0.2)"]
+    settings = ["constant(0.1)", "constant(0.2)"]
+    assert [(r.setting, r.method, r.split) for r in records] == [
+        (setting, method, sid) for setting in settings for method in cfg.methods for sid in (0, 1)]
+    rows = summarize(records)["results"]
+    assert [(row["setting"], row["method"]) for row in rows] == [
+        (setting, method) for setting in settings for method in cfg.methods]
 
 
 def test_suite_records_cell_errors_without_aborting():
     cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("constant", 0.95),
                            methods=("pgpu", "svm_naive"), n_splits=2, master_seed=1, dataset_n=40)
-    records = {r.method: r for r in run_suite(cfg)}
-    assert len(records["pgpu"].per_split) == 0
-    assert math.isnan(records["pgpu"].accuracy_mean)
-    assert len(records["pgpu"].errors) == 2
-    assert len(records["svm_naive"].per_split) == 2  # unaffected by the pgpu failures
+    records = run_suite(cfg)
+    assert [(r.method, r.accuracy) for r in records[:2]] == [("pgpu", None)] * 2
+    assert all(r.error for r in records[:2])
+    rows = {row["method"]: row for row in summarize(records)["results"]}
+    assert rows["pgpu"]["accuracy_mean"] is None and rows["pgpu"]["accuracy_std"] is None
+    assert rows["pgpu"]["n_splits_ok"] == 0 and len(rows["pgpu"]["errors"]) == 2
+    assert rows["svm_naive"]["n_splits_ok"] == 2  # unaffected by the pgpu failures
 
 
 def test_suite_records_a_solver_failure_in_a_cell_instead_of_raising(monkeypatch):
     cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("inverse", 0.2, 1.0),
                            methods=("pgpu", "svm_naive"), n_splits=2, master_seed=5, dataset_n=160)
-    naive = run_suite(dataclasses.replace(cfg, methods=("svm_naive",)))[0]
+    naive = run_suite(dataclasses.replace(cfg, methods=("svm_naive",)))
     monkeypatch.setattr(pgpu.kmm, "_MAX_ITERS", 1)  # no KMM solve converges in one step
-    records = {r.method: r for r in run_suite(cfg)}
-    assert records["pgpu"].per_split == () and len(records["pgpu"].errors) == 2
-    for sid, err in enumerate(records["pgpu"].errors):
+    records = run_suite(cfg)
+    assert [(r.method, r.split, r.accuracy) for r in records[:2]] == [("pgpu", 0, None),
+                                                                      ("pgpu", 1, None)]
+    errors = {row["method"]: row["errors"] for row in summarize(records)["results"]}
+    assert len(errors["pgpu"]) == 2
+    for sid, err in enumerate(errors["pgpu"]):
         assert err.startswith(f"split {sid}: KMM reached its iteration cap max_iters=1 ")
-    assert records["svm_naive"].per_split == naive.per_split and not records["svm_naive"].errors
+    assert [(r.accuracy, r.error) for r in records[2:]] == [(r.accuracy, None) for r in naive]
+    assert errors["svm_naive"] == []
+
+
+def test_summary_and_result_files_read_each_group_of_consecutive_cells(tmp_path):
+    records = [ResultRecord("pgpu", "none", 0, 0.5, None, 0.25),
+               ResultRecord("pgpu", "none", 1, None, "one class", 0.125),
+               ResultRecord("elkan", "none", 0, None, "no positives", 0.5),
+               ResultRecord("pgpu", "linear(0.5)", 0, 0.75, None, 1.0),
+               ResultRecord("pgpu", "linear(0.5)", 1, 0.25, None, 2.0)]
+    assert summarize(records)["results"] == [
+        {"method": "pgpu", "setting": "none", "accuracy_mean": 0.5, "accuracy_std": 0.0,
+         "n_splits_ok": 1, "errors": ["split 1: one class"]},
+        {"method": "elkan", "setting": "none", "accuracy_mean": None, "accuracy_std": None,
+         "n_splits_ok": 0, "errors": ["split 0: no positives"]},
+        {"method": "pgpu", "setting": "linear(0.5)", "accuracy_mean": 0.5,
+         "accuracy_std": float(np.std([0.75, 0.25], ddof=1)), "n_splits_ok": 2, "errors": []}]
+    write_results(records, tmp_path)
+    assert (tmp_path / "results.csv").read_text().splitlines()[1:] == [
+        "pgpu,none,0,0.5", "pgpu,linear(0.5),0,0.75", "pgpu,linear(0.5),1,0.25"]
+    assert (tmp_path / "timings.csv").read_text().splitlines()[1:] == [
+        "pgpu,none,0,0.250000", "pgpu,none,1,0.125000", "elkan,none,0,0.500000",
+        "pgpu,linear(0.5),0,1.000000", "pgpu,linear(0.5),1,2.000000"]
 
 
 def test_result_files_are_deterministic(tmp_path):
@@ -161,9 +198,9 @@ def test_result_files_are_deterministic(tmp_path):
 def test_elkan_accuracy_near_reference_value():
     cfg = ExperimentConfig(dataset_source="triangles", flip=FlipRateSpec("inverse", 0.1, 0.5),
                            methods=("elkan",), n_splits=10, master_seed=2)
-    record = run_suite(cfg)[0]
-    assert not record.errors
-    assert abs(100.0 * record.accuracy_mean - 91.72) <= 4.0
+    (row,) = summarize(run_suite(cfg))["results"]
+    assert row["errors"] == []
+    assert abs(100.0 * row["accuracy_mean"] - 91.72) <= 4.0
 
 
 def test_scaled_inverse_sweep_pgpu_beats_naive():
@@ -172,8 +209,8 @@ def test_scaled_inverse_sweep_pgpu_beats_naive():
                            methods=("svm_naive", "pgpu"), n_splits=3, master_seed=6,
                            dataset_n=600)
     by_setting = {}
-    for r in run_suite(cfg):
-        by_setting.setdefault(r.setting, {})[r.method] = r.accuracy_mean
+    for row in summarize(run_suite(cfg))["results"]:
+        by_setting.setdefault(row["setting"], {})[row["method"]] = row["accuracy_mean"]
     wins = sum(1 for d in by_setting.values() if d["pgpu"] >= d["svm_naive"])
     assert len(by_setting) == 6
     assert wins >= 4
@@ -288,7 +325,7 @@ def test_csv_dataset_source_round_trip(tmp_path):
     cfg = ExperimentConfig(dataset_source={"csv": str(path)}, flip=None,
                            methods=("svm_naive",), n_splits=2, master_seed=0, dataset_n=80)
     records = run_suite(cfg)
-    assert len(records[0].per_split) == 2
+    assert [(r.split, r.error) for r in records] == [(0, None), (1, None)]
 
 
 def test_csv_dataset_without_latent_labels_reports_errors(tmp_path):
@@ -297,9 +334,12 @@ def test_csv_dataset_without_latent_labels_reports_errors(tmp_path):
     pgpu.save_csv(data, path)
     cfg = ExperimentConfig(dataset_source={"csv": str(path)}, flip=None,
                            methods=("svm_naive", "clean"), n_splits=2, master_seed=0)
-    for record in run_suite(cfg):
-        assert len(record.per_split) == 0
-        assert len(record.errors) == 2 and all("latent" in err for err in record.errors)
+    records = run_suite(cfg)
+    assert len(records) == 4
+    assert all(r.accuracy is None and "latent" in r.error for r in records)
+    for row in summarize(records)["results"]:
+        assert row["n_splits_ok"] == 0
+        assert len(row["errors"]) == 2 and all("latent" in err for err in row["errors"])
 
 
 def test_clean_reference_trains_on_the_latent_labels_of_a_csv_source(tmp_path):
@@ -312,7 +352,7 @@ def test_clean_reference_trains_on_the_latent_labels_of_a_csv_source(tmp_path):
         cfg = ExperimentConfig(dataset_source={"csv": str(tmp_path / f"{name}.csv")},
                                methods=("svm_naive", "clean"), n_splits=3, master_seed=4)
         for r in run_suite(cfg):
-            accuracies[name, r.method] = r.per_split
+            accuracies.setdefault((name, r.method), []).append(r.accuracy)
     # on the same rows, clean fits what svm_naive fits when every positive is labelled
     assert accuracies["pu", "clean"] == accuracies["clean", "svm_naive"]
     assert accuracies["clean", "clean"] == accuracies["clean", "svm_naive"]
