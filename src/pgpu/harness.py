@@ -191,7 +191,7 @@ def run_elkan(train: PUDataset, test: PUDataset, seed: int = 0) -> float:
     rows = np.concatenate([pos, unl, unl])
     y_big = np.repeat([1, 1, -1], [pos.size, unl.size, unl.size])
     w_big = np.concatenate([np.ones(pos.size), w_unl, 1.0 - w_unl])
-    keep = w_big > 0.0  # a zero-weight copy would only add a zero cap to the gathered fit
+    keep = w_big > 0.0  # a zero-weight copy would only add a zero cap to the fit
     final = train_weighted_svm(kernel, y_big[keep], w_big[keep], rows=rows[keep])
     return evaluate(final, test)
 
@@ -203,16 +203,20 @@ _GENERATORS = {
 }
 
 
+def _clean_data(source: str | Mapping[str, str], n: int, seed: int, ranked: bool):
+    """The dataset of ``source``, a generator name (made with ``n`` points from ``seed``) or
+    {'csv': path}, and, if ``ranked``, its clean gap ranked within each class (else None)."""
+    data = load_csv(source["csv"]) if isinstance(source, Mapping) else _GENERATORS[source](n, seed)
+    return data, rank_normalized_gap(estimate_clean_gap(data), data.y) if ranked else None
+
+
 def _pu_data(source: str | Mapping[str, str], n: int, seed: int, flip: FlipRateSpec | None,
              flip_seed: int) -> PUDataset:
-    """One setting's PU data: the dataset of ``source``, a generator name (made with ``n``
-    points from ``seed``) or {'csv': path}, with its positives flipped by ``flip`` from
-    ``flip_seed`` at their within-class rank of the clean gap (None: the data as it is)."""
-    data = load_csv(source["csv"]) if isinstance(source, Mapping) else _GENERATORS[source](n, seed)
-    if flip is None:
-        return data
-    gap = rank_normalized_gap(estimate_clean_gap(data), data.y)
-    return flip_labels(data, gap, flip, seed=flip_seed)
+    """One setting's PU data: the dataset of ``source`` (see ``_clean_data``) with its
+    positives flipped by ``flip`` from ``flip_seed`` at their within-class rank of the
+    clean gap (None: the data as it is)."""
+    data, gap = _clean_data(source, n, seed, ranked=flip is not None)
+    return data if flip is None else flip_labels(data, gap, flip, seed=flip_seed)
 
 
 def _run_clean(train: PUDataset, test: PUDataset, seed: int) -> float:
@@ -243,11 +247,14 @@ def run_suite(config: ExperimentConfig) -> list[ResultRecord]:
     give identical records apart from wall times.
     """
     settings = [(spec.describe(), spec) for spec in config.flip] or [("none", None)]
+    csv_source = isinstance(config.dataset_source, Mapping)
     records: list[ResultRecord] = []
     for si, (sname, fspec) in enumerate(settings):
-        pu = _pu_data(config.dataset_source, config.dataset_n,
-                      derive_seed(config.master_seed, "gen", si), fspec,
-                      derive_seed(config.master_seed, "flip", si))
+        if si == 0 or not csv_source:  # a csv source is one dataset: read, and its gap fitted, once
+            data, gap = _clean_data(config.dataset_source, config.dataset_n,
+                                    derive_seed(config.master_seed, "gen", si), bool(config.flip))
+        flip_seed = derive_seed(config.master_seed, "flip", si)
+        pu = data if fspec is None else flip_labels(data, gap, fspec, seed=flip_seed)
         splits = [split(pu, seed=derive_seed(config.master_seed, "split", si, split_id))
                   for split_id in range(config.n_splits)]
         for m in config.methods:

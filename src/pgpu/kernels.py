@@ -6,6 +6,7 @@ import math
 import mmap
 import os
 import threading
+import weakref
 from contextlib import suppress
 from functools import cached_property
 
@@ -15,10 +16,10 @@ import numpy as np
 # determinism guarantee: OpenBLAS rounds a product's last columns by the shape
 # of its operands, so another block size moves last bits (128 does at 1500 rows).
 _BLOCK = 256
-_PANEL = 16  # columns of the lower half written at a time when mirroring a block
 _MAPPED_BYTES = 1 << 20  # matrices at least this large get a memory mapping of their own
 _HUGE_PAGE = 2 << 20  # a mapping is a whole number of these, so huge pages can back all of it
 _SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
+_released = [None]  # the mapping most recently released by its matrix, kept for the next one
 
 
 def check_finite(X: np.ndarray) -> None:
@@ -44,13 +45,24 @@ def _empty(rows: int, cols: int) -> np.ndarray:
     up) made the next matrix miss it and the heap grow by a whole matrix, so peak
     memory hung on unrelated earlier allocations. A mapping goes back to the system
     on release; whole huge pages, which the kernel aligns, make its memory cheap.
+
+    The mapping released last is kept for the next matrix of its size, whose pages
+    are then already faulted in; a request of another size unmaps it first, so peak
+    memory cannot grow. Every view refers to its matrix's base, so a matrix is released
+    only when its last view goes. gram_matrix, the one caller, writes every entry.
     """
     if 8 * rows * cols < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.empty((rows, cols))
-    buf = mmap.mmap(-1, -(-8 * rows * cols // _HUGE_PAGE) * _HUGE_PAGE, flags=mmap.MAP_PRIVATE)
-    with suppress(OSError):  # a kernel without huge pages: 4 KiB pages, just slower
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, count=rows * cols).reshape(rows, cols)
+    size = -(-8 * rows * cols // _HUGE_PAGE) * _HUGE_PAGE
+    buf, _released[0] = _released[0], None  # no lock: a race only drops a kept mapping
+    if buf is None or len(buf) != size:
+        buf = None  # unmapped before the new mapping is made
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        with suppress(OSError):  # a kernel without huge pages: 4 KiB pages, just slower
+            buf.madvise(mmap.MADV_HUGEPAGE)
+    flat = np.frombuffer(buf, count=rows * cols)  # the base of every view of the matrix
+    weakref.finalize(flat, _released.__setitem__, 0, buf).atexit = False
+    return flat.reshape(rows, cols)
 
 
 def _shares_work(nbytes: int) -> bool:
@@ -93,10 +105,10 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     Each block is computed in one contiguous scratch tile, allocated once per
     call, and then stored, so no temporary is larger than one block. Passing
     the same array object for X and Z computes the upper blocks only and
-    mirrors them, so the result is exactly symmetric. A matrix of at least
-    ``_SPLIT_BYTES`` deals its blocks alternately to this thread and one helper
-    thread, each with its own tiles, when the process may use two CPUs; every
-    block goes through the same operations, so the bytes do not change.
+    mirrors each in one copy, so the result is exactly symmetric. A matrix of
+    at least ``_SPLIT_BYTES`` deals its blocks alternately to this thread and one
+    helper thread, each with its own tiles, when the process may use two CPUs;
+    every block goes through the same operations, so the bytes do not change.
     """
     if not 0 < gamma < math.inf:  # an infinite gamma makes the diagonal 0 * -inf = NaN
         raise ValueError(f"rbf kernel requires a finite gamma > 0, got {gamma!r}")
@@ -113,6 +125,8 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     out = _empty(n, m)
     sx = np.sum(X * X, axis=1)
     sz = sx if same else np.sum(Z * Z, axis=1)
+    # no entry's bound 1e-13 * (sx[i] + sz[j]) exceeds this, as rounding is monotone
+    bound = 1e-13 * (sx.max() + sz.max())
     pairs = [(i, j) for i in range(0, n, _BLOCK) for j in range(i if same else 0, m, _BLOCK)]
     split = len(pairs) > 1 and _shares_work(8 * n * m)
     size = min(_BLOCK, n) * min(_BLOCK, m)
@@ -128,18 +142,19 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
             np.add(sx[i:i + _BLOCK, None], sz[None, j:j + _BLOCK], out=nrm)
             blk *= -2.0
             blk += nrm  # squared distances ||x||^2 + ||z||^2 - 2 x.z
-            # values below the cancellation-error bound of the expansion are noise
-            nrm *= 1e-13
-            np.less_equal(blk, nrm, out=mask)
-            np.copyto(blk, 0.0, where=mask)
+            # values below the cancellation-error bound of the expansion are noise; a block
+            # off the diagonal whose smallest value is above ``bound`` has none
+            if (same and i == j) or not blk.min() > bound:
+                nrm *= 1e-13
+                np.less_equal(blk, nrm, out=mask)
+                np.copyto(blk, 0.0, where=mask)
             blk *= -gamma
             np.exp(blk, out=blk)
             out[i:i + rows, j:j + cols] = blk
             if not same:
                 continue
-            if j > i:  # the transpose, _PANEL columns at a time: the tile rows read stay in cache
-                for k in range(0, rows, _PANEL):
-                    out[j:j + cols, i + k:i + k + _PANEL] = blk[k:k + _PANEL].T
+            if j > i:
+                np.copyto(out[j:j + cols, i:i + rows], blk.T)
             else:
                 np.copyto(out[i:i + rows, i:i + rows], blk.T, where=lower[:rows, :rows])
 

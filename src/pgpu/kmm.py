@@ -79,7 +79,7 @@ def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float,
     return x
 
 
-def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
+def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, *, nonnegative=False):
     ns = k_ss.shape[0]
     inv2 = 1.0 / (ns * ns)
     lin = kappa / (n_target * ns)
@@ -101,7 +101,9 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol):
 
     # The Gershgorin bound L is at least the largest Hessian eigenvalue, so the projected
     # step of size 1/L lowers the objective by at least (L/2)|d|^2 whatever the curvature.
-    row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
+    # The row sums of a ``nonnegative`` block are those of its magnitudes, to the bit.
+    chunks = (k_ss[i:i + _ROWS] for i in range(0, ns, _ROWS))
+    row_max = max(float((c if nonnegative else np.abs(c)).sum(axis=1).max()) for c in chunks)
     step = 1.0 / max(2.0 * inv2 * row_max, 1e-300)
 
     obj = float(beta @ k_beta * inv2 - 2.0 * (lin @ beta))
@@ -183,6 +185,7 @@ def solve_kmm(kernel: SplitKernel, target, source) -> BetaWeights:
         kappa = kernel.K[np.ix_(source, target)].sum(axis=1)
         row_sums = kernel.K[np.ix_(target, target)].sum(axis=1)
     const = row_sums.sum() / (n * n)
-    beta, trace = _projected_descent(k_ss, kappa, n, _B, eps, _MAX_ITERS, _TOL)
+    beta, trace = _projected_descent(k_ss, kappa, n, _B, eps, _MAX_ITERS, _TOL,
+                                     nonnegative=True)  # rbf entries are never negative
     trace = trace + const
     return BetaWeights(beta=beta, trace=trace)

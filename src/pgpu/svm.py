@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SplitKernel, _as_run, _empty, check_finite, check_labels, gram_matrix
+from .kernels import SplitKernel, _as_run, check_finite, check_labels, gram_matrix
 
 _TAU = 1e-12
 _P_EPS = 1e-12
@@ -61,10 +61,10 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
 
     The examples are the rows and columns ``rows`` of ``K`` (None: all of
     them; repeats allowed), with ``y`` and ``c_box`` given per entry of
-    ``rows``. Given ``rows``, each kernel row is gathered from ``K`` the first
-    time a step uses it, so no block is copied whole; the solver sees the
-    values of the block ``K[rows][:, rows]``, and its results are those of
-    that block.
+    ``rows``. Given ``rows``, a step computes its update over all rows of
+    ``K`` and spreads it to the examples with one ``take``, so no kernel row
+    or block is copied; the update is elementwise, so the results are those of
+    the block ``K[rows][:, rows]`` to the bit.
 
     Constraints are 0 <= a_i <= c_box_i and sum_i a_i y_i = 0, for labels
     y_i of +1 or -1. The working pair is the maximal violating one, ties
@@ -93,23 +93,12 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
         max_iter = max(10_000, 100 * int(np.count_nonzero(c_box > 0.0)))
     if not np.all((y == 1.0) | (y == -1.0)):
         raise ValueError("labels must be +1 or -1")
-    if rows is None:
-        fetch = K.__getitem__
-    else:
-        if np.shape(rows) != (n,):
+    src = None if rows is None else np.asarray(rows, dtype=np.intp)
+    if src is not None:
+        if src.shape != (n,):
             raise ValueError("rows and y must have matching lengths")
-        src = np.asarray(rows, dtype=np.intp)
         _as_run(src, K.shape[0])  # raises IndexError for a row out of range
-        gathered = _empty(n, n)  # filled in first-use order; only the pages of used rows are touched
-        by_row = {}
-
-        def fetch(k):  # examples listing the same row of K share its gathered row
-            r = src.item(k)
-            got = by_row.get(r)
-            if got is None:  # _as_run checked src; with mode="clip", take fills out without a temporary
-                got = by_row[r] = K[r].take(src, out=gathered[len(by_row)], mode="clip")
-            return got
-    cache = [None] * n  # example -> its kernel row; looked up inline, fetched once per example
+    cache = [None] * n  # example -> its row of K; looked up inline, made once per example
 
     add, multiply, inf = np.add, np.multiply, math.inf
     alpha = np.zeros(n)
@@ -119,6 +108,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
     low_pen = np.where(np.where(pos, over_zero, under_cap), 0.0, inf)
     buf_i = np.empty(n)
     buf_j = np.empty(n)
+    upd_i, upd_j = (buf_i, buf_j) if src is None else (np.empty(K.shape[1]), np.empty(K.shape[1]))
     labels = y.tolist()
     caps = c_box.tolist()
     iters = 0
@@ -134,17 +124,18 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
                                f"violation of {m_up - m_low:.3g} > tol={tol:g}")
         iters += 1
 
+        ri, rj = (i, j) if src is None else (src.item(i), src.item(j))
         row_i = cache[i]
         if row_i is None:
-            row_i = cache[i] = fetch(i)
+            row_i = cache[i] = K[ri]
         row_j = cache[j]
         if row_j is None:
-            row_j = cache[j] = fetch(j)
+            row_j = cache[j] = K[rj]
 
         yi, yj = labels[i], labels[j]
         ci, cj = caps[i], caps[j]
         old_ai, old_aj = alpha.item(i), alpha.item(j)
-        quad = row_i.item(i) + row_j.item(j) - 2.0 * row_i.item(j)
+        quad = row_i.item(ri) + row_j.item(rj) - 2.0 * row_i.item(rj)
         if quad <= 0.0:
             quad = _TAU
         if yi != yj:
@@ -193,9 +184,11 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
         alpha[j] = aj
         # grad_k grows by y_k (K_ik y_i (ai - old_ai) + K_jk y_j (aj - old_aj)), so m_k
         # falls by the bracket; it is rounded as the product with Q's rows would be
-        multiply(row_i, yi * (ai - old_ai), out=buf_i)
-        multiply(row_j, yj * (aj - old_aj), out=buf_j)
-        buf_i += buf_j
+        multiply(row_i, yi * (ai - old_ai), out=upd_i)
+        multiply(row_j, yj * (aj - old_aj), out=upd_j)
+        upd_i += upd_j
+        if src is not None:  # _as_run checked src; with mode="clip", take fills buf_i unbuffered
+            upd_i.take(src, out=buf_i, mode="clip")
         m -= buf_i
         for k in (i, j):  # i == j leaves alpha[i] = aj, and both see it
             a = alpha.item(k)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from pgpu import (
     split,
     write_results,
 )
-from pgpu.harness import derive_seed, elkan_weights, evaluate, summarize
+from pgpu.harness import _pu_data, derive_seed, elkan_weights, evaluate, summarize
 from pgpu.svm import SvmModel
 
 
@@ -328,6 +329,28 @@ def test_csv_dataset_source_round_trip(tmp_path):
     assert [(r.split, r.error) for r in records] == [(0, None), (1, None)]
 
 
+def test_a_csv_source_is_read_and_its_clean_gap_fitted_once_per_suite(tmp_path, monkeypatch):
+    path = tmp_path / "tri.csv"
+    pgpu.save_csv(gen_triangles(60, 60, seed=23), path)
+    specs = tuple(FlipRateSpec("linear", rate) for rate in (0.2, 0.4, 0.6))
+    cfg = ExperimentConfig(dataset_source={"csv": str(path)}, flip=specs,
+                           methods=("svm_naive",), n_splits=2, master_seed=4)
+    fit, fits = pgpu.harness.estimate_clean_gap, []
+    monkeypatch.setattr(pgpu.harness, "estimate_clean_gap", lambda d: fits.append(1) or fit(d))
+    records = run_suite(cfg)
+    assert len(fits) == 1
+    # each setting's data made alone, reading the file and fitting the gap again
+    expected = []
+    for si, spec in enumerate(specs):
+        pu = _pu_data(cfg.dataset_source, cfg.dataset_n, 0, spec, derive_seed(4, "flip", si))
+        for split_id in range(2):
+            train, test = split(pu, seed=derive_seed(4, "split", si, split_id))
+            accuracy = run_svm_naive(train.without_latent(), test)
+            expected.append((spec.describe(), split_id, accuracy))
+    assert [(r.setting, r.split, r.accuracy) for r in records] == expected
+    assert len(fits) == 1 + 3
+
+
 def test_csv_dataset_without_latent_labels_reports_errors(tmp_path):
     data = gen_triangles(40, 40, seed=22).without_latent()
     path = tmp_path / "pu_only.csv"
@@ -427,33 +450,44 @@ def test_config_from_dict_unknown_field_messages(raw, message):
 
 
 def test_pipelines_read_decision_values_from_smo_and_copy_no_kernel_block(monkeypatch):
-    # every decision value on a training split comes from SMO's gradient, so the only
-    # kernel block read is KMM's source block, a view of the matching kernel; only
-    # elkan's duplicated rows gather
-    clean = gen_triangles(60, 60, seed=12)
+    # every decision value on a training split comes from SMO's gradient, and every fit,
+    # elkan's on repeated rows included, reads its kernel rows in place, so the only kernel
+    # block read is KMM's source block, a view of the matching kernel. At this size every
+    # array is on the heap, where tracemalloc sees it: no fit allocates half a block of its
+    # examples' kernel
+    clean = gen_triangles(80, 80, seed=12)
     train, test = split(clean, 0.75, seed=13)
-    solve, descent, empty = pgpu.core.solve_kmm, pgpu.kmm._projected_descent, pgpu.svm._empty
-    matching, views, gathers = [], [], []
+    solve, descent, smo = pgpu.core.solve_kmm, pgpu.kmm._projected_descent, pgpu.svm.smo_solve
+    matching, views, fits = [], [], []
 
     def solved(kmm_kernel, *args):
         matching.append(kmm_kernel.K)
         return solve(kmm_kernel, *args)
 
-    def viewed(k_ss, *args):
+    def viewed(k_ss, *args, **kw):
         views.append(np.shares_memory(k_ss, matching[-1]))
-        return descent(k_ss, *args)
+        return descent(k_ss, *args, **kw)
 
-    def counted(rows, cols):
-        gathers.append(rows)
-        return empty(rows, cols)
+    def fitted(K, y, *args, **kw):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = smo(K, y, *args, **kw)
+        fits.append((y.size, tracemalloc.get_traced_memory()[1] - before < 4 * y.size ** 2))
+        return out
 
     monkeypatch.setattr(pgpu.core, "solve_kmm", solved)
     monkeypatch.setattr(pgpu.kmm, "_projected_descent", viewed)
-    monkeypatch.setattr(pgpu.svm, "_empty", counted)
+    monkeypatch.setattr(pgpu.svm, "smo_solve", fitted)
     pgpu.estimate_clean_gap(clean)
-    run_pgpu(train.without_latent(), test)
-    assert len(views) == 1 and all(views) and not gathers
-    run_pgpu(train.without_latent(), test, boundary_mode="cv")
-    assert len(views) == len(matching) > 5 and all(views) and not gathers
-    run_elkan(train.without_latent(), test, seed=1)
-    assert len(views) == len(matching) and all(views) and len(gathers) == 1
+    tracemalloc.start()
+    try:
+        run_pgpu(train.without_latent(), test)
+        assert len(views) == 1 and all(views) and fits and all(ok for _, ok in fits)
+        run_pgpu(train.without_latent(), test, boundary_mode="cv")
+        assert len(views) == len(matching) > 5 and all(views) and all(ok for _, ok in fits)
+        del fits[:]
+        run_elkan(train.without_latent(), test, seed=1)
+    finally:
+        tracemalloc.stop()
+    assert len(views) == len(matching) and all(ok for _, ok in fits)
+    assert fits[-1][0] > train.n  # the final fit lists each unlabelled row twice

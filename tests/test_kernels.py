@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -169,6 +170,51 @@ def test_gram_bytes_equal_the_in_place_reference(n, d):
             assert np.array_equal(got, got.T)
             if n > 2:
                 assert got[0, n // 2] == got[n // 2, 0] == 1.0
+        elif n > 2:  # Z[0] is X[0]: the one block holding a repeat is masked, cross blocks too
+            assert got[0, 0] == got[n // 2, 0] == 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_released_mapping_holds_the_next_gram_of_its_size(threads, monkeypatch):
+    if threads == 2:
+        monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    X = np.random.default_rng(11).normal(size=(600, 2))
+    released = gram_matrix(0.5, X, X)
+    address = released.ctypes.data
+    released[...] = np.nan  # stale bytes, which the next Gram must overwrite everywhere
+    del released
+    for gamma, Z in ((2.0, X), (0.5, X[::-1])):  # mirrored blocks, then cross blocks
+        got = gram_matrix(gamma, X, Z)
+        assert got.ctypes.data == address  # the released pages, not a fresh mapping
+        assert got.tobytes() == gram_reference(gamma, X, Z).tobytes()
+        del got
+
+
+def test_a_live_matrix_or_view_is_never_handed_out_again():
+    X = np.random.default_rng(12).normal(size=(600, 2))
+    a = gram_matrix(0.5, X, X)
+    want = a.tobytes()
+    b = gram_matrix(2.0, X, X)
+    assert not np.shares_memory(a, b) and a.tobytes() == want
+    del b  # its mapping is kept for the next Gram of its size
+    corner = a[:300, :300]
+    want = corner.tobytes()
+    del a  # the view keeps the matrix live
+    c = gram_matrix(3.0, X, X)
+    d = gram_matrix(4.0, X, X)
+    assert not np.shares_memory(corner, c) and not np.shares_memory(corner, d)
+    assert corner.tobytes() == want
+
+
+def test_a_request_of_another_size_unmaps_the_kept_mapping():
+    X = np.random.default_rng(13).normal(size=(600, 2))
+    gram_matrix(0.5, X, X)  # released at once: its 4 MiB mapping is kept
+    kept = weakref.ref(kernels._released[0])
+    assert len(kept()) == 2 * kernels._HUGE_PAGE
+    other = gram_matrix(0.5, X[:400], X[:400])  # 1.3 MB, in a mapping of 2 MiB
+    assert kept() is None and kernels._released[0] is None  # only the live matrix is mapped
+    assert other.tobytes() == gram_reference(0.5, X[:400], X[:400]).tobytes()
 
 
 def test_mapped_gram_bytes_equal_the_reference(monkeypatch):

@@ -248,7 +248,7 @@ def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
     calls = []
     descent = kmm_module._projected_descent
     monkeypatch.setattr(kmm_module, "_projected_descent",
-                        lambda *args: calls.append(args) or descent(*args))
+                        lambda *args, **kw: calls.append(args) or descent(*args, **kw))
     monkeypatch.setattr(kmm_module, "_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match="max_iters=1 "):
         kmm(1.0, target, source)

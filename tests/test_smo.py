@@ -79,7 +79,7 @@ def test_smo_matches_reference_bit_for_bit(n, dim, duplicates, kind, gamma, C, e
 )
 @settings(max_examples=150, deadline=None)
 def test_smo_on_rows_matches_the_copied_block(n, size, layout, kind, gamma, C, equal_boxes, seed):
-    # rows index the full matrix, and are gathered row by row, a consecutive run too
+    # rows index the full matrix, and each step's update is spread to them, a consecutive run too
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     K = _gram(kind, gamma, X)

@@ -262,7 +262,7 @@ def test_fitted_matches_features_at_fit_and_held_out_rows():
 @settings(max_examples=100, deadline=None)
 def test_zero_caps_solve_bit_identically_to_dropped_examples(n, size, gather, C, seed):
     # zeros interleaved among the examples, which are the whole matrix in order
-    # or scattered, repeated rows of it (gathered row by row)
+    # or scattered, repeated rows of it (each update spread to them)
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, 2))
     K = gram_matrix(1.0, X, X)
@@ -319,7 +319,7 @@ def test_scattered_and_repeated_rows_train_without_copying_a_block(monkeypatch):
     monkeypatch.setattr(pgpu.svm, "smo_solve",
                         lambda K, *args, **kw: matrices.append(K) or solve(K, *args, **kw))
     model = train_weighted_svm(kernel, y, weights, rows=rows)
-    assert len(matrices) == 1 and matrices[0] is kernel.K  # SMO gathers the rows it uses
+    assert len(matrices) == 1 and matrices[0] is kernel.K  # SMO reads the rows it uses in place
     assert np.array_equal(model.dual_coefs, expected.dual_coefs)
     assert model.bias == expected.bias
     assert np.array_equal(model.support_vectors, expected.support_vectors)
