@@ -19,7 +19,7 @@ _BLOCK = 256
 _MAPPED_BYTES = 1 << 20  # matrices at least this large get a memory mapping of their own
 _HUGE_PAGE = 2 << 20  # a mapping is a whole number of these, so huge pages can back all of it
 _SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
-_released = [None]  # the mapping most recently released by its matrix, kept for the next one
+_released = []  # the mapping most recently released by its matrix, kept for the next one
 
 
 def check_finite(X: np.ndarray) -> None:
@@ -43,26 +43,32 @@ def _empty(rows: int, cols: int) -> np.ndarray:
 
     On the heap, a small array put in the space a freed matrix left (from 1.8 MB
     up) made the next matrix miss it and the heap grow by a whole matrix, so peak
-    memory hung on unrelated earlier allocations. A mapping goes back to the system
-    on release; whole huge pages, which the kernel aligns, make its memory cheap.
-
-    The mapping released last is kept for the next matrix of its size, whose pages
-    are then already faulted in; a request of another size unmaps it first, so peak
-    memory cannot grow. Every view refers to its matrix's base, so a matrix is released
-    only when its last view goes. gram_matrix, the one caller, writes every entry.
+    memory hung on unrelated earlier allocations. Whole huge pages, which the kernel
+    aligns, make a mapping's memory cheap. A mapping released (its matrix's last view
+    gone) is kept, its pages faulted in but free for the system to reclaim, until the
+    next request: one of its size is built in it, one of another size unmaps it first.
+    gram_matrix, the one caller, writes every entry before any is read.
     """
     if 8 * rows * cols < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.empty((rows, cols))
     size = -(-8 * rows * cols // _HUGE_PAGE) * _HUGE_PAGE
-    buf, _released[0] = _released[0], None  # no lock: a race only drops a kept mapping
+    buf = None
+    with suppress(IndexError):
+        buf = _released.pop()  # atomic: two requests never get one mapping
     if buf is None or len(buf) != size:
         buf = None  # unmapped before the new mapping is made
         buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         with suppress(OSError):  # a kernel without huge pages: 4 KiB pages, just slower
             buf.madvise(mmap.MADV_HUGEPAGE)
     flat = np.frombuffer(buf, count=rows * cols)  # the base of every view of the matrix
-    weakref.finalize(flat, _released.__setitem__, 0, buf).atexit = False
+    weakref.finalize(flat, _keep, buf).atexit = False
     return flat.reshape(rows, cols)
+
+
+def _keep(buf: mmap.mmap) -> None:  # a released mapping, kept in place of any kept before
+    with suppress(OSError):  # the system may take its pages back, which zeroes them
+        buf.madvise(mmap.MADV_FREE)
+    _released[:] = [buf]
 
 
 def _shares_work(nbytes: int) -> bool:
@@ -151,11 +157,9 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
             blk *= -gamma
             np.exp(blk, out=blk)
             out[i:i + rows, j:j + cols] = blk
-            if not same:
-                continue
-            if j > i:
+            if same and j > i:
                 np.copyto(out[j:j + cols, i:i + rows], blk.T)
-            else:
+            elif same:
                 np.copyto(out[i:i + rows, i:i + rows], blk.T, where=lower[:rows, :rows])
 
     if split:  # the two threads write disjoint parts of out

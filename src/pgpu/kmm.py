@@ -14,7 +14,6 @@ import numpy as np
 
 from .kernels import SplitKernel, _as_run, _in_two, _shares_work
 
-_ROWS = 256  # rows per step of the Gershgorin bound, bounding its temporary
 # The method's fixed settings; the mean slack is epsilon = (sqrt(n')-1)/sqrt(n') for n'
 # source rows (Huang et al., NeurIPS 2006)
 _B = 1000.0  # box cap on each weight
@@ -79,7 +78,7 @@ def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float,
     return x
 
 
-def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, *, nonnegative=False):
+def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, row_max):
     ns = k_ss.shape[0]
     inv2 = 1.0 / (ns * ns)
     lin = kappa / (n_target * ns)
@@ -99,11 +98,9 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, *, nonne
     else:
         np.matmul(k_ss, beta, out=k_beta)
 
-    # The Gershgorin bound L is at least the largest Hessian eigenvalue, so the projected
-    # step of size 1/L lowers the objective by at least (L/2)|d|^2 whatever the curvature.
-    # The row sums of a ``nonnegative`` block are those of its magnitudes, to the bit.
-    chunks = (k_ss[i:i + _ROWS] for i in range(0, ns, _ROWS))
-    row_max = max(float((c if nonnegative else np.abs(c)).sum(axis=1).max()) for c in chunks)
+    # The Gershgorin bound L, from ``row_max``, the largest row sum of |k_ss|, is at least
+    # the largest Hessian eigenvalue, so the projected step of size 1/L lowers the
+    # objective by at least (L/2)|d|^2 whatever the curvature.
     step = 1.0 / max(2.0 * inv2 * row_max, 1e-300)
 
     obj = float(beta @ k_beta * inv2 - 2.0 * (lin @ beta))
@@ -185,7 +182,7 @@ def solve_kmm(kernel: SplitKernel, target, source) -> BetaWeights:
         kappa = kernel.K[np.ix_(source, target)].sum(axis=1)
         row_sums = kernel.K[np.ix_(target, target)].sum(axis=1)
     const = row_sums.sum() / (n * n)
-    beta, trace = _projected_descent(k_ss, kappa, n, _B, eps, _MAX_ITERS, _TOL,
-                                     nonnegative=True)  # rbf entries are never negative
+    row_max = float(k_ss.sum(axis=1).max())  # rbf entries are never negative: those of |k_ss|
+    beta, trace = _projected_descent(k_ss, kappa, n, _B, eps, _MAX_ITERS, _TOL, row_max)
     trace = trace + const
     return BetaWeights(beta=beta, trace=trace)

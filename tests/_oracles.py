@@ -312,14 +312,18 @@ def _kmm_project_reference(v, cap, lo_sum, hi_sum):
     return x
 
 
-def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol):
+def abs_row_max(k_ss) -> float:
+    """The largest row sum of |k_ss|: the bound kmm._projected_descent takes as row_max."""
+    return float(np.abs(k_ss).sum(axis=1).max())
+
+
+def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol, row_max):
     """KMM's projected descent in its plain form, with closures, generic numpy
     calls, a fresh projected array every step, an exact line search along each
     step and a negative-curvature check. The library's kmm._projected_descent
     takes every step whole, makes fewer calls into reused buffers and must return
-    byte-equal beta and trace; both share kmm._clip_to_sum for sum-binding steps."""
-    from pgpu.kmm import _ROWS
-
+    byte-equal beta and trace; both share kmm._clip_to_sum for sum-binding steps.
+    The given ``row_max`` must equal abs_row_max(k_ss) to the bit."""
     _project = _kmm_project_reference
     ns = k_ss.shape[0]
     inv2 = 1.0 / (ns * ns)
@@ -334,7 +338,7 @@ def kmm_descent_reference(k_ss, kappa, n_target, cap, eps, max_iters, tol):
         return float(b @ kb * inv2 - 2.0 * (lin @ b))
 
     # Gershgorin bound on the largest Hessian eigenvalue gives a safe step.
-    row_max = max(float(np.abs(k_ss[i:i + _ROWS]).sum(axis=1).max()) for i in range(0, ns, _ROWS))
+    assert row_max == abs_row_max(k_ss), (row_max, abs_row_max(k_ss))
     lips = 2.0 * inv2 * row_max
     step = 1.0 / max(lips, 1e-300)
 

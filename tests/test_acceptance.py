@@ -8,6 +8,7 @@ suites run under pinned master seeds and fixed RNG streams.
 import numpy as np
 
 from _oracles import (
+    abs_row_max,
     forward_gap,
     kmm_brute_force_min,
     monotone_rate,
@@ -48,7 +49,8 @@ def _kmm(gamma, target, source, settings=None):
     if settings is None:
         return solve_kmm(pool, t, s)
     kappa = pool.K[np.ix_(s, t)].sum(axis=1)
-    beta, trace = _projected_descent(pool.K[len(t):, len(t):], kappa, len(t), *settings)
+    k_ss = pool.K[len(t):, len(t):]
+    beta, trace = _projected_descent(k_ss, kappa, len(t), *settings, abs_row_max(k_ss))
     return BetaWeights(beta, trace + pool.K[np.ix_(t, t)].sum(axis=1).sum() / len(t) ** 2)
 
 

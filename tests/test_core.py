@@ -466,10 +466,10 @@ def test_every_kmm_source_of_a_pgpu_cv_run_is_a_leading_view_of_its_kernel(monke
         matching.append(kmm_kernel.K)
         return solve(kmm_kernel, *args)
 
-    def checked(k_ss, *args, **kw):  # the source block starts at the matching kernel's first entry
+    def checked(k_ss, *args):  # the source block starts at the matching kernel's first entry
         leading_views.append(np.shares_memory(k_ss, matching[-1])
                              and k_ss.ctypes.data == matching[-1].ctypes.data)
-        return descent(k_ss, *args, **kw)
+        return descent(k_ss, *args)
 
     monkeypatch.setattr(pgpu.core, "solve_kmm", solved)
     monkeypatch.setattr(pgpu.kmm, "_projected_descent", checked)
@@ -483,8 +483,8 @@ def test_kmm_descent_of_every_pgpu_cv_fit_is_byte_identical_to_the_plain_loop(mo
     descent = pgpu.kmm._projected_descent
     same = []
 
-    def compared(k_ss, *args, **kw):  # the reference sums |k_ss| for its bound
-        beta, trace = descent(k_ss, *args, **kw)
+    def compared(k_ss, *args):  # the reference also checks the bound against the sums of |k_ss|
+        beta, trace = descent(k_ss, *args)
         ref_beta, ref_trace = kmm_descent_reference(k_ss, *args)
         same.append(k_ss.base is not None  # a leading view of the fold's matching kernel
                     and beta.tobytes() == ref_beta.tobytes()

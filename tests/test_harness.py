@@ -464,9 +464,9 @@ def test_pipelines_read_decision_values_from_smo_and_copy_no_kernel_block(monkey
         matching.append(kmm_kernel.K)
         return solve(kmm_kernel, *args)
 
-    def viewed(k_ss, *args, **kw):
+    def viewed(k_ss, *args):
         views.append(np.shares_memory(k_ss, matching[-1]))
-        return descent(k_ss, *args, **kw)
+        return descent(k_ss, *args)
 
     def fitted(K, y, *args, **kw):
         tracemalloc.reset_peak()

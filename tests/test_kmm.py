@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    abs_row_max,
     clip_to_sum_bisection,
     kmm_brute_force_min,
     kmm_descent_reference,
@@ -49,7 +50,8 @@ def _descent_args(K, source, target=None, cap=1000.0, eps=None, max_iters=5000, 
         kappa, n = K.sum(axis=1)[source], K.shape[0]
     else:
         kappa, n = K[np.ix_(source, target)].sum(axis=1), len(target)
-    return k_ss, kappa, n, cap, _slack(source.size) if eps is None else eps, max_iters, tol
+    eps = _slack(source.size) if eps is None else eps
+    return k_ss, kappa, n, cap, eps, max_iters, tol, abs_row_max(k_ss)
 
 
 def _solve_raw(K, source, target=None, **settings):
@@ -77,9 +79,10 @@ def _assert_fixed_settings(kernel, ns):
     5000 steps and tol = 1e-6, its trace offset by the constant term. Return the solve."""
     result = solve_kmm(kernel, None, np.arange(ns))
     root = math.sqrt(ns)
-    beta, trace = kmm_module._projected_descent(kernel.K[:ns, :ns], kernel.row_sums[:ns],
-                                                kernel.n, 1000.0, (root - 1.0) / root,
-                                                5000, 1e-6)
+    k_ss = kernel.K[:ns, :ns]
+    beta, trace = kmm_module._projected_descent(k_ss, kernel.row_sums[:ns], kernel.n, 1000.0,
+                                                (root - 1.0) / root, 5000, 1e-6,
+                                                abs_row_max(k_ss))
     assert result.beta.tobytes() == beta.tobytes()
     assert result.trace.tobytes() == (trace + kernel.row_sums.sum() / kernel.n ** 2).tobytes()
     return result
@@ -193,9 +196,10 @@ def test_objective_trace_never_increases(seed, kind, ns, cap, eps):
     # Hessian eigenvalue, never raises the objective, whatever the curvature
     rng = np.random.default_rng(seed)
     if kind == "indefinite":  # no kernel has such a Gram block; passed to the descent directly
+        k_ss = _indefinite(rng, ns, -1.0, 1.0)
         beta, trace = kmm_module._projected_descent(
-            _indefinite(rng, ns, -1.0, 1.0), rng.uniform(0.0, 2.0, size=ns) * ns, 2 * ns,
-            cap, eps, 100_000, 1e-6)
+            k_ss, rng.uniform(0.0, 2.0, size=ns) * ns, 2 * ns, cap, eps, 100_000, 1e-6,
+            abs_row_max(k_ss))
     else:
         if kind == "rank-deficient":  # a linear block of rank at most 2, rows repeated
             X = np.repeat(rng.normal(size=(int(rng.integers(1, 4)), 3)), 2 * ns, axis=0)
@@ -216,7 +220,8 @@ def test_descent_on_an_indefinite_block_falls_strictly_and_stays_feasible(cap):
     rng = np.random.default_rng(8)
     k_ss = _indefinite(rng, 40, -8.0, 10.0)
     kappa = rng.uniform(0.0, 60.0, size=40)
-    beta, trace = kmm_module._projected_descent(k_ss, kappa, 60, cap, 0.3, 5000, 1e-6)
+    beta, trace = kmm_module._projected_descent(k_ss, kappa, 60, cap, 0.3, 5000, 1e-6,
+                                                abs_row_max(k_ss))
     assert trace.size > 10 and np.all(np.diff(trace) < 0.0)
     _assert_descends_feasibly(beta, trace, cap, 0.3)
 
@@ -248,7 +253,7 @@ def test_iteration_cap_raises_without_a_ridge_retry(monkeypatch):
     calls = []
     descent = kmm_module._projected_descent
     monkeypatch.setattr(kmm_module, "_projected_descent",
-                        lambda *args, **kw: calls.append(args) or descent(*args, **kw))
+                        lambda *args: calls.append(args) or descent(*args))
     monkeypatch.setattr(kmm_module, "_MAX_ITERS", 1)
     with pytest.raises(RuntimeError, match="max_iters=1 "):
         kmm(1.0, target, source)
@@ -498,7 +503,9 @@ def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
         "X = np.random.default_rng(7).normal(size=(120, 2))",
         "K = SplitKernel(2.0, X).K",
         "before = 'numpy.ma' in sys.modules",
-        "kmm._projected_descent(K[:80, :80], K.sum(axis=1)[:80], 120, 1000.0, 0.0, 5000, 1e-6)",
+        "k_ss = K[:80, :80]",
+        "kmm._projected_descent(k_ss, K.sum(axis=1)[:80], 120, 1000.0, 0.0, 5000, 1e-6,",
+        "                       float(k_ss.sum(axis=1).max()))",
         "print(len(calls), before, 'numpy.ma' in sys.modules)",
     ])
     projections, before, after = _python(code)
