@@ -5,8 +5,8 @@ from __future__ import annotations
 import math
 import mmap
 import os
-import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import cached_property
 
@@ -83,26 +83,16 @@ def _shares_work(nbytes: int) -> bool:
 def _in_two(parts, work) -> None:
     """Run ``work(*parts[0])`` here and ``work(*parts[1])`` on one helper thread.
 
-    The helper is joined before this returns or raises, and an exception in it
-    is raised here. ``work`` may call numpy only: numpy releases the interpreter
-    lock in its BLAS and element loops, so the two halves run at once.
+    The helper is a one-worker executor's thread, started in this call and
+    joined before this returns or raises. An exception in the helper, any
+    ``BaseException`` included, is raised here; when both parts raise, this
+    thread's exception wins. ``work`` may call numpy only: numpy releases the
+    interpreter lock in its BLAS and element loops, so the two halves run at once.
     """
-    errors = []
-
-    def helper():
-        try:
-            work(*parts[1])
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            errors.append(exc)
-
-    thread = threading.Thread(target=helper)
-    thread.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:  # leaving the block joins the helper
+        helper = pool.submit(work, *parts[1])
         work(*parts[0])
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+    helper.result()
 
 
 def gram_matrix(gamma: float, X, Z) -> np.ndarray:

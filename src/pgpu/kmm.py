@@ -29,13 +29,6 @@ class BetaWeights:
     trace: np.ndarray  # objective value after each solver iteration; the last is the final one
 
 
-def _sorted_distinct(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) for floats without NaN, to the bit: the same sort keeps the same one
-    of ±0.0. Unlike np.unique, its first call imports no numpy.ma."""
-    a = np.sort(a)
-    return a[np.concatenate(([True], a[1:] != a[:-1]))]
-
-
 def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     """Project v onto {0 <= x <= cap, sum(x) = target}: x = clip(v + t, 0, cap) for one shift t.
 
@@ -45,7 +38,7 @@ def _clip_to_sum(v: np.ndarray, cap: float, target: float) -> np.ndarray:
     solution of one linear equation.
     """
     rise, full = -v, cap - v  # the shifts at which each entry leaves 0 and reaches cap
-    points = _sorted_distinct(np.concatenate([rise, full]))
+    points = np.sort(np.concatenate([rise, full]))
     lo, hi = 0, points.size - 1  # the sum is 0 at points[0] and n * cap at points[-1]
     while hi - lo > 1:
         mid = (lo + hi) // 2

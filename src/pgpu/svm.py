@@ -98,7 +98,6 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
         if src.shape != (n,):
             raise ValueError("rows and y must have matching lengths")
         _as_run(src, K.shape[0])  # raises IndexError for a row out of range
-    cache = [None] * n  # example -> its row of K; looked up inline, made once per example
 
     add, multiply, inf = np.add, np.multiply, math.inf
     alpha = np.zeros(n)
@@ -125,12 +124,7 @@ def smo_solve(K, y, c_box, tol: float = 1e-3, max_iter: int | None = None, rows=
         iters += 1
 
         ri, rj = (i, j) if src is None else (src.item(i), src.item(j))
-        row_i = cache[i]
-        if row_i is None:
-            row_i = cache[i] = K[ri]
-        row_j = cache[j]
-        if row_j is None:
-            row_j = cache[j] = K[rj]
+        row_i, row_j = K[ri], K[rj]  # views of K: the rows are never copied
 
         yi, yj = labels[i], labels[j]
         ci, cj = caps[i], caps[j]

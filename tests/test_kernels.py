@@ -267,7 +267,8 @@ def test_in_two_raises_the_helpers_exception_after_joining_it():
     assert not helper.is_alive()
 
 
-def test_in_two_joins_the_helper_when_the_caller_raises():
+@pytest.mark.parametrize("helper_raises", [False, True])
+def test_in_two_joins_the_helper_when_the_caller_raises(helper_raises):
     finished = []
 
     def work(name):
@@ -275,8 +276,10 @@ def test_in_two_joins_the_helper_when_the_caller_raises():
             raise KeyError("caller")
         time.sleep(0.05)  # still running when the caller's part raises
         finished.append(threading.current_thread())
+        if helper_raises:
+            raise ValueError("helper")
 
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError):  # the caller's exception, not the helper's
         kernels._in_two([("caller",), ("helper",)], work)
     assert len(finished) == 1  # the helper ran to its end before the exception left _in_two
     finished[0].join(timeout=10)

@@ -30,7 +30,7 @@ from pgpu import FlipRateSpec, SplitKernel, gen_triangles, kernels
 from pgpu import kmm as kmm_module
 from pgpu.kernels import gram_matrix
 from pgpu.core import _matching_kernel, estimate_boundary_min, relabel
-from pgpu.kmm import BetaWeights, _clip_to_sum, _sorted_distinct, solve_kmm
+from pgpu.kmm import BetaWeights, _clip_to_sum, solve_kmm
 
 
 def _slack(ns):
@@ -354,11 +354,16 @@ def test_default_kmm_reaches_the_qp_optimum():
 
 
 @given(st.integers(0, 100_000), st.integers(1, 60), st.sampled_from([1.0, 1.5, 5.0, 1000.0]),
-       st.sampled_from([0.0, 1.0, 0.5, 0.9]), st.sampled_from([0.1, 1.0, 10.0]))
+       st.sampled_from([0.0, 1.0, 0.5, 0.9]), st.sampled_from([0.1, 1.0, 10.0]), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_clip_to_sum_is_a_feasible_idempotent_projection(seed, n, cap, frac, scale):
+def test_clip_to_sum_is_a_feasible_idempotent_projection(seed, n, cap, frac, scale, tied):
     rng = np.random.default_rng(seed)
-    v = rng.normal(scale=scale, size=n) + rng.normal()
+    if tied:  # values on a grid, signed zeros among them: many equal breakpoints
+        v = rng.integers(-6, 7, size=n) * 0.25
+        v[rng.random(n) < 0.2] = -0.0
+        v[rng.random(n) < 0.2] = 0.0
+    else:
+        v = rng.normal(scale=scale, size=n) + rng.normal()
     target = frac * n * cap
     x = _clip_to_sum(v, cap, target)
     assert x.min() >= 0.0 and x.max() <= cap
@@ -480,17 +485,6 @@ def test_a_product_split_at_a_multiple_of_four_rows_keeps_every_bit():
     words = _python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert len(words) == 64
     assert [ns for ns, same in zip(words[::2], words[1::2]) if same != "True"] == []
-
-
-def test_sorted_distinct_is_unique_to_the_bit():
-    rng = np.random.default_rng(12)
-    for size in (1, 2, 9, 200, 5000):
-        v = rng.integers(-6, 7, size=size) * 0.25  # many ties
-        v[rng.random(size) < 0.2] = -0.0
-        v[rng.random(size) < 0.2] = 0.0
-        cap = float(rng.choice([0.25, 1.0, 1.5]))
-        for a in (v, np.concatenate([-v, cap - v]), rng.normal(size=size)):
-            assert _sorted_distinct(a).tobytes() == np.unique(a).tobytes()
 
 
 def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
