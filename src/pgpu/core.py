@@ -165,7 +165,8 @@ def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
 
 
 def _matching_kernel(kernel: SplitKernel, relabelled: RelabelResult) -> SplitKernel:
-    """The KMM kernel on the rows ``relabelled.layout`` of ``kernel``, in that order."""
+    """The KMM kernel on the rows ``relabelled.layout`` of ``kernel``, in that order. Its
+    matrix is computed on first use: a solve that factors a large layout never builds it."""
     return SplitKernel(KMM_GAMMA_SCALE / kernel.X.shape[1], kernel.X[relabelled.layout])
 
 
@@ -180,7 +181,8 @@ def fit_relabelled_classifier(kernel: SplitKernel, relabelled: RelabelResult,
     relabelled lead, so the weights undo the bias from dropping the ambiguous band.
     ``matching`` (None: built here) is ``_matching_kernel``'s kernel on the layout, which
     callers that fit many relabellings of one layout build once; the KMM source block is a
-    view of it. ``beta`` lines up with the relabelled rows of the layout, positives first.
+    view of its matrix, or on a large layout of its factor, which each solve computes anew.
+    ``beta`` lines up with the relabelled rows of the layout, positives first.
     """
     n_pos, n_neg = relabelled.n_positive, relabelled.n_negative
     if n_pos == 0 or n_neg == 0:

@@ -6,7 +6,6 @@ import math
 import mmap
 import os
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import suppress
 from functools import cached_property
 
@@ -36,6 +35,11 @@ def check_labels(labels, name: str) -> np.ndarray:
     if not ((labels == 1) | (labels == -1)).all():
         raise ValueError(f"{name} must be +1 or -1")
     return labels.astype(int, copy=False)
+
+
+def _check_gamma(gamma) -> None:
+    if not 0 < gamma < math.inf:  # an infinite gamma makes the diagonal 0 * -inf = NaN
+        raise ValueError(f"rbf kernel requires a finite gamma > 0, got {gamma!r}")
 
 
 def _empty(rows: int, cols: int) -> np.ndarray:
@@ -88,7 +92,11 @@ def _in_two(parts, work) -> None:
     ``BaseException`` included, is raised here; when both parts raise, this
     thread's exception wins. ``work`` may call numpy only: numpy releases the
     interpreter lock in its BLAS and element loops, so the two halves run at once.
+    The executor is imported here: ``concurrent.futures`` loads ``logging``, ``queue``
+    and ``traceback``, which a process that never splits a matrix does without.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(1) as pool:  # leaving the block joins the helper
         helper = pool.submit(work, *parts[1])
         work(*parts[0])
@@ -106,8 +114,7 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     helper thread, each with its own tiles, when the process may use two CPUs;
     every block goes through the same operations, so the bytes do not change.
     """
-    if not 0 < gamma < math.inf:  # an infinite gamma makes the diagonal 0 * -inf = NaN
-        raise ValueError(f"rbf kernel requires a finite gamma > 0, got {gamma!r}")
+    _check_gamma(gamma)
     same = X is Z
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Z = X if same else np.atleast_2d(np.asarray(Z, dtype=float))
@@ -119,10 +126,17 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     # exact space a freed matrix of its size left (see _empty)
     n, m = X.shape[0], Z.shape[0]
     out = _empty(n, m)
-    sx = np.sum(X * X, axis=1)
-    sz = sx if same else np.sum(Z * Z, axis=1)
+    with np.errstate(over="ignore"):  # an overflow is reported below, naming its row
+        sx = np.sum(X * X, axis=1)
+        sz = sx if same else np.sum(Z * Z, axis=1)
+        largest = sx.max() + sz.max()
+    if not math.isfinite(largest):  # every squared distance, and so the kernel, needs it finite
+        name, norms = ("Z", sz) if sz.max() > sx.max() else ("X", sx)
+        i = int(np.argmax(norms))
+        raise ValueError(f"features too large for the rbf kernel: row {i} of {name} has "
+                         f"squared norm {norms[i]:g}")
     # no entry's bound 1e-13 * (sx[i] + sz[j]) exceeds this, as rounding is monotone
-    bound = 1e-13 * (sx.max() + sz.max())
+    bound = 1e-13 * largest
     pairs = [(i, j) for i in range(0, n, _BLOCK) for j in range(i if same else 0, m, _BLOCK)]
     split = len(pairs) > 1 and _shares_work(8 * n * m)
     size = min(_BLOCK, n) * min(_BLOCK, m)
@@ -171,19 +185,25 @@ def _as_run(idx, n: int):
 
 class SplitKernel:
     """The rows of one sample (a training split) and their rbf kernel matrix at
-    bandwidth ``gamma``, computed once.
+    bandwidth ``gamma``, computed once, on first use.
 
     Every fit, fold and decision value on the sample reads ``K`` (SMO the
     kernel rows it uses, KMM its source block) instead of recomputing
     kernels from features. ``K`` is exactly symmetric, so every
-    block on the diagonal is too.
+    block on the diagonal is too. A KMM solve that factors a large matching
+    kernel reads ``X`` only, and ``K`` is never computed.
     """
 
     def __init__(self, gamma: float, X) -> None:
+        _check_gamma(gamma)
         self.gamma = gamma
         self.X = np.atleast_2d(np.asarray(X, dtype=float))
         check_finite(self.X)
-        self.K = gram_matrix(gamma, self.X, self.X)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """The kernel matrix, computed on first use and kept for every later caller."""
+        return gram_matrix(self.gamma, self.X, self.X)
 
     @property
     def n(self) -> int:

@@ -491,3 +491,22 @@ def test_pipelines_read_decision_values_from_smo_and_copy_no_kernel_block(monkey
         tracemalloc.stop()
     assert len(views) == len(matching) and all(ok for _, ok in fits)
     assert fits[-1][0] > train.n  # the final fit lists each unlabelled row twice
+
+
+@pytest.mark.parametrize("scale, overflows", [(1e160, True), (1e150, False)])
+def test_features_whose_kernel_overflows_fail_every_cell_at_the_gram(tmp_path, scale, overflows):
+    # finite features whose squared norms overflow pass check_finite; at 1e160 the Gram
+    # matrix would hold NaN, which svm_naive and clean would read as -1 predictions
+    pu = _pu_data("triangles", 400, 3, FlipRateSpec("linear", 0.6), 4)
+    path = tmp_path / "scaled.csv"
+    pgpu.save_csv(PUDataset(pu.X * scale, pu.s, pu.y), path)
+    methods = ("pgpu", "pgpu_cv", "elkan", "svm_naive", "clean")
+    cfg = ExperimentConfig(dataset_source={"csv": str(path)}, flip=None, methods=methods,
+                           n_splits=1, master_seed=0)
+    records = run_suite(cfg)
+    assert [r.method for r in records] == list(methods)
+    too_large = [r.error is not None and r.error.startswith("features too large for the rbf "
+                                                            "kernel: row ") for r in records]
+    assert too_large == [overflows] * len(methods)
+    if not overflows:  # the kernel is about the identity: fits run, some calibrations fail
+        assert {"svm_naive", "clean"} <= {r.method for r in records if r.error is None}

@@ -56,6 +56,20 @@ def test_kernel_symmetric(xs, data):
     assert _pair(0.7, xs, zs) == _pair(0.7, zs, xs)
 
 
+def test_gram_names_a_row_whose_squared_norms_overflow():
+    X = np.ones((5, 2))
+    X[3] = [1e160, 0.0]  # finite, but its square is not
+    with pytest.raises(ValueError, match="too large for the rbf kernel: row 3 of X has "
+                                         "squared norm inf$"):
+        gram_matrix(0.5, X, X)
+    with pytest.raises(ValueError, match="row 3 of Z has squared norm inf$"):
+        gram_matrix(0.5, np.ones((2, 2)), X)
+    X[3] = [1e154, 0.0]  # a finite square, 1e308, but two of them overflow a distance
+    with pytest.raises(ValueError, match="row 3 of X has squared norm 1e\\+308$"):
+        gram_matrix(0.5, X, X)
+    assert np.isfinite(gram_matrix(0.5, np.ones((2, 2)), X)).all()
+
+
 def test_gram_identical_points_all_ones():
     X = np.tile([0.4, -1.2], (2, 1))
     G = gram_matrix(2.0, X, X)
@@ -111,14 +125,14 @@ def test_split_kernel_equals_recomputation(n, d, seed):
 def test_mapped_matrices_equal_heap_ones(monkeypatch):
     # matrices of 1 MiB and more live in mappings of their own; here every one does
     X = np.random.default_rng(5).normal(size=(300, 2))
-    heap = SplitKernel(0.5, X)
+    heap = SplitKernel(0.5, X).K  # computed on first use, so before the patch
     monkeypatch.setattr(kernels, "_MAPPED_BYTES", 1)
-    mapped = SplitKernel(0.5, X)
-    assert heap.K.flags.owndata and not mapped.K.flags.owndata
-    assert np.array_equal(mapped.K, heap.K)
+    mapped = SplitKernel(0.5, X).K
+    assert heap.flags.owndata and not mapped.flags.owndata
+    assert np.array_equal(mapped, heap)
     # views of either are laid out alike, so products with them sum in the same order
     v = np.random.default_rng(6).normal(size=170)
-    assert np.array_equal(mapped.K[:170, :170] @ v, heap.K[:170, :170] @ v)
+    assert np.array_equal(mapped[:170, :170] @ v, heap[:170, :170] @ v)
 
 
 def test_a_matrix_of_a_mebibyte_gets_a_mapping_of_whole_huge_pages():

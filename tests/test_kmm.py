@@ -434,6 +434,7 @@ def test_descent_is_byte_identical_to_the_plain_loop(kind, settings, monkeypatch
 def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, eps, monkeypatch):
     # the pipeline's shape: one kernel over the sample, its leading rows the source, as a view
     kernel = SplitKernel(10.0, gen_triangles(200, 200, seed=ns).X)
+    kernel.K  # computed on first use: here, before the patch, so only KMM's products split
     source = np.arange(ns)
     monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -505,3 +506,94 @@ def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
     projections, before, after = _python(code)
     assert int(projections) > 0  # the sum constraint bound
     assert after == before  # numpy 1.x imports numpy.ma with numpy itself
+
+
+# The low-rank path, on samples of at least kmm._FACTOR_ROWS rows
+
+
+@pytest.fixture(scope="module")
+def factored():
+    """A 2100-row 2-d triangles sample at the matching kernel's bandwidth, laid out as a
+    pipeline solve lays out its relabelling: the source first, then the rows it leaves
+    out, a band beside the class boundary. Returns the kernel, the source size and the
+    factor that solve_kmm computes."""
+    X = gen_triangles(1050, 1050, seed=21).X
+    margin = X[:, 1] - X[:, 0]
+    band = (margin > -0.3) & (margin <= 0.0)
+    kernel = SplitKernel(10.0, np.vstack([X[~band], X[band]]))
+    assert kernel.n >= kmm_module._FACTOR_ROWS
+    lt = kmm_module._factor(kernel.gamma, kernel.X)
+    return kernel, int((~band).sum()), lt
+
+
+def test_factor_residual_is_psd_with_its_diagonal_within_the_tolerance(factored):
+    kernel, _, lt = factored
+    assert lt is not None and lt.shape[0] <= math.isqrt(kmm_module._FACTOR_BUDGET * kernel.n)
+    assert lt.shape[1] == kernel.n
+    residual = 1.0 - np.einsum("ij,ij->j", lt, lt)  # rbf kernels are 1 on the diagonal
+    assert residual.max() <= kmm_module._FACTOR_TOL
+    rows = np.random.default_rng(0).choice(kernel.n, 300, replace=False)
+    E = kernel.K[np.ix_(rows, rows)] - lt[:, rows].T @ lt[:, rows]
+    # each entry of E is a kernel value (relative error a few eps) less a sum of r
+    # products: off by at most about (r + 8) eps, and an eigenvalue by 300 times that
+    floor = -300 * (lt.shape[0] + 8) * np.finfo(float).eps
+    assert np.linalg.eigvalsh(E).min() >= floor
+    assert np.abs(E).max() <= kmm_module._FACTOR_TOL - floor  # |E_ij| <= sqrt(E_ii E_jj)
+
+
+def test_factored_kmm_bounds_the_true_objective(factored, monkeypatch):
+    kernel, ns, lt = factored
+    calls, descents = [], []
+    factor, descent = kmm_module._factor, kmm_module._projected_descent
+    monkeypatch.setattr(kmm_module, "_factor", lambda *a: calls.append(1) or factor(*a))
+    monkeypatch.setattr(kmm_module, "_projected_descent",
+                        lambda *a: descents.append(a) or descent(*a))
+    result = solve_kmm(kernel, None, np.arange(ns))
+    assert calls == [1] and result.trace.size - 1 >= 10
+    (left, right), row_max = descents[0][0], descents[0][-1]
+    # the step's Gershgorin bound covers the factored block's small negative entries too
+    assert row_max >= np.abs(left @ right).sum(axis=1).max()
+    assert np.all(np.diff(result.trace) <= 0.0)
+    assert result.beta.min() >= 0.0 and abs(result.beta.mean() - 1.0) <= _slack(ns) + 1e-12
+    # w: the target's weights (1/n on every row) less the source's (beta/ns)
+    w = np.full(kernel.n, 1.0 / kernel.n)
+    w[:ns] -= result.beta / ns
+    factored_obj = float(np.sum((lt @ w) ** 2))  # w^T L L^T w
+    assert result.trace[-1] == pytest.approx(factored_obj, rel=1e-9)
+    # the true objective exceeds it by w^T E w, E = K - L L^T PSD: at most trace(E) |w|^2
+    true_obj = float(w @ kernel.K @ w)
+    trace_e = kernel.n - float(np.sum(lt * lt))
+    assert 0.0 <= true_obj - factored_obj <= trace_e * float(w @ w)
+
+
+def test_a_kernel_beyond_the_rank_budget_falls_back_to_the_gram(monkeypatch):
+    X = np.random.default_rng(3).uniform(size=(2100, 10))  # full rank at 1e-4
+    source = np.arange(1700)
+    factors = []
+    factor = kmm_module._factor
+    monkeypatch.setattr(kmm_module, "_factor", lambda *a: factors.append(factor(*a)) or factors[-1])
+    result = solve_kmm(SplitKernel(2.0, X), None, source)
+    assert factors == [None]
+    monkeypatch.setattr(kmm_module, "_FACTOR_ROWS", X.shape[0] + 1)  # the Gram path alone
+    gram = solve_kmm(SplitKernel(2.0, X), None, source)
+    assert len(factors) == 1
+    assert result.beta.tobytes() == gram.beta.tobytes()
+    assert result.trace.tobytes() == gram.trace.tobytes()
+
+
+@pytest.mark.parametrize("below", [True, False])
+def test_the_factor_threshold_counts_the_kernel_rows(below, monkeypatch):
+    n = kmm_module._FACTOR_ROWS - below
+    kernel = SplitKernel(10.0, gen_triangles(n // 2, n - n // 2, seed=5).X)
+    calls = []
+    factor = kmm_module._factor
+    monkeypatch.setattr(kmm_module, "_factor", lambda *a: calls.append(1) or factor(*a))
+    if below:  # solve_kmm is the Gram descent at the method's settings, bit for bit
+        _assert_fixed_settings(kernel, n - 300)
+        assert calls == [] and "K" in vars(kernel)
+    else:  # the factor alone: the Gram is never computed
+        solve_kmm(kernel, None, np.arange(n - 300))
+        assert calls == [1] and "K" not in vars(kernel)
+    # a given target keeps the Gram path at any size
+    solve_kmm(kernel, np.arange(n), np.arange(n - 300))
+    assert len(calls) == (not below)

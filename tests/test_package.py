@@ -1,7 +1,9 @@
 """The package's public surface: runtime dependencies and the documented API."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,16 @@ def test_numpy_is_the_only_runtime_dependency():
                 top = module.split(".")[0]
                 ok = top in sys.stdlib_module_names or top == "numpy"
                 assert ok, f"{path.name} imports {module}"
+
+
+def test_importing_pgpu_loads_no_thread_executor():
+    # concurrent.futures loads logging, queue and traceback (about 740 kB); only a call
+    # that shares a large matrix with a helper thread needs it
+    code = "import sys, pgpu; print('concurrent.futures' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_public_names_resolve_and_match_readme():
