@@ -166,7 +166,8 @@ def relabel(gaps, observed_labels, boundary_l: float) -> RelabelResult:
 
 def _matching_kernel(kernel: SplitKernel, relabelled: RelabelResult) -> SplitKernel:
     """The KMM kernel on the rows ``relabelled.layout`` of ``kernel``, in that order. Its
-    matrix is computed on first use: a solve that factors a large layout never builds it."""
+    matrix, or on a large layout its factor, is computed on first use and kept: the solves
+    that read the factor never build the matrix."""
     return SplitKernel(KMM_GAMMA_SCALE / kernel.X.shape[1], kernel.X[relabelled.layout])
 
 
@@ -181,7 +182,7 @@ def fit_relabelled_classifier(kernel: SplitKernel, relabelled: RelabelResult,
     relabelled lead, so the weights undo the bias from dropping the ambiguous band.
     ``matching`` (None: built here) is ``_matching_kernel``'s kernel on the layout, which
     callers that fit many relabellings of one layout build once; the KMM source block is a
-    view of its matrix, or on a large layout of its factor, which each solve computes anew.
+    view of its matrix, or on a large layout of its factor, which it keeps for every solve.
     ``beta`` lines up with the relabelled rows of the layout, positives first.
     """
     n_pos, n_neg = relabelled.n_positive, relabelled.n_negative

@@ -1,4 +1,4 @@
-"""The rbf kernel: dense Gram matrices, and the one kernel matrix each training split shares."""
+"""The rbf kernel: dense Gram matrices, low-rank factors, and the one kernel each split shares."""
 
 from __future__ import annotations
 
@@ -17,8 +17,17 @@ import numpy as np
 _BLOCK = 256
 _MAPPED_BYTES = 1 << 20  # matrices at least this large get a memory mapping of their own
 _HUGE_PAGE = 2 << 20  # a mapping is a whole number of these, so huge pages can back all of it
-_SPLIT_BYTES = 16 << 20  # work on matrices at least this large is shared with one helper thread
+_SPLIT_BYTES = 16 << 20  # Gram matrices at least this large are shared with one helper thread
 _released = []  # the mapping most recently released by its matrix, kept for the next one
+
+# A factor K ~ L L^T (``_factor``) takes pivots until no residual diagonal entry exceeds
+# _FACTOR_TOL, up to _FACTOR_BLOCK at a time, and gives up beyond isqrt(_FACTOR_BUDGET * n)
+# pivots: rank r costs about n r^2 flops of Schur updates and the Gram about n^2
+# exponentials, so a budget growing as sqrt(n) keeps the work wasted on a kernel that is not
+# low-rank near the Gram's own.
+_FACTOR_TOL = 1e-4
+_FACTOR_BLOCK = 64
+_FACTOR_BUDGET = 32
 
 
 def check_finite(X: np.ndarray) -> None:
@@ -75,15 +84,6 @@ def _keep(buf: mmap.mmap) -> None:  # a released mapping, kept in place of any k
     _released[:] = [buf]
 
 
-def _shares_work(nbytes: int) -> bool:
-    """Whether work on a matrix of ``nbytes`` is split with a helper thread: a large
-    matrix, in a process that may run on more than one CPU."""
-    if nbytes < _SPLIT_BYTES:
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
-
-
 def _in_two(parts, work) -> None:
     """Run ``work(*parts[0])`` here and ``work(*parts[1])`` on one helper thread.
 
@@ -138,7 +138,8 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     # no entry's bound 1e-13 * (sx[i] + sz[j]) exceeds this, as rounding is monotone
     bound = 1e-13 * largest
     pairs = [(i, j) for i in range(0, n, _BLOCK) for j in range(i if same else 0, m, _BLOCK)]
-    split = len(pairs) > 1 and _shares_work(8 * n * m)
+    split = len(pairs) > 1 and 8 * n * m >= _SPLIT_BYTES and 1 < (
+        len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     size = min(_BLOCK, n) * min(_BLOCK, m)
     # a tile set per thread, made here: the helper thread allocates no array
     tiles = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool)) for _ in range(1 + split)]
@@ -173,6 +174,64 @@ def gram_matrix(gamma: float, X, Z) -> np.ndarray:
     return out
 
 
+def _pivots(block: np.ndarray) -> np.ndarray:
+    """The pivots, in order, of a pivoted Cholesky of the symmetric PSD ``block``: each the
+    largest residual diagonal entry left, until none exceeds ``_FACTOR_TOL``."""
+    b = block.shape[0]
+    res = block.diagonal().copy()
+    cols = np.zeros((b, b))
+    order = []
+    for j in range(b):
+        p = int(res.argmax())
+        if not res[p] > _FACTOR_TOL:
+            break
+        col = block[:, p] - cols[:, :j] @ cols[p, :j]
+        col /= math.sqrt(res[p])
+        cols[:, j] = col
+        res -= col * col
+        order.append(p)
+    return np.asarray(order, dtype=np.intp)
+
+
+def _factor(gamma: float, X: np.ndarray) -> np.ndarray | None:
+    """A factor L (n x r) of the rbf Gram matrix K of the rows X, K ~ L L^T, computed from
+    the features without K, and returned as the rows of L^T; None once its rank would
+    exceed its budget of isqrt(_FACTOR_BUDGET * n) pivots.
+
+    A blocked pivoted Cholesky (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012):
+    the up to ``_FACTOR_BLOCK`` rows of largest residual diagonal are screened by a pivoted
+    Cholesky of their own residual block, and only the pivots it accepts get full kernel
+    columns. It stops once no residual diagonal entry exceeds ``_FACTOR_TOL``, so the
+    residual E = K - L L^T, which is PSD, has |E_ij| <= _FACTOR_TOL everywhere.
+    """
+    n = X.shape[0]
+    budget = math.isqrt(_FACTOR_BUDGET * n)
+    lt = np.empty((budget, n))  # L^T: each pivot's column is one contiguous row
+    res = np.ones(n)  # the residual diagonal; rbf kernels are 1 on the diagonal
+    r = 0
+    while True:
+        top = np.argpartition(res, n - _FACTOR_BLOCK)[n - _FACTOR_BLOCK:]
+        cand = top[np.lexsort((top, -res[top]))]  # largest first, ties by row
+        cand = cand[res[cand] > _FACTOR_TOL]
+        if cand.size == 0:
+            return lt[:r]
+        Xc, lc = X[cand], lt[:r, cand]
+        block = gram_matrix(gamma, Xc, Xc)
+        block -= lc.T @ lc
+        rows = cand[_pivots(block)]
+        if r + rows.size > budget:
+            return None
+        if rows.size == 0:  # the candidates' residuals are at the tolerance up to rounding
+            return lt[:r]
+        cols = gram_matrix(gamma, X[rows], X)
+        cols -= lt[:r, rows].T @ lt[:r]  # the pivots' residual kernel rows, S
+        # the pivots' residual block is R R^T, and their rows of L^T are R^-1 S
+        new = lt[r:r + rows.size]
+        np.matmul(np.linalg.inv(np.linalg.cholesky(cols[:, rows])), cols, out=new)
+        r += rows.size
+        res -= np.einsum("ij,ij->j", new, new)
+
+
 def _as_run(idx, n: int):
     """``idx`` checked against n rows: a slice if consecutive and ascending, else an index array."""
     idx = np.asarray(idx, dtype=np.intp)
@@ -190,8 +249,9 @@ class SplitKernel:
     Every fit, fold and decision value on the sample reads ``K`` (SMO the
     kernel rows it uses, KMM its source block) instead of recomputing
     kernels from features. ``K`` is exactly symmetric, so every
-    block on the diagonal is too. A KMM solve that factors a large matching
-    kernel reads ``X`` only, and ``K`` is never computed.
+    block on the diagonal is too. KMM on a large matching kernel reads its
+    ``factor`` instead, computed from ``X`` and kept in the same way, and
+    ``K`` is never computed.
     """
 
     def __init__(self, gamma: float, X) -> None:
@@ -213,3 +273,9 @@ class SplitKernel:
     def row_sums(self) -> np.ndarray:
         """``K.sum(axis=1)``, summed on first use and kept for every later caller."""
         return self.K.sum(axis=1)
+
+    @cached_property
+    def factor(self) -> np.ndarray | None:
+        """``_factor(gamma, X)``, the rows of L^T in K ~ L L^T, factored on first use and
+        kept for every later caller; None when the kernel's rank passes the budget."""
+        return _factor(self.gamma, self.X)

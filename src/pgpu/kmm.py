@@ -3,8 +3,10 @@
 Solves min_beta || (1/n) sum_i phi(x_i) - (1/n') sum_j beta_j phi(x'_j) ||^2
 subject to 0 <= beta_j <= B and |mean(beta) - 1| <= epsilon, by projected
 gradient steps of size 1/L, L a Gershgorin bound on the objective's curvature.
-On a sample of at least ``_FACTOR_ROWS`` rows the kernel is first replaced by a
-pivoted Cholesky factor, K ~ L L^T, when its rank allows one.
+On a sample of at least ``_FACTOR_ROWS`` rows the kernel is replaced by its
+pivoted Cholesky factor, K ~ L L^T (``SplitKernel.factor``), when its rank allows
+one. Each step is one product with the source block, or two thin ones with its
+factor, on the calling thread.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import SplitKernel, _as_run, _in_two, _shares_work, gram_matrix
+from .kernels import _FACTOR_TOL, SplitKernel, _as_run
 
 # The method's fixed settings; the mean slack is epsilon = (sqrt(n')-1)/sqrt(n') for n'
 # source rows (Huang et al., NeurIPS 2006)
@@ -23,15 +25,8 @@ _MAX_ITERS = 5000  # descent steps
 _TOL = 1e-6  # relative decrease of the objective below which the descent stops
 
 # The low-rank path: a sample of at least _FACTOR_ROWS rows (a matching Gram of 32 MiB)
-# is factored, K ~ L L^T, until no residual diagonal entry exceeds _FACTOR_TOL, taking
-# up to _FACTOR_BLOCK pivots at a time. The factor gives up beyond isqrt(_FACTOR_BUDGET
-# * n) pivots and the solve falls back to the Gram: rank r costs about n r^2 flops of
-# Schur updates and the Gram about n^2 exponentials, so a budget growing as sqrt(n) keeps
-# the work wasted on a kernel that is not low-rank near the Gram's own.
+# is read through its factor, or through the Gram when the factor passes its rank budget
 _FACTOR_ROWS = 2048
-_FACTOR_TOL = 1e-4
-_FACTOR_BLOCK = 64
-_FACTOR_BUDGET = 32
 
 
 @dataclass
@@ -84,64 +79,6 @@ def _project(v: np.ndarray, cap: float, lo_sum: float, hi_sum: float,
     return x
 
 
-def _pivots(block: np.ndarray) -> np.ndarray:
-    """The pivots, in order, of a pivoted Cholesky of the symmetric PSD ``block``: each the
-    largest residual diagonal entry left, until none exceeds ``_FACTOR_TOL``."""
-    b = block.shape[0]
-    res = block.diagonal().copy()
-    cols = np.zeros((b, b))
-    order = []
-    for j in range(b):
-        p = int(res.argmax())
-        if not res[p] > _FACTOR_TOL:
-            break
-        col = block[:, p] - cols[:, :j] @ cols[p, :j]
-        col /= math.sqrt(res[p])
-        cols[:, j] = col
-        res -= col * col
-        order.append(p)
-    return np.asarray(order, dtype=np.intp)
-
-
-def _factor(gamma: float, X: np.ndarray) -> np.ndarray | None:
-    """A factor L (n x r) of the rbf Gram matrix K of the rows X, K ~ L L^T, computed from
-    the features without K, and returned as the rows of L^T; None once its rank would
-    exceed its budget of isqrt(_FACTOR_BUDGET * n) pivots.
-
-    A blocked pivoted Cholesky (Harbrecht, Peters & Schneider, Appl. Numer. Math. 2012):
-    the up to ``_FACTOR_BLOCK`` rows of largest residual diagonal are screened by a pivoted
-    Cholesky of their own residual block, and only the pivots it accepts get full kernel
-    columns. It stops once no residual diagonal entry exceeds ``_FACTOR_TOL``, so the
-    residual E = K - L L^T, which is PSD, has |E_ij| <= _FACTOR_TOL everywhere.
-    """
-    n = X.shape[0]
-    budget = math.isqrt(_FACTOR_BUDGET * n)
-    lt = np.empty((budget, n))  # L^T: each pivot's column is one contiguous row
-    res = np.ones(n)  # the residual diagonal; rbf kernels are 1 on the diagonal
-    r = 0
-    while True:
-        top = np.argpartition(res, n - _FACTOR_BLOCK)[n - _FACTOR_BLOCK:]
-        cand = top[np.lexsort((top, -res[top]))]  # largest first, ties by row
-        cand = cand[res[cand] > _FACTOR_TOL]
-        if cand.size == 0:
-            return lt[:r]
-        Xc, lc = X[cand], lt[:r, cand]
-        block = gram_matrix(gamma, Xc, Xc)
-        block -= lc.T @ lc
-        rows = cand[_pivots(block)]
-        if r + rows.size > budget:
-            return None
-        if rows.size == 0:  # the candidates' residuals are at the tolerance up to rounding
-            return lt[:r]
-        cols = gram_matrix(gamma, X[rows], X)
-        cols -= lt[:r, rows].T @ lt[:r]  # the pivots' residual kernel rows, S
-        # the pivots' residual block is R R^T, and their rows of L^T are R^-1 S
-        new = lt[r:r + rows.size]
-        np.matmul(np.linalg.inv(np.linalg.cholesky(cols[:, rows])), cols, out=new)
-        r += rows.size
-        res -= np.einsum("ij,ij->j", new, new)
-
-
 def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, row_max):
     """KMM's projected descent on the source block ``k_ss``, or on a pair (F, G) of its
     factors, k_ss = F @ G, whose products go through the thin inner dimension."""
@@ -160,18 +97,8 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, row_max)
         def product(v, out):
             np.matmul(left, np.matmul(right, v, out=inner), out=out)
     else:
-        # A large source block's products run as two row ranges, the second on a helper
-        # thread, into the two halves of one output. OpenBLAS sums a row by its place in
-        # a group of 4 rows, so a split at a multiple of 4 rows, with at least 4 on each
-        # side, keeps every bit; h is 0 (no split) below 8 rows.
-        h = 4 * (ns // 8) if _shares_work(8 * ns * ns) else 0
-        top, bottom = k_ss[:h], k_ss[h:]
-
         def product(v, out):
-            if h:
-                _in_two([(top, v, out[:h]), (bottom, v, out[h:])], np.matmul)
-            else:
-                np.matmul(k_ss, v, out=out)
+            np.matmul(k_ss, v, out=out)
     product(beta, k_beta)
 
     # The Gershgorin bound L, from ``row_max``, the largest row sum of |k_ss|, is at least
@@ -184,9 +111,8 @@ def _projected_descent(k_ss, kappa, n_target, cap, eps, max_iters, tol, row_max)
         raise RuntimeError("KMM objective is non-finite at the starting point beta = 1")
     trace = [obj]
     grad_scale, lin2 = 2.0 * inv2, 2.0 * lin
-    # A step makes one product (two halves of one, or two thin ones, above) and a fixed
-    # set of length-ns calls into these buffers; at ns of about 100 the calls, not the
-    # product, dominate.
+    # A step makes one product (or two thin ones, above) and a fixed set of length-ns
+    # calls into these buffers; at ns of about 100 the calls, not the product, dominate.
     grad, moved, proj = np.empty(ns), np.empty(ns), np.empty(ns)
     for _ in range(max_iters):
         np.multiply(k_beta, grad_scale, out=grad)
@@ -227,24 +153,22 @@ def solve_kmm(kernel: SplitKernel, target, source) -> BetaWeights:
     squared mean discrepancy) is monotonically non-increasing. Each step costs
     one product with the source block and a fixed set of vector passes into
     buffers allocated once per solve; a step whose sum constraint binds also
-    runs the closed-form projection ``_clip_to_sum``. A source block of at least
-    ``kernels._SPLIT_BYTES`` computes each product as two row ranges, one on a
-    helper thread, when the process may use two CPUs; with a single-threaded
-    BLAS its bits are those of the whole product. The box cap, step cap and
+    runs the closed-form projection ``_clip_to_sum``. The box cap, step cap and
     tolerance are the module's ``_B``, ``_MAX_ITERS`` and ``_TOL``, and the
     slack is epsilon = (sqrt(ns) - 1)/sqrt(ns) for ns source rows. Raises
     RuntimeError if the descent still makes progress above ``_TOL`` after
     ``_MAX_ITERS`` steps, or if its objective is or becomes non-finite.
 
-    With target None and a kernel of at least ``_FACTOR_ROWS`` rows, the kernel
-    is first factored from its features, K ~ L L^T (``_factor``), and ``K`` is
-    never computed: the descent runs on L, each product as L_s (L_s^T v), with
-    kappa = L_s (L^T 1) and the offset |L^T 1|^2 / n^2, so the trace is the
-    discrepancy under L L^T. Its residual E = K - L L^T is PSD with a diagonal
-    of at most ``_FACTOR_TOL``, so the true discrepancy at the returned beta
-    exceeds the last trace value by w^T E w <= trace(E) |w|^2, w the target's
-    weights 1/n less the source's beta/ns. A kernel whose factor would pass its
-    rank budget takes the path above instead, with the same bits.
+    With target None and a kernel of at least ``_FACTOR_ROWS`` rows, the descent
+    reads the kernel's ``factor``, K ~ L L^T, computed from its features once for
+    every solve on the kernel, and ``K`` is never computed: the descent runs on
+    L, each product as L_s (L_s^T v), with kappa = L_s (L^T 1) and the offset
+    |L^T 1|^2 / n^2, so the trace is the discrepancy under L L^T. Its residual
+    E = K - L L^T is PSD with a diagonal of at most ``kernels._FACTOR_TOL``, so
+    the true discrepancy at the returned beta exceeds the last trace value by
+    w^T E w <= trace(E) |w|^2, w the target's weights 1/n less the source's
+    beta/ns. A kernel whose factor would pass its rank budget (``factor`` None)
+    takes the path above instead, with the same bits.
     """
     source = np.asarray(source, dtype=np.intp)
     n = kernel.n if target is None else np.asarray(target).size
@@ -255,9 +179,7 @@ def solve_kmm(kernel: SplitKernel, target, source) -> BetaWeights:
     eps = (root - 1.0) / root
 
     run = _as_run(source, kernel.n)  # raises IndexError for an index out of range, not wrapping it
-    factor = None
-    if target is None and kernel.n >= _FACTOR_ROWS:
-        factor = _factor(kernel.gamma, kernel.X)
+    factor = kernel.factor if target is None and kernel.n >= _FACTOR_ROWS else None
     if factor is not None:
         ls_t = factor[:, run] if isinstance(run, slice) else factor[:, source]  # L_s^T
         total = factor.sum(axis=1)  # L^T 1, so that K 1 ~ L (L^T 1)

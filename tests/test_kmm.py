@@ -430,12 +430,13 @@ def test_descent_is_byte_identical_to_the_plain_loop(kind, settings, monkeypatch
 
 @pytest.mark.parametrize("eps", [pytest.param(None, id="default"),
                                  pytest.param(0.0, id="sum-bound")])
-@pytest.mark.parametrize("ns", range(296, 304))  # every residue of ns % 8
-def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, eps, monkeypatch):
+@pytest.mark.parametrize("ns", range(296, 304))  # each ns also seeds its own sample
+def test_kmm_starts_no_thread_and_matches_the_plain_loop(ns, eps, monkeypatch):
     # the pipeline's shape: one kernel over the sample, its leading rows the source, as a view
     kernel = SplitKernel(10.0, gen_triangles(200, 200, seed=ns).X)
-    kernel.K  # computed on first use: here, before the patch, so only KMM's products split
+    kernel.K  # computed on first use: here, before the patch, as the Gram may split
     source = np.arange(ns)
+    # every matrix counts as large, and the process may use two CPUs
     monkeypatch.setattr(kernels, "_SPLIT_BYTES", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     started = []
@@ -450,10 +451,7 @@ def test_two_thread_kmm_is_byte_identical_to_the_plain_loop(ns, eps, monkeypatch
     assert result.beta.tobytes() == ref_beta.tobytes()
     assert result.trace.tobytes() == (ref_trace + kernel.row_sums.sum() / kernel.n**2).tobytes()
     assert result.trace.size >= 10
-    assert len(started) == result.trace.size  # the first product and one per step, each split
-    for thread in started:
-        thread.join(timeout=10)
-        assert not thread.is_alive()
+    assert started == []
 
 
 def _python(code, **env):
@@ -463,29 +461,6 @@ def _python(code, **env):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=120, check=True)
     return out.stdout.split()
-
-
-def test_a_product_split_at_a_multiple_of_four_rows_keeps_every_bit():
-    # The property of BLAS the two-thread KMM steps rely on, for source blocks
-    # that are row-major, contiguous or the leading block of a kernel matrix. It
-    # is one of the single-threaded product: a threaded BLAS splits a large
-    # product at its own row counts, which moves bits with or without this split.
-    code = "\n".join([
-        "import numpy as np",
-        "from pgpu import kernels",
-        "for ns in [*range(720, 728), *range(1449, 1457)]:",
-        "    rng = np.random.default_rng(ns)",
-        "    matrix = rng.uniform(size=(ns + 5, ns + 5))",
-        "    v = rng.normal(size=ns)",
-        "    h = 4 * (ns // 8)",
-        "    for k_ss in (matrix[:ns, :ns], np.ascontiguousarray(matrix[:ns, :ns])):",
-        "        out = np.empty(ns)",
-        "        kernels._in_two([(k_ss[:h], v, out[:h]), (k_ss[h:], v, out[h:])], np.matmul)",
-        "        print(ns, out.tobytes() == (k_ss @ v).tobytes())",
-    ])
-    words = _python(code, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    assert len(words) == 64
-    assert [ns for ns, same in zip(words[::2], words[1::2]) if same != "True"] == []
 
 
 def test_a_sum_bound_kmm_solve_imports_no_numpy_ma():
@@ -516,39 +491,39 @@ def factored():
     """A 2100-row 2-d triangles sample at the matching kernel's bandwidth, laid out as a
     pipeline solve lays out its relabelling: the source first, then the rows it leaves
     out, a band beside the class boundary. Returns the kernel, the source size and the
-    factor that solve_kmm computes."""
+    factor that solve_kmm reads, computed here without keeping it on the kernel."""
     X = gen_triangles(1050, 1050, seed=21).X
     margin = X[:, 1] - X[:, 0]
     band = (margin > -0.3) & (margin <= 0.0)
     kernel = SplitKernel(10.0, np.vstack([X[~band], X[band]]))
     assert kernel.n >= kmm_module._FACTOR_ROWS
-    lt = kmm_module._factor(kernel.gamma, kernel.X)
+    lt = kernels._factor(kernel.gamma, kernel.X)
     return kernel, int((~band).sum()), lt
 
 
 def test_factor_residual_is_psd_with_its_diagonal_within_the_tolerance(factored):
     kernel, _, lt = factored
-    assert lt is not None and lt.shape[0] <= math.isqrt(kmm_module._FACTOR_BUDGET * kernel.n)
+    assert lt is not None and lt.shape[0] <= math.isqrt(kernels._FACTOR_BUDGET * kernel.n)
     assert lt.shape[1] == kernel.n
     residual = 1.0 - np.einsum("ij,ij->j", lt, lt)  # rbf kernels are 1 on the diagonal
-    assert residual.max() <= kmm_module._FACTOR_TOL
+    assert residual.max() <= kernels._FACTOR_TOL
     rows = np.random.default_rng(0).choice(kernel.n, 300, replace=False)
     E = kernel.K[np.ix_(rows, rows)] - lt[:, rows].T @ lt[:, rows]
     # each entry of E is a kernel value (relative error a few eps) less a sum of r
     # products: off by at most about (r + 8) eps, and an eigenvalue by 300 times that
     floor = -300 * (lt.shape[0] + 8) * np.finfo(float).eps
     assert np.linalg.eigvalsh(E).min() >= floor
-    assert np.abs(E).max() <= kmm_module._FACTOR_TOL - floor  # |E_ij| <= sqrt(E_ii E_jj)
+    assert np.abs(E).max() <= kernels._FACTOR_TOL - floor  # |E_ij| <= sqrt(E_ii E_jj)
 
 
 def test_factored_kmm_bounds_the_true_objective(factored, monkeypatch):
     kernel, ns, lt = factored
     calls, descents = [], []
-    factor, descent = kmm_module._factor, kmm_module._projected_descent
-    monkeypatch.setattr(kmm_module, "_factor", lambda *a: calls.append(1) or factor(*a))
+    factor, descent = kernels._factor, kmm_module._projected_descent
+    monkeypatch.setattr(kernels, "_factor", lambda *a: calls.append(1) or factor(*a))
     monkeypatch.setattr(kmm_module, "_projected_descent",
                         lambda *a: descents.append(a) or descent(*a))
-    result = solve_kmm(kernel, None, np.arange(ns))
+    result = solve_kmm(SplitKernel(kernel.gamma, kernel.X), None, np.arange(ns))
     assert calls == [1] and result.trace.size - 1 >= 10
     (left, right), row_max = descents[0][0], descents[0][-1]
     # the step's Gershgorin bound covers the factored block's small negative entries too
@@ -570,9 +545,12 @@ def test_a_kernel_beyond_the_rank_budget_falls_back_to_the_gram(monkeypatch):
     X = np.random.default_rng(3).uniform(size=(2100, 10))  # full rank at 1e-4
     source = np.arange(1700)
     factors = []
-    factor = kmm_module._factor
-    monkeypatch.setattr(kmm_module, "_factor", lambda *a: factors.append(factor(*a)) or factors[-1])
-    result = solve_kmm(SplitKernel(2.0, X), None, source)
+    factor = kernels._factor
+    monkeypatch.setattr(kernels, "_factor", lambda *a: factors.append(factor(*a)) or factors[-1])
+    kernel = SplitKernel(2.0, X)
+    result = solve_kmm(kernel, None, source)
+    assert factors == [None]
+    solve_kmm(kernel, None, source[:1600])  # the kernel keeps its None too
     assert factors == [None]
     monkeypatch.setattr(kmm_module, "_FACTOR_ROWS", X.shape[0] + 1)  # the Gram path alone
     gram = solve_kmm(SplitKernel(2.0, X), None, source)
@@ -586,8 +564,8 @@ def test_the_factor_threshold_counts_the_kernel_rows(below, monkeypatch):
     n = kmm_module._FACTOR_ROWS - below
     kernel = SplitKernel(10.0, gen_triangles(n // 2, n - n // 2, seed=5).X)
     calls = []
-    factor = kmm_module._factor
-    monkeypatch.setattr(kmm_module, "_factor", lambda *a: calls.append(1) or factor(*a))
+    factor = kernels._factor
+    monkeypatch.setattr(kernels, "_factor", lambda *a: calls.append(1) or factor(*a))
     if below:  # solve_kmm is the Gram descent at the method's settings, bit for bit
         _assert_fixed_settings(kernel, n - 300)
         assert calls == [] and "K" in vars(kernel)
@@ -597,3 +575,18 @@ def test_the_factor_threshold_counts_the_kernel_rows(below, monkeypatch):
     # a given target keeps the Gram path at any size
     solve_kmm(kernel, np.arange(n), np.arange(n - 300))
     assert len(calls) == (not below)
+
+
+def test_solves_on_one_kernel_share_its_factor(monkeypatch):
+    X = gen_triangles(1024, 1024, seed=8).X
+    calls = []
+    factor = kernels._factor
+    monkeypatch.setattr(kernels, "_factor", lambda *a: calls.append(1) or factor(*a))
+    kernel = SplitKernel(10.0, X)
+    shared = [solve_kmm(kernel, None, np.arange(ns)) for ns in (1700, 1800)]
+    assert calls == [1] and "K" not in vars(kernel)
+    for ns, result in zip((1700, 1800), shared):  # the bits of a solve that factors anew
+        alone = solve_kmm(SplitKernel(10.0, X), None, np.arange(ns))
+        assert result.beta.tobytes() == alone.beta.tobytes()
+        assert result.trace.tobytes() == alone.trace.tobytes()
+    assert len(calls) == 3
